@@ -297,15 +297,15 @@ def write_csv(dataset: Dataset, path, timestamp_column: str = "t") -> None:
 # ---------------------------------------------------------------------------
 
 def locf_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Array-level LOCF: masked-out entries take the last observed value,
-    leading gaps take the first observed value."""
-    if not mask.any():
+    """Array-level LOCF along the last axis: masked-out entries take the last
+    observed value, leading gaps take the first observed value. Extra
+    leading axes are filled row by row, as a stack of windows."""
+    if not mask.any(axis=-1).all():
         raise AllMissingChannel("cannot fill a channel with no observed sample")
-    n = len(values)
-    idx = np.where(mask, np.arange(n), -1)
-    idx = np.maximum.accumulate(idx)
-    first = int(np.argmax(mask))
-    return values[np.where(idx < 0, first, idx)]
+    n = values.shape[-1]
+    idx = np.maximum.accumulate(np.where(mask, np.arange(n), -1), axis=-1)
+    first = mask.argmax(axis=-1)[..., None]
+    return np.take_along_axis(values, np.where(idx < 0, first, idx), axis=-1)
 
 
 def fill_missing(series: ChannelSeries, policy: FillPolicy = FillPolicy.LOCF) -> ChannelSeries:

@@ -16,7 +16,7 @@ import numpy as np
 from .core import ChannelKind, ChannelSeries, Dataset, FillPolicy, fill_dataset
 from .errors import ConfigError, MapeUndefined, ShapeError
 from .matrices import MatrixVariant
-from .recovery import RecoveryConfig, _denoise_window, _window_spans, impute_offline, predict_stream
+from .recovery import RecoveryConfig, _denoise, _window_spans, impute_offline, predict_stream
 
 __all__ = [
     "ConstantSignal",
@@ -299,8 +299,10 @@ def rank_profile(data: Dataset, cfg: RecoveryConfig) -> list[int]:
     spans, _ = _window_spans(n, cfg)
     ranks = []
     for start, stop in spans:
-        _, _, _, outcome = _denoise_window(values[:, start:stop], masks[:, start:stop], cfg)
-        ranks.append(outcome.kept_rank)
+        *_, kept = _denoise(
+            values[None, :, start:stop], masks[None, :, start:stop], cfg, data.ids, (start,)
+        )
+        ranks.append(int(kept[0]))
     return ranks
 
 

@@ -58,26 +58,29 @@ def _check_window(window: np.ndarray, L: int) -> np.ndarray:
     if L <= 1:
         raise ConfigError(f"L must exceed 1, got {L}")
     w = np.asarray(window, dtype=float)
-    if w.ndim != 1:
-        raise ShapeError(f"window must be 1-D, got shape {w.shape}")
+    if w.ndim < 1:
+        raise ShapeError(f"window must be at least 1-D, got shape {w.shape}")
     return w
 
 
 def page_entries(window: np.ndarray, L: int) -> np.ndarray:
     """L x (T/L) array of non-overlapping segments; column j holds samples
-    [jL, jL+L)."""
+    [jL, jL+L). Leading axes of window hold a stack of windows, giving a
+    (..., L, T/L) stack of matrices."""
     w = _check_window(window, L)
-    if len(w) % L:
-        raise ShapeError(f"window length {len(w)} is not a multiple of L={L}")
-    return w.reshape(-1, L).T
+    T = w.shape[-1]
+    if T % L:
+        raise ShapeError(f"window length {T} is not a multiple of L={L}")
+    return w.reshape(w.shape[:-1] + (T // L, L)).swapaxes(-1, -2)
 
 
 def hankel_entries(window: np.ndarray, L: int) -> np.ndarray:
-    """L x (T-L+1) array with entry (i, j) = window[i + j]."""
+    """L x (T-L+1) array with entry (i, j) = window[i + j]. Leading axes of
+    window hold a stack of windows, giving a (..., L, T-L+1) stack."""
     w = _check_window(window, L)
-    if len(w) < L:
-        raise ShapeError(f"window length {len(w)} shorter than L={L}")
-    return sliding_window_view(w, L).T.copy()
+    if w.shape[-1] < L:
+        raise ShapeError(f"window length {w.shape[-1]} shorter than L={L}")
+    return sliding_window_view(w, L, axis=-1).swapaxes(-1, -2).copy()
 
 
 def page_matrix(window, L: int, channel_id: str = "0", start_index: int = 0) -> StackedMatrix:
@@ -122,13 +125,20 @@ def stack(blocks) -> StackedMatrix:
 
 
 def antidiagonal_means(block: np.ndarray, length: int) -> np.ndarray:
-    """Average every entry (i, j) of a Hankel-layout block into sample i+j."""
-    L, cols = block.shape
+    """Average every entry (i, j) of a Hankel-layout block into sample i+j.
+
+    Leading axes hold a stack of blocks, each averaged on its own. Rows are
+    summed in order of i, so every sample adds its terms in the same order
+    whatever the stack.
+    """
+    L, cols = block.shape[-2:]
     if length != L + cols - 1:
         raise ShapeError(f"block {block.shape} cannot reshape to length {length}")
-    idx = (np.arange(L)[:, None] + np.arange(cols)[None, :]).ravel()
-    sums = np.bincount(idx, weights=block.ravel(), minlength=length)
-    counts = np.bincount(idx, minlength=length)
+    sums = np.zeros(block.shape[:-2] + (length,))
+    counts = np.zeros(length)
+    for i in range(L):
+        sums[..., i:i + cols] += block[..., i, :]
+        counts[i:i + cols] += 1
     return sums / counts
 
 

@@ -10,25 +10,34 @@ rows shifted down by one sample. The last column of each channel block of
 that product is the channel's next-sample prediction. The regression runs in
 the normalized domain, which makes predictions equivariant to constant
 shifts of the data.
+
+One array-level engine serves every caller: it takes a stack of B windows
+(B, N, W) and treats each on its own, so a window's result does not depend
+on the batch it came in. A stream replay knows every window in advance and
+feeds them in chunks; single windows go through it with B = 1.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ChannelSeries, Dataset, FillPolicy, locf_fill
-from .errors import ConfigError, ShapeError
+from .errors import AllMissingChannel, ConfigError, ShapeError
 from .matrices import (
     MatrixVariant,
     StackedMatrix,
+    antidiagonal_means,
     hankel_entries,
     page_entries,
-    antidiagonal_means,
 )
-from .svt import OsvtOutcome, osvt_estimate
+# the engine calls osvt_batch; osvt_estimate stays bound here because
+# perfbench's tracer wraps it at this module's attribute
+from .svt import osvt_batch, osvt_estimate  # noqa: F401
 
 __all__ = [
     "RecoveryConfig",
@@ -100,8 +109,11 @@ class RecoveryReport:
     """Bookkeeping for one recovery run.
 
     kept_rank has one entry per processed window (offline) or per step
-    (online); step_seconds the matching wall times. mape/mape_excluded are
-    filled in by evaluation harnesses when ground truth is available.
+    (online); step_seconds the matching wall times. A stream replay computes
+    its steps in chunks, so each stream step's time is its chunk's wall time
+    divided by the chunk's step count (amortised, not a single-step
+    latency; time predict_next for that). mape/mape_excluded are filled in
+    by evaluation harnesses when ground truth is available.
     """
 
     config: dict
@@ -134,76 +146,100 @@ class RecoveryReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared window engine (array level, hot path for the stream loop)
+# Window engine: a stack of B windows of N channels, shape (B, N, W)
 # ---------------------------------------------------------------------------
 
-def _block_scales(filled: np.ndarray) -> list[tuple[float, float]]:
-    """Per-channel affine normalization (mid, half); constant rows pass
-    through with the identity map."""
-    scales = []
-    for row in filled:
-        lo = row.min()
-        hi = row.max()
-        if hi > lo:
-            scales.append((0.5 * (lo + hi), 0.5 * (hi - lo)))
-        else:
-            scales.append((0.0, 1.0))
-    return scales
-
-
-def _denoise_window(
+def _denoise(
     values: np.ndarray,
     masks: np.ndarray | None,
     cfg: RecoveryConfig,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]], OsvtOutcome]:
-    """Fill, normalize, stack, threshold, reshape one (N, W) window.
+    ids: Sequence[str],
+    starts: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fill, normalize, stack and threshold each (N, W) window of a stack.
 
-    Returns (denoised values (N, W), denoised stacked entries in the
-    normalized domain, per-channel scales, estimation outcome).
+    masks None means fully observed. starts[b] is the sample at which window
+    b begins in the caller's record and ids the channel ids; both only name
+    the culprit when a window channel has no observed sample. Returns the
+    denoised stacked matrices (B, L, N*cols) in the per-channel normalized
+    domain, the per-channel scales mid and half (B, N, 1) mapping that
+    domain back (value = normalized * half + mid), and the kept ranks (B,).
     """
-    N, W = values.shape
     if masks is None:
         filled = values
     else:
-        filled = np.empty_like(values)
-        for i in range(N):
-            filled[i] = locf_fill(values[i], masks[i])
-    scales = _block_scales(filled)
+        empty = ~masks.any(axis=-1)
+        if empty.any():
+            b, i = np.argwhere(empty)[0]
+            raise AllMissingChannel(
+                f"channel {ids[i]!r} has no observed sample in the window "
+                f"starting at sample {starts[b]}"
+            )
+        filled = locf_fill(values, masks)
+    lo = filled.min(axis=-1, keepdims=True)
+    hi = filled.max(axis=-1, keepdims=True)
+    varies = hi > lo  # a constant row passes through with the identity map
+    mid = np.where(varies, 0.5 * (lo + hi), 0.0)
+    half = np.where(varies, 0.5 * (hi - lo), 1.0)
+    norm = (filled - mid) / half
     make = page_entries if cfg.variant is MatrixVariant.PAGE else hankel_entries
-    blocks = []
-    for i in range(N):
-        mid, half = scales[i]
-        blocks.append(make((filled[i] - mid) / half, cfg.L))
-    outcome = osvt_estimate(np.hstack(blocks))
-    D = outcome.estimate
-    cols = blocks[0].shape[1]
-    denoised = np.empty_like(values)
-    for i in range(N):
-        block = D[:, i * cols:(i + 1) * cols]
-        if cfg.variant is MatrixVariant.PAGE:
-            w = block.T.reshape(-1)
-        else:
-            w = antidiagonal_means(block, W)
-        mid, half = scales[i]
-        denoised[i] = w * half + mid
-    return denoised, D, scales, outcome
+    blocks = make(norm, cfg.L)  # (B, N, L, cols)
+    # channel blocks side by side: row r of window b is blocks[b, :, r] flattened
+    stacked = blocks.transpose(0, 2, 1, 3).reshape(len(norm), cfg.L, -1)
+    out = osvt_batch(stacked)
+    return out.estimate, mid, half, out.kept_rank
+
+
+def _unstack(
+    entries: np.ndarray, mid: np.ndarray, half: np.ndarray, cfg: RecoveryConfig
+) -> np.ndarray:
+    """Map denoised stacked matrices back to (B, N, W) windows in data units:
+    page blocks unstack their columns, hankel blocks average anti-diagonals."""
+    B, N = mid.shape[:2]
+    blocks = entries.reshape(B, cfg.L, N, -1).transpose(0, 2, 1, 3)  # (B, N, L, cols)
+    if cfg.variant is MatrixVariant.PAGE:
+        w = blocks.swapaxes(-1, -2).reshape(B, N, -1)
+    else:
+        w = antidiagonal_means(blocks, cfg.L + blocks.shape[-1] - 1)
+    return w * half + mid
+
+
+def _fit(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares coefficients (B, L-1) expressing the last
+    row of each (L, n) matrix through its first L-1 rows, and the residual
+    norms (B,). Singular values at or below lstsq's default cutoff,
+    eps * max(n, L-1) * s_max, count as zero."""
+    G, H = entries[:, :-1], entries[:, -1:]
+    U, s, Vt = np.linalg.svd(G, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(G.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    beta = (U @ (inv[..., None] * (Vt @ H.swapaxes(1, 2))))[..., 0]
+    residual = np.linalg.norm((beta[:, None, :] @ G - H)[:, 0], axis=-1)
+    return beta, residual
 
 
 def _learn_beta(entries: np.ndarray) -> ForecastModel:
-    if entries.shape[0] < 2:
-        raise ShapeError("need at least two rows to learn a forecast")
-    if entries.shape[1] < 1:
-        raise ShapeError("need at least one column to learn a forecast")
-    G = entries[:-1]
-    H = entries[-1]
-    beta, _, _, _ = np.linalg.lstsq(G.T, H, rcond=None)
-    residual = float(np.linalg.norm(G.T @ beta - H))
-    return ForecastModel(beta=beta, residual_norm=residual)
+    beta, residual = _fit(entries[None])
+    return ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
+
+
+def _forecast(
+    entries: np.ndarray, beta: np.ndarray, mid: np.ndarray, half: np.ndarray
+) -> np.ndarray:
+    """Next-sample predictions (B, N): each window's coefficients applied to
+    its rows shifted one sample forward, at the last column of each block."""
+    cols = entries.shape[-1] // mid.shape[1]
+    last = entries[:, 1:, cols - 1::cols]  # (B, L-1, N)
+    return (beta[:, None, :] @ last)[:, 0] * half[..., 0] + mid[..., 0]
 
 
 def learn_forecast(matrix: StackedMatrix) -> ForecastModel:
     """Fit the last row of a denoised stacked matrix as a linear combination
     of its first L-1 rows (minimum-norm least squares over the columns)."""
+    if matrix.entries.shape[0] < 2:
+        raise ShapeError("need at least two rows to learn a forecast")
+    if matrix.entries.shape[1] < 1:
+        raise ShapeError("need at least one column to learn a forecast")
     return _learn_beta(matrix.entries)
 
 
@@ -244,15 +280,15 @@ def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     report = RecoveryReport(config=cfg.echo(), trimmed_tail=tail)
     for start, stop in spans:
         t0 = time.perf_counter()
-        denoised, _, _, outcome = _denoise_window(
-            values[:, start:stop], masks[:, start:stop], cfg
-        )
+        w_values, w_masks = values[None, :, start:stop], masks[None, :, start:stop]
+        entries, mid, half, ranks = _denoise(w_values, w_masks, cfg, data.ids, (start,))
+        denoised = _unstack(entries, mid, half, cfg)[0]
         if not cfg.overwrite_observed:
-            obs = masks[:, start:stop]
-            denoised[obs] = values[:, start:stop][obs]
+            obs = w_masks[0]
+            denoised[obs] = w_values[0][obs]
         out[:, start:stop] = denoised
         out_masks[:, start:stop] = True
-        report.kept_rank.append(outcome.kept_rank)
+        report.kept_rank.append(int(ranks[0]))
         report.step_seconds.append(time.perf_counter() - t0)
     return data.with_values(out, out_masks), report
 
@@ -261,22 +297,16 @@ def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
 # Online prediction
 # ---------------------------------------------------------------------------
 
-def _predict_window(
-    values: np.ndarray,
-    masks: np.ndarray | None,
-    cfg: RecoveryConfig,
-    model: ForecastModel | None,
-) -> tuple[np.ndarray, ForecastModel, OsvtOutcome]:
-    denoised_unused, D, scales, outcome = _denoise_window(values, masks, cfg)
-    if model is None:
-        model = _learn_beta(D)
-    shifted = model.beta @ D[1:]
-    cols = D.shape[1] // values.shape[0]
-    preds = np.empty(values.shape[0])
-    for i in range(values.shape[0]):
-        mid, half = scales[i]
-        preds[i] = shifted[(i + 1) * cols - 1] * half + mid
-    return preds, model, outcome
+# Stacked-matrix cells (windows x L x columns) per engine call in a stream
+# replay: enough windows to spread each call's fixed cost, few enough that a
+# chunk's arrays stay some hundred kB.
+_CHUNK_CELLS = 1 << 15
+
+
+def _chunk_steps(cfg: RecoveryConfig, n_channels: int) -> int:
+    """Stream steps per engine call under the _CHUNK_CELLS budget."""
+    cols = cfg.T // cfg.L if cfg.variant is MatrixVariant.PAGE else cfg.T - cfg.L + 1
+    return max(1, _CHUNK_CELLS // (cfg.L * n_channels * cols))
 
 
 def predict_next(
@@ -291,9 +321,16 @@ def predict_next(
     """
     if len(window) != cfg.T:
         raise ShapeError(f"window length {len(window)} != configured T={cfg.T}")
-    preds, model, _ = _predict_window(
-        window.values_matrix(), window.masks_matrix(), cfg, model
+    if model is not None and len(model.beta) != cfg.L - 1:
+        raise ShapeError(
+            f"model has {len(model.beta)} coefficients, L={cfg.L} needs {cfg.L - 1}"
+        )
+    entries, mid, half, _ = _denoise(
+        window.values_matrix()[None], window.masks_matrix()[None], cfg, window.ids, (0,)
     )
+    if model is None:
+        model = _learn_beta(entries[0])
+    preds = _forecast(entries, model.beta[None], mid, half)[0]
     return dict(zip(window.ids, preds)), model
 
 
@@ -303,7 +340,8 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     For every step j the window [j, j+T) is denoised and the sample at index
     j+T is predicted for every channel, so the result aligns with
     data.timestamps[T:]. Coefficients are re-learned every
-    cfg.refresh_every steps.
+    cfg.refresh_every steps. Steps run in chunks through the window engine;
+    with refresh_every 1 each step equals predict_next on its window.
     """
     n = len(data)
     steps = n - cfg.T
@@ -311,20 +349,38 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
         raise ShapeError(f"dataset length {n} must exceed the window T={cfg.T}")
     values = data.values_matrix()
     masks = data.masks_matrix()
-    all_observed = bool(masks.all())
+    # windows[j] is the record's [:, j:j+T], a view
+    windows = sliding_window_view(values, cfg.T, axis=1).transpose(1, 0, 2)
+    window_masks = None
+    if not masks.all():
+        window_masks = sliding_window_view(masks, cfg.T, axis=1).transpose(1, 0, 2)
+    N = values.shape[0]
+    chunk = _chunk_steps(cfg, N)
 
-    preds = np.empty((values.shape[0], steps))
+    preds = np.empty((N, steps))
     report = RecoveryReport(config=cfg.echo())
-    model: ForecastModel | None = None
-    for j in range(steps):
+    beta = np.zeros(cfg.L - 1)  # never used: step 0 always learns
+    for j0 in range(0, steps, chunk):
         t0 = time.perf_counter()
-        reuse = model if j % cfg.refresh_every else None
-        w_masks = None if all_observed else masks[:, j:j + cfg.T]
-        preds[:, j], model, outcome = _predict_window(
-            values[:, j:j + cfg.T], w_masks, cfg, reuse
+        stop = min(j0 + chunk, steps)
+        part, j = slice(j0, stop), np.arange(j0, stop)
+        entries, mid, half, ranks = _denoise(
+            windows[part],
+            None if window_masks is None else window_masks[part],
+            cfg, data.ids, j,
         )
-        report.step_seconds.append(time.perf_counter() - t0)
-        report.kept_rank.append(outcome.kept_rank)
+        # each step uses the coefficients of the latest learning step at or
+        # before it, which for a chunk's first steps may lie in an earlier
+        # chunk (row 0 carries those)
+        learn = j % cfg.refresh_every == 0
+        fitted = np.vstack([beta[None], _fit(entries[learn])[0]])
+        latest = np.maximum.accumulate(np.where(learn, np.cumsum(learn), 0))
+        betas = fitted[latest]
+        beta = betas[-1]
+        preds[:, part] = _forecast(entries, betas, mid, half).T
+        elapsed = time.perf_counter() - t0
+        report.step_seconds.extend([elapsed / len(j)] * len(j))
+        report.kept_rank.extend(ranks.tolist())
 
     t_pred = data.timestamps[cfg.T:]
     channels = tuple(

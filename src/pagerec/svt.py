@@ -4,19 +4,28 @@ The estimator rescales the matrix entrywise into [-1, 1], zeroes every
 singular value at or below a closed-form cutoff that depends only on the
 aspect ratio, and maps the truncated reconstruction back to the original
 range. No rank input and no noise-level estimate is required; the full
-spectrum is reported so callers can audit what was kept.
+spectrum is reported so callers can audit what was kept. osvt_batch runs the
+estimator over a stack of equally shaped matrices in one batched SVD;
+osvt_estimate is its one-matrix form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["OsvtOutcome", "scale_to_unit", "optimal_threshold", "osvt_estimate"]
+__all__ = [
+    "OsvtBatch",
+    "OsvtOutcome",
+    "scale_to_unit",
+    "optimal_threshold",
+    "osvt_batch",
+    "osvt_estimate",
+]
 
 
 def scale_to_unit(X: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -68,6 +77,72 @@ class OsvtOutcome:
     fallback_rank1: bool = False
 
 
+@dataclass(frozen=True)
+class OsvtBatch:
+    """Results of thresholding a stack of equally shaped matrices: each
+    field holds one entry per matrix along the leading axis and means what
+    the same OsvtOutcome field means; threshold is shared."""
+
+    estimate: np.ndarray  # (B, m, n)
+    kept_rank: np.ndarray  # (B,)
+    singular_values: np.ndarray  # (B, min(m, n))
+    threshold: float
+    scale_bounds: np.ndarray  # (B, 2)
+    constant_input: np.ndarray  # (B,)
+    fallback_rank1: np.ndarray  # (B,)
+
+
+def osvt_batch(X: np.ndarray) -> OsvtBatch:
+    """Threshold every matrix of a (B, m, n) stack as osvt_estimate does.
+
+    Each matrix's result depends on that matrix alone, bit for bit, not on
+    the others in the stack: reconstructions are computed per kept rank
+    from exactly the kept singular triples.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3:
+        raise NumericError(f"expected a (B, m, n) stack, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise NumericError("matrix has non-finite entries")
+    m, n = X.shape[1:]
+    if m > n:
+        out = osvt_batch(X.swapaxes(1, 2))
+        return replace(out, estimate=out.estimate.swapaxes(1, 2))
+
+    # the scale_to_unit map per matrix; a constant matrix keeps the identity
+    a = X.min(axis=(1, 2))
+    b = X.max(axis=(1, 2))
+    constant = a == b
+    mid = np.where(constant, 0.0, 0.5 * (a + b))[:, None, None]
+    half = np.where(constant, 1.0, 0.5 * (b - a))[:, None, None]
+    Y = (X - mid) / half
+    threshold = optimal_threshold(m, n)
+    try:
+        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+
+    # s is sorted, so the kept set is a prefix of length kept_rank
+    kept = (s > threshold).sum(axis=1)
+    fallback = (kept == 0) & ~constant
+    kept = np.maximum(kept, 1)
+    estimate = np.empty_like(X)
+    for k in np.unique(kept):
+        sel = kept == k
+        estimate[sel] = (U[sel, :, :k] * s[sel, None, :k]) @ Vt[sel, :k]
+    estimate = estimate * half + mid
+    estimate[constant] = X[constant]
+    return OsvtBatch(
+        estimate=estimate,
+        kept_rank=kept,
+        singular_values=s,
+        threshold=threshold,
+        scale_bounds=np.stack([a, b], axis=1),
+        constant_input=constant,
+        fallback_rank1=fallback,
+    )
+
+
 def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
     """Denoise X by optimal hard thresholding of its scaled spectrum.
 
@@ -78,48 +153,14 @@ def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise NumericError(f"expected a 2-D matrix, got shape {X.shape}")
-    m, n = X.shape
-    if m > n:
-        out = osvt_estimate(X.T)
-        return OsvtOutcome(
-            estimate=out.estimate.T,
-            kept_rank=out.kept_rank,
-            singular_values=out.singular_values,
-            threshold=out.threshold,
-            scale_bounds=out.scale_bounds,
-            constant_input=out.constant_input,
-            fallback_rank1=out.fallback_rank1,
-        )
-
-    Y, a, b = scale_to_unit(X)
-    threshold = optimal_threshold(m, n)
-    try:
-        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
-
-    if a == b:
-        return OsvtOutcome(
-            estimate=X.copy(),
-            kept_rank=1,
-            singular_values=s,
-            threshold=threshold,
-            scale_bounds=(a, b),
-            constant_input=True,
-        )
-
-    keep = s > threshold
-    fallback = not keep.any()
-    if fallback:
-        keep = np.zeros_like(keep)
-        keep[0] = True
-    Yhat = (U[:, keep] * s[keep]) @ Vt[keep]
-    estimate = Yhat * (0.5 * (b - a)) + 0.5 * (a + b)
+    out = osvt_batch(X[None])
+    a, b = out.scale_bounds[0]
     return OsvtOutcome(
-        estimate=estimate,
-        kept_rank=int(keep.sum()),
-        singular_values=s,
-        threshold=threshold,
-        scale_bounds=(a, b),
-        fallback_rank1=fallback,
+        estimate=out.estimate[0],
+        kept_rank=int(out.kept_rank[0]),
+        singular_values=out.singular_values[0],
+        threshold=out.threshold,
+        scale_bounds=(float(a), float(b)),
+        constant_input=bool(out.constant_input[0]),
+        fallback_rank1=bool(out.fallback_rank1[0]),
     )

@@ -36,6 +36,7 @@ from pagerec import (
     optimal_threshold,
     osvt_estimate,
     page_matrix,
+    predict_next,
     predict_stream,
     rank_profile,
     reshape_back,
@@ -230,17 +231,43 @@ def test_criterion_5_page_vs_short_hankel():
 def test_criterion_6_step_timing():
     corpus = benchmark_corpus(n_channels=3, n_samples=160,
                               mode_freqs=(4.3, 7.1), seed=13)
-    medians = {}
-    for variant in (MatrixVariant.PAGE, MatrixVariant.HANKEL):
-        cfg = RecoveryConfig(L=5, T=30, variant=variant)
-        _, rep = predict_stream(corpus.dataset, cfg)
-        assert len(rep.step_seconds) >= 100
-        medians[variant] = rep.median_step_seconds
-    page_ms = 1000 * medians[MatrixVariant.PAGE]
-    hankel_ms = 1000 * medians[MatrixVariant.HANKEL]
-    ok = page_ms < hankel_ms and page_ms < 16.7
-    report(6, ok, f"median step: page={page_ms:.3f}ms < hankel={hankel_ms:.3f}ms "
-                  f"and page < 16.7ms frame budget")
+    data = corpus.dataset
+    variants = (MatrixVariant.PAGE, MatrixVariant.HANKEL)
+    cfgs = {v: RecoveryConfig(L=5, T=30, variant=v) for v in variants}
+    # stream step times are chunk times over the chunk's steps (amortised);
+    # three alternating replays per variant, so one slow chunk cannot decide
+    steps = {v: [] for v in variants}
+    for _ in range(3):
+        for variant, cfg in cfgs.items():
+            _, rep = predict_stream(data, cfg)
+            assert len(rep.step_seconds) >= 100
+            steps[variant].extend(rep.step_seconds)
+    stream = {v: 1000 * float(np.median(steps[v])) for v in variants}
+    # single-step latency: one predict_next call per window, the two
+    # variants alternating so both meet the same machine load
+    t, values, masks = data.timestamps, data.values_matrix(), data.masks_matrix()
+    calls = {v: [] for v in variants}
+    for j in range(len(data) - 30):
+        w = slice(j, j + 30)
+        window = Dataset(
+            tuple(
+                ChannelSeries(c.channel_id, c.kind, t[w], values[i, w], masks[i, w])
+                for i, c in enumerate(data.channels)
+            ),
+            data.rate_fps,
+        )
+        for variant, cfg in cfgs.items():
+            start = time.perf_counter()
+            predict_next(window, cfg)
+            calls[variant].append(1000 * (time.perf_counter() - start))
+    single = {v: float(np.median(calls[v])) for v in variants}
+    page, hankel = MatrixVariant.PAGE, MatrixVariant.HANKEL
+    ok = (stream[page] < stream[hankel] and stream[page] < 16.7
+          and single[page] < single[hankel] and single[page] < 16.7)
+    report(6, ok, f"median stream step (amortised): page={stream[page]:.3f}ms < "
+                  f"hankel={stream[hankel]:.3f}ms; median predict_next call: "
+                  f"page={single[page]:.3f}ms < hankel={single[hankel]:.3f}ms; "
+                  f"page < 16.7ms frame budget")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pagerec import (
+    AllMissingChannel,
     ChannelKind,
     ChannelSeries,
     ConfigError,
@@ -22,6 +23,7 @@ from pagerec import (
     predict_next,
     predict_stream,
 )
+from pagerec.recovery import _chunk_steps
 
 
 def lrf_oracle(n, coeffs, init):
@@ -241,6 +243,29 @@ def test_predict_window_length_enforced():
     rows = np.full((2, 31), 1.0)
     with pytest.raises(ShapeError):
         predict_next(dataset_from_rows(rows), RecoveryConfig.online())
+
+
+def test_predict_next_rejects_model_for_another_L():
+    corpus = benchmark_corpus(n_channels=3, n_samples=30, seed=6)
+    _, model = predict_next(corpus.dataset, RecoveryConfig.online(L=5))
+    with pytest.raises(ShapeError, match=r"model has 4 coefficients, L=6 needs 5"):
+        predict_next(corpus.dataset, RecoveryConfig.online(L=6), model)
+
+
+def test_stream_outage_names_channel_and_window():
+    # ch01 observes nothing in [400, 450), a span longer than T that starts
+    # after the replay's first chunk
+    cfg = RecoveryConfig.online()
+    assert _chunk_steps(cfg, 3) < 400
+    corpus = benchmark_corpus(n_channels=3, n_samples=600, seed=8)
+    masks = corpus.dataset.masks_matrix().copy()
+    masks[1, 400:450] = False
+    data = corpus.dataset.with_values(corpus.dataset.values_matrix(), masks)
+    with pytest.raises(
+        AllMissingChannel,
+        match=r"^channel 'ch01' has no observed sample in the window starting at sample 400$",
+    ):
+        predict_stream(data, cfg)
 
 
 def test_stream_constant():
