@@ -41,8 +41,20 @@ class FillPolicy(enum.Enum):
     LOCF = "locf"
 
 
-def _immutable(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+def _uniform_steps(t: np.ndarray) -> bool:
+    """True when the (at least two) timestamps t are finite and increase by
+    one constant step: the first step is positive and every step passes
+    np.allclose's test against it (rtol 1e-9, atol 1e-12), written out
+    because np.allclose's own checks cost more than the test itself."""
+    if not np.isfinite(t).all():
+        return False
+    steps = t[1:] - t[:-1]
+    first = float(steps[0])
+    return first > 0 and bool((np.abs(steps - first) <= 1e-12 + 1e-9 * first).all())
+
+
+def _immutable(a, dtype) -> np.ndarray:
+    a = np.array(a, dtype=dtype)  # always a copy
     a.flags.writeable = False
     return a
 
@@ -58,7 +70,7 @@ class ChannelSeries:
     kind : ChannelKind
         Physical interpretation, used only by scaling.
     timestamps : array of float
-        Strictly increasing, uniformly spaced sample times.
+        Finite, strictly increasing, uniformly spaced sample times.
     values : array of float
         Measurements; entries at masked-out positions are meaningless
         (conventionally NaN).
@@ -73,24 +85,22 @@ class ChannelSeries:
     mask: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.timestamps, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        m = np.asarray(self.mask, dtype=bool)
+        t = _immutable(self.timestamps, float)
+        v = _immutable(self.values, float)
+        m = _immutable(self.mask, bool)
         if not (len(t) == len(v) == len(m)):
             raise ShapeError(
                 f"channel {self.channel_id!r}: timestamps ({len(t)}), values "
                 f"({len(v)}) and mask ({len(m)}) lengths differ"
             )
-        if len(t) >= 2:
-            steps = np.diff(t)
-            if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-                raise ShapeError(
-                    f"channel {self.channel_id!r}: timestamps must be strictly "
-                    "increasing with a constant step"
-                )
-        object.__setattr__(self, "timestamps", _immutable(t))
-        object.__setattr__(self, "values", _immutable(v))
-        object.__setattr__(self, "mask", _immutable(m))
+        if len(t) >= 2 and not _uniform_steps(t):
+            raise ShapeError(
+                f"channel {self.channel_id!r}: timestamps must be finite and "
+                "strictly increasing with a constant step"
+            )
+        object.__setattr__(self, "timestamps", t)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "mask", m)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -124,7 +134,7 @@ class Dataset:
             raise ShapeError("channel ids must be unique")
         t0 = chans[0].timestamps
         for c in chans[1:]:
-            if len(c) != len(chans[0]) or not np.array_equal(c.timestamps, t0):
+            if len(c) != len(t0) or not (c.timestamps == t0).all():
                 raise ShapeError(
                     f"channel {c.channel_id!r} does not share the common time base"
                 )
@@ -157,10 +167,10 @@ class Dataset:
 
     def values_matrix(self) -> np.ndarray:
         """Channel values as an (n_channels, n_samples) array."""
-        return np.vstack([c.values for c in self.channels])
+        return np.array([c.values for c in self.channels])
 
     def masks_matrix(self) -> np.ndarray:
-        return np.vstack([c.mask for c in self.channels])
+        return np.array([c.mask for c in self.channels])
 
     def with_values(self, values: np.ndarray, masks: np.ndarray | None = None) -> "Dataset":
         """Dataset with the same layout but new per-channel values."""
@@ -200,13 +210,14 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
 
     One timestamp column, one column per channel. An empty cell or a literal
     NaN (any case) marks a missing sample. Rows must all have the header's
-    width, and timestamps must be strictly increasing with a constant step.
+    width, and timestamps must be finite and strictly increasing with a
+    constant step.
 
     Raises
     ------
     FormatError
         Ragged row (reported with its line number), unparsable cell, fewer
-        than two data rows, or a non-uniform time column.
+        than two data rows, or a non-finite or non-uniform time column.
     AllMissingChannel
         Some channel has no observed sample at all.
     """
@@ -242,10 +253,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
         raise FormatError(f"{path}: need at least two rows to infer the rate")
 
     t = np.asarray(times)
-    steps = np.diff(t)
-    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise FormatError(f"{path}: timestamps are not uniformly increasing")
-    rate = schema.rate_fps if schema.rate_fps else 1.0 / steps[0]
+    if not _uniform_steps(t):
+        raise FormatError(f"{path}: timestamps are not finite and uniformly increasing")
+    rate = schema.rate_fps if schema.rate_fps else 1.0 / (t[1] - t[0])
 
     channels = []
     for j, name in enumerate(header):
@@ -302,10 +312,11 @@ def locf_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     leading axes are filled row by row, as a stack of windows."""
     if not mask.any(axis=-1).all():
         raise AllMissingChannel("cannot fill a channel with no observed sample")
-    n = values.shape[-1]
-    idx = np.maximum.accumulate(np.where(mask, np.arange(n), -1), axis=-1)
+    # a gap takes the latest observed index before it, a leading gap the
+    # first observed index
     first = mask.argmax(axis=-1)[..., None]
-    return np.take_along_axis(values, np.where(idx < 0, first, idx), axis=-1)
+    idx = np.where(mask, np.arange(values.shape[-1]), first)
+    return np.take_along_axis(values, np.maximum.accumulate(idx, axis=-1), axis=-1)
 
 
 def fill_missing(series: ChannelSeries, policy: FillPolicy = FillPolicy.LOCF) -> ChannelSeries:

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ChannelSeries, Dataset, FillPolicy, locf_fill
-from .errors import AllMissingChannel, ConfigError, ShapeError
+from .errors import AllMissingChannel, ConfigError, NumericError, ShapeError
 from .matrices import (
     MatrixVariant,
     StackedMatrix,
@@ -160,27 +160,40 @@ def _denoise(
 
     masks None means fully observed. starts[b] is the sample at which window
     b begins in the caller's record and ids the channel ids; both only name
-    the culprit when a window channel has no observed sample. Returns the
-    denoised stacked matrices (B, L, N*cols) in the per-channel normalized
-    domain, the per-channel scales mid and half (B, N, 1) mapping that
-    domain back (value = normalized * half + mid), and the kept ranks (B,).
+    the culprit when a window channel has no observed sample or a non-finite
+    observed one. Returns the denoised stacked matrices (B, L, N*cols) in
+    the per-channel normalized domain, the per-channel scales mid and half
+    (B, N, 1) mapping that domain back (value = normalized * half + mid),
+    and the kept ranks (B,).
     """
     if masks is None:
         filled = values
     else:
-        empty = ~masks.any(axis=-1)
-        if empty.any():
-            b, i = np.argwhere(empty)[0]
+        try:
+            filled = locf_fill(values, masks)
+        except AllMissingChannel:
+            b, i = np.argwhere(~masks.any(axis=-1))[0]
             raise AllMissingChannel(
                 f"channel {ids[i]!r} has no observed sample in the window "
                 f"starting at sample {starts[b]}"
-            )
-        filled = locf_fill(values, masks)
+            ) from None
+    # the fill holds observed samples only, and a NaN or infinite one shows
+    # in its row's lo or hi
     lo = filled.min(axis=-1, keepdims=True)
     hi = filled.max(axis=-1, keepdims=True)
-    varies = hi > lo  # a constant row passes through with the identity map
-    mid = np.where(varies, 0.5 * (lo + hi), 0.0)
-    half = np.where(varies, 0.5 * (hi - lo), 1.0)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        b, i, _ = np.argwhere(~finite)[0]
+        raise NumericError(
+            f"channel {ids[i]!r} has a non-finite observed sample in the "
+            f"window starting at sample {starts[b]}"
+        )
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    constant = lo == hi  # a constant row passes through with the identity map
+    if constant.any():
+        mid[constant] = 0.0
+        half[constant] = 1.0
     norm = (filled - mid) / half
     make = page_entries if cfg.variant is MatrixVariant.PAGE else hankel_entries
     blocks = make(norm, cfg.L)  # (B, N, L, cols)
@@ -204,6 +217,9 @@ def _unstack(
     return w * half + mid
 
 
+_EPS = np.finfo(float).eps
+
+
 def _fit(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares coefficients (B, L-1) expressing the last
     row of each (L, n) matrix through its first L-1 rows, and the residual
@@ -211,11 +227,11 @@ def _fit(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eps * max(n, L-1) * s_max, count as zero."""
     G, H = entries[:, :-1], entries[:, -1:]
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(G.shape[1:]) * s[:, :1]
+    cutoff = _EPS * max(G.shape[1:]) * s[:, :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     beta = (U @ (inv[..., None] * (Vt @ H.swapaxes(1, 2))))[..., 0]
-    residual = np.linalg.norm((beta[:, None, :] @ G - H)[:, 0], axis=-1)
-    return beta, residual
+    r = (beta[:, None, :] @ G - H)[:, 0]
+    return beta, np.sqrt((r * r).sum(axis=-1))  # np.linalg.norm's sum, minus its checks
 
 
 def _learn_beta(entries: np.ndarray) -> ForecastModel:
@@ -325,13 +341,14 @@ def predict_next(
         raise ShapeError(
             f"model has {len(model.beta)} coefficients, L={cfg.L} needs {cfg.L - 1}"
         )
+    ids = window.ids
     entries, mid, half, _ = _denoise(
-        window.values_matrix()[None], window.masks_matrix()[None], cfg, window.ids, (0,)
+        window.values_matrix()[None], window.masks_matrix()[None], cfg, ids, (0,)
     )
     if model is None:
         model = _learn_beta(entries[0])
     preds = _forecast(entries, model.beta[None], mid, half)[0]
-    return dict(zip(window.ids, preds)), model
+    return dict(zip(ids, preds)), model
 
 
 def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, RecoveryReport]:

@@ -102,19 +102,28 @@ def osvt_batch(X: np.ndarray) -> OsvtBatch:
     X = np.asarray(X, dtype=float)
     if X.ndim != 3:
         raise NumericError(f"expected a (B, m, n) stack, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise NumericError("matrix has non-finite entries")
-    m, n = X.shape[1:]
+    B, m, n = X.shape
     if m > n:
         out = osvt_batch(X.swapaxes(1, 2))
         return replace(out, estimate=out.estimate.swapaxes(1, 2))
 
-    # the scale_to_unit map per matrix; a constant matrix keeps the identity
-    a = X.min(axis=(1, 2))
-    b = X.max(axis=(1, 2))
+    # the scale_to_unit map per matrix; a constant matrix keeps the identity.
+    # A NaN entry makes its matrix's min and max NaN and an infinite one
+    # makes one of them infinite, so the bounds alone show non-finite input.
+    bounds = np.empty((B, 2))
+    a, b = bounds[:, 0], bounds[:, 1]
+    X.min(axis=(1, 2), out=a)
+    X.max(axis=(1, 2), out=b)
+    if not np.isfinite(bounds).all():
+        raise NumericError("matrix has non-finite entries")
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
     constant = a == b
-    mid = np.where(constant, 0.0, 0.5 * (a + b))[:, None, None]
-    half = np.where(constant, 1.0, 0.5 * (b - a))[:, None, None]
+    any_constant = constant.any()
+    if any_constant:
+        mid[constant] = 0.0
+        half[constant] = 1.0
+    mid, half = mid[:, None, None], half[:, None, None]
     Y = (X - mid) / half
     threshold = optimal_threshold(m, n)
     try:
@@ -124,20 +133,23 @@ def osvt_batch(X: np.ndarray) -> OsvtBatch:
 
     # s is sorted, so the kept set is a prefix of length kept_rank
     kept = (s > threshold).sum(axis=1)
-    fallback = (kept == 0) & ~constant
+    fallback = kept == 0
     kept = np.maximum(kept, 1)
     estimate = np.empty_like(X)
-    for k in np.unique(kept):
+    for k in sorted(set(kept.tolist())):
         sel = kept == k
         estimate[sel] = (U[sel, :, :k] * s[sel, None, :k]) @ Vt[sel, :k]
-    estimate = estimate * half + mid
-    estimate[constant] = X[constant]
+    estimate *= half
+    estimate += mid
+    if any_constant:
+        estimate[constant] = X[constant]
+        fallback &= ~constant
     return OsvtBatch(
         estimate=estimate,
         kept_rank=kept,
         singular_values=s,
         threshold=threshold,
-        scale_bounds=np.stack([a, b], axis=1),
+        scale_bounds=bounds,
         constant_input=constant,
         fallback_rank1=fallback,
     )

@@ -1,5 +1,7 @@
 """Data model, CSV ingestion, gap filling, unwrapping and scaling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from pagerec import (
     unwrap_degrees,
     write_csv,
 )
+from pagerec.core import _uniform_steps
 
 
 def make_series(values, mask=None, kind=ChannelKind.GENERIC, cid="c0"):
@@ -55,6 +58,39 @@ def test_series_length_mismatch_rejected():
 def test_series_nonuniform_timestamps_rejected():
     with pytest.raises(ShapeError):
         ChannelSeries("x", ChannelKind.GENERIC, np.array([0.0, 1.0, 3.0]), np.zeros(3), np.ones(3, bool))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [[0.0, np.inf], [-np.inf, 0.0], [0.0, np.nan], [0.0, 1.0, np.inf], [np.nan, 0.0, 1.0]],
+)
+def test_series_nonfinite_timestamps_rejected(t):
+    with pytest.raises(ShapeError, match="timestamps must be finite"):
+        ChannelSeries("x", ChannelKind.GENERIC, np.array(t), np.zeros(len(t)), np.ones(len(t), bool))
+
+
+def step_check_reference(t):
+    """The uniform-step test as np.allclose states it."""
+    steps = np.diff(t)
+    return bool(steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12))
+
+
+def test_uniform_steps_matches_allclose_on_finite_timestamps():
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(400):
+        n = int(rng.integers(2, 40))
+        step = 10.0 ** rng.uniform(-4, 1)
+        t = rng.choice([0.0, rng.uniform(-1e3, 1e3), 1.7e9]) + step * np.arange(n)
+        jittered = t + step * 10.0 ** rng.uniform(-10, -8) * rng.standard_normal(n)
+        stalled = t.copy()
+        k = int(rng.integers(1, n))
+        stalled[k] = stalled[k - 1]
+        cases += [t, jittered, stalled, t[::-1].copy(), t[:2].copy()]
+    got = [_uniform_steps(t) for t in cases]
+    want = [step_check_reference(t) for t in cases]
+    assert got == want
+    assert 0 < sum(got[1::5]) < len(got[1::5])  # the jitter straddles the tolerance
 
 
 def test_series_arrays_immutable():
@@ -122,6 +158,14 @@ def test_ingest_nonuniform_timestamps_rejected(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("t,v\n0,1\n1,2\n3,3\n")
     with pytest.raises(FormatError):
+        ingest_csv(p)
+
+
+@pytest.mark.parametrize("rows", ["0,1\ninf,2\n", "-inf,1\n0,2\n"])
+def test_ingest_nonfinite_timestamp_rejected(tmp_path, rows):
+    p = tmp_path / "d.csv"
+    p.write_text("t,v\n" + rows)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: timestamps are not finite"):
         ingest_csv(p)
 
 

@@ -11,6 +11,7 @@ from pagerec import (
     Dataset,
     DegradeSpec,
     MatrixVariant,
+    NumericError,
     RecoveryConfig,
     ShapeError,
     benchmark_corpus,
@@ -266,6 +267,60 @@ def test_stream_outage_names_channel_and_window():
         match=r"^channel 'ch01' has no observed sample in the window starting at sample 400$",
     ):
         predict_stream(data, cfg)
+
+
+def data_with_sample(value, channel=2, at=420):
+    """A fully observed 3-channel record whose sample `at` of one channel is
+    replaced by value, still marked observed."""
+    corpus = benchmark_corpus(n_channels=3, n_samples=600, seed=8)
+    values = corpus.dataset.values_matrix().copy()
+    values[channel, at] = value
+    return corpus.dataset.with_values(values)
+
+
+NONFINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+
+
+@pytest.mark.filterwarnings("error")
+@NONFINITE
+def test_stream_nonfinite_observed_sample_names_channel_and_window(bad):
+    # the first window holding sample 420 starts at 391, in the second chunk
+    cfg = RecoveryConfig.online()
+    assert _chunk_steps(cfg, 3) < 391
+    with pytest.raises(
+        NumericError,
+        match=r"^channel 'ch02' has a non-finite observed sample in the window "
+        r"starting at sample 391$",
+    ):
+        predict_stream(data_with_sample(bad), cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@NONFINITE
+def test_impute_nonfinite_observed_sample_names_channel_and_window(bad):
+    with pytest.raises(
+        NumericError,
+        match=r"^channel 'ch02' has a non-finite observed sample in the window "
+        r"starting at sample 300$",
+    ):
+        impute_offline(data_with_sample(bad), RecoveryConfig(L=10, T=300))
+
+
+@pytest.mark.filterwarnings("error")
+@NONFINITE
+def test_predict_next_nonfinite_observed_sample_names_channel(bad):
+    cfg = RecoveryConfig.online()
+    data = data_with_sample(bad, channel=0, at=12)
+    window = Dataset(tuple(
+        ChannelSeries(c.channel_id, c.kind, c.timestamps[:cfg.T], c.values[:cfg.T], c.mask[:cfg.T])
+        for c in data.channels
+    ))
+    with pytest.raises(
+        NumericError,
+        match=r"^channel 'ch00' has a non-finite observed sample in the window "
+        r"starting at sample 0$",
+    ):
+        predict_next(window, cfg)
 
 
 def test_stream_constant():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pagerec import NumericError, optimal_threshold, osvt_estimate, scale_to_unit
+from pagerec.svt import osvt_batch
 from pagerec.matrices import page_entries
 
 
@@ -197,3 +198,54 @@ def test_estimate_idempotent_on_kept_subspace():
 def test_estimate_rejects_nonfinite():
     with pytest.raises(NumericError):
         osvt_estimate(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# osvt_batch
+# ---------------------------------------------------------------------------
+
+def mixed_stack():
+    """5 x 36 matrices that keep ranks 1, 2 and 3, a constant matrix and one
+    whose scaled spectrum lies wholly under the cutoff (rank-1 fallback)."""
+    rng = np.random.default_rng(21)
+    mats = []
+    for rank in (1, 2, 3, 2, 1, 3):
+        u = np.linalg.qr(rng.standard_normal((5, rank)))[0]
+        v = np.linalg.qr(rng.standard_normal((36, rank)))[0]
+        signal = (u * [1.0, 0.9, 0.8][:rank]) @ v.T
+        mats.append(signal + 1e-4 * rng.standard_normal((5, 36)))
+    mats.append(np.full((5, 36), -4.25))
+    spikes = np.zeros((5, 36))
+    spikes[0, 0], spikes[0, 1], spikes[2, 7] = 1.0, 0.5, -1.0
+    mats.append(spikes)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_batch_matrix_results_equal_single_matrix_results_bitwise(tall):
+    X = mixed_stack()
+    if tall:
+        X = X.swapaxes(1, 2).copy()
+    out = osvt_batch(X)
+    assert out.kept_rank.tolist() == [1, 2, 3, 2, 1, 3, 1, 1]
+    assert out.constant_input.tolist() == [False] * 6 + [True, False]
+    assert out.fallback_rank1.tolist() == [False] * 7 + [True]
+    for i in range(len(X)):
+        alone = osvt_batch(X[i:i + 1])
+        assert alone.threshold == out.threshold
+        for name in ("estimate", "kept_rank", "singular_values", "scale_bounds",
+                     "constant_input", "fallback_rank1"):
+            a, b = getattr(alone, name)[0], getattr(out, name)[i]
+            assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
+            assert a.tobytes() == b.tobytes(), (i, name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tall", [False, True])
+def test_batch_rejects_nonfinite(bad, tall):
+    X = mixed_stack()
+    X[3, 2, 4] = bad
+    if tall:
+        X = X.swapaxes(1, 2)
+    with pytest.raises(NumericError, match="non-finite"):
+        osvt_batch(X)
