@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
+import io
+import itertools
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -25,6 +27,14 @@ from .errors import (
 )
 
 _MISSING_TOKENS = {"", "nan"}
+
+# Rows per block of CSV ingest and write. Bounds their transient memory:
+# a block of formatted rows costs about six times its bytes on disk in
+# Python string objects.
+_CSV_BLOCK_ROWS = 2048
+
+# The comma before an empty cell: one followed by a comma or a line end.
+_EMPTY_BEFORE = re.compile(r",(?=[,\r\n]|\Z)")
 
 
 class ChannelKind(enum.Enum):
@@ -208,51 +218,58 @@ class CsvSchema:
 def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
     """Read a comma-separated file into a Dataset.
 
-    One timestamp column, one column per channel. An empty cell or a literal
-    NaN (any case) marks a missing sample. Rows must all have the header's
-    width, and timestamps must be finite and strictly increasing with a
-    constant step.
+    One timestamp column, one column per channel, each named once in the
+    header. A cell that is empty, whitespace-only or a NaN literal (any case,
+    surrounding spaces allowed) marks a missing sample; a quoted numeric cell
+    (``"1.5"``) is read as its number. Rows must all have the header's width,
+    and timestamps must be finite and strictly increasing with a constant
+    step.
+
+    The data rows are parsed in blocks of ``_CSV_BLOCK_ROWS`` lines: the
+    file's text is never held whole, only one block of it beside the parsed
+    float table.
 
     Raises
     ------
     FormatError
-        Ragged row (reported with its line number), unparsable cell, fewer
-        than two data rows, or a non-finite or non-uniform time column.
+        Repeated header column, ragged row or unparsable cell (each reported
+        with its line number), fewer than two data rows, or a non-finite or
+        non-uniform time column.
     AllMissingChannel
         Some channel has no observed sample at all.
     """
     schema = schema or CsvSchema()
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        first = fh.readline()
+        if not first:
+            raise FormatError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader([first]))]
+        if not header:
+            raise FormatError(f"{path}:1: empty header")
         ts_col = schema.timestamp if schema.timestamp is not None else header[0]
         if ts_col not in header:
             raise FormatError(f"{path}: timestamp column {ts_col!r} not in header")
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise FormatError(f"{path}:1: column {name!r} appears more than once")
+            seen.add(name)
+        if len(header) < 2:
+            raise FormatError(f"{path}: no channel columns besides the timestamp")
         ts_idx = header.index(ts_col)
 
-        times: list[float] = []
-        cells: list[list[str]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                times.append(float(row[ts_idx]))
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: bad timestamp {row[ts_idx]!r}"
-                ) from None
-            cells.append(row)
+        blocks = []
+        lineno = 2
+        while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+            blocks.append(_parse_block(lines, path, lineno, header, ts_idx))
+            lineno += len(lines)
 
-    if len(times) < 2:
+    if sum(len(b) for b in blocks) < 2:
         raise FormatError(f"{path}: need at least two rows to infer the rate")
+    table = np.concatenate(blocks)
+    del blocks  # freed before the channels copy their columns out of table
 
-    t = np.asarray(times)
+    t = table[:, ts_idx]
     if not _uniform_steps(t):
         raise FormatError(f"{path}: timestamps are not finite and uniformly increasing")
     rate = schema.rate_fps if schema.rate_fps else 1.0 / (t[1] - t[0])
@@ -261,45 +278,89 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
     for j, name in enumerate(header):
         if j == ts_idx:
             continue
-        vals = np.empty(len(cells))
-        mask = np.ones(len(cells), dtype=bool)
-        for i, row in enumerate(cells):
-            token = row[j].strip()
-            if token.lower() in _MISSING_TOKENS:
-                vals[i] = np.nan
-                mask[i] = False
-            else:
-                try:
-                    vals[i] = float(token)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{i + 2}: bad value {row[j]!r} in column {name!r}"
-                    ) from None
-                if math.isnan(vals[i]):
-                    mask[i] = False
+        vals = table[:, j]
+        mask = ~np.isnan(vals)
         if not mask.any():
             raise AllMissingChannel(f"{path}: column {name!r} has no observed sample")
         kind = schema.kinds.get(name, ChannelKind.GENERIC)
         channels.append(ChannelSeries(name, kind, t, vals, mask))
-
-    if not channels:
-        raise FormatError(f"{path}: no channel columns besides the timestamp")
     return Dataset(tuple(channels), rate)
 
 
+def _parse_block(lines: list[str], path, lineno: int, header: list[str],
+                 ts_idx: int) -> np.ndarray:
+    """One block of data lines, the first at line number lineno, as a
+    (lines, columns) float array with NaN for a missing cell.
+
+    numpy's C parser reads the block once its empty cells are spelled as
+    NaN. A block it rejects, reads to another shape (it skips blank lines)
+    or reads with a missing timestamp is scanned cell by cell instead."""
+    # spell every empty cell as NaN: one at a line start, then one after a
+    # comma (the leading newline gives the first line its line start)
+    text = ("\n" + "".join(lines)).replace("\n,", "\nnan,")
+    if "\r" in text:
+        text = text.replace("\r,", "\rnan,")
+    text = _EMPTY_BEFORE.sub(",nan", text)[1:]
+    block = None
+    if not text.isspace():  # numpy warns about a block with no data
+        try:
+            block = np.loadtxt(io.StringIO(text), dtype=float, delimiter=",",
+                               quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if (block is None or block.shape != (len(lines), len(header))
+            or np.isnan(block[:, ts_idx]).any()):
+        return _scan_block(lines, path, lineno, header, ts_idx)
+    return block
+
+
+def _scan_block(lines: list[str], path, lineno: int, header: list[str],
+                ts_idx: int) -> np.ndarray:
+    """The cell-by-cell reading of a block that defines the input rules:
+    names the first ragged line or unparsable cell, and reads what the C
+    parser does not (whitespace-only cells, digits grouped by underscores)."""
+    block = np.empty((len(lines), len(header)))
+    for i, line in enumerate(lines):
+        where = f"{path}:{lineno + i}"
+        row = next(csv.reader([line]))
+        if len(row) != len(header):
+            raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        for j, cell in enumerate(row):
+            token = cell.strip()
+            if j != ts_idx and token.lower() in _MISSING_TOKENS:
+                block[i, j] = np.nan
+                continue
+            try:
+                block[i, j] = float(token)
+            except ValueError:
+                if j == ts_idx:
+                    raise FormatError(f"{where}: bad timestamp {cell!r}") from None
+                raise FormatError(
+                    f"{where}: bad value {cell!r} in column {header[j]!r}"
+                ) from None
+    return block
+
+
 def write_csv(dataset: Dataset, path, timestamp_column: str = "t") -> None:
-    """Serialize a Dataset back to the ingestion schema (empty cell = missing)."""
+    """Serialize a Dataset back to the ingestion schema (empty cell = missing).
+
+    Every sample is written as the repr of its float, and every row ends in
+    \\r\\n, as the csv module writes it. Rows are formatted in blocks of
+    ``_CSV_BLOCK_ROWS``, so the memory used does not grow with the dataset."""
+    t = dataset.timestamps
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([timestamp_column, *dataset.ids])
-        t = dataset.timestamps
-        vals = dataset.values_matrix()
-        masks = dataset.masks_matrix()
-        for i in range(len(dataset)):
-            row = [repr(float(t[i]))]
-            for c in range(vals.shape[0]):
-                row.append(repr(float(vals[c, i])) if masks[c, i] else "")
-            writer.writerow(row)
+        csv.writer(fh).writerow([timestamp_column, *dataset.ids])
+        for lo in range(0, len(dataset), _CSV_BLOCK_ROWS):
+            hi = lo + _CSV_BLOCK_ROWS
+            columns = [map(repr, t[lo:hi].tolist())]
+            for c in dataset.channels:
+                cells = map(repr, c.values[lo:hi].tolist())
+                mask = c.mask[lo:hi]
+                if not mask.all():
+                    cells = [s if m else "" for s, m in zip(cells, mask.tolist())]
+                columns.append(cells)
+            fh.write("\r\n".join(map(",".join, zip(*columns))))
+            fh.write("\r\n")
 
 
 # ---------------------------------------------------------------------------

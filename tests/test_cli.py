@@ -58,6 +58,15 @@ def test_unreadable_input_is_data_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_repeated_column_names_file_and_column(tmp_path, capsys):
+    src = tmp_path / "dup.csv"
+    src.write_text("t,v,v\n0,1,2\n1,3,4\n")
+    code = run(["impute", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                "--L", "10", "--T", "120"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {src}:1: column 'v' appears more than once\n"
+
+
 def test_bad_channel_selection_is_usage_error(tmp_path, sample_csv, capsys):
     code = run(["impute", "--input", str(sample_csv),
                 "--output", str(tmp_path / "o.csv"), "--T", "120",

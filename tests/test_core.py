@@ -135,9 +135,127 @@ def test_ingest_basic_missing_cell(tmp_path):
 
 def test_ingest_nan_literal_is_missing(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("t,v\n0,NaN\n1,2.0\n2,nan\n")
+    p.write_text("t,v\n0,NaN\n1,2.0\n2,nan\n3, nan \n4,NAN\n5,\tnAn\n6,7.0\n")
     ds = ingest_csv(p)
-    assert list(ds.channel("v").mask) == [False, True, False]
+    assert list(ds.channel("v").mask) == [False, True, False, False, False, False, True]
+
+
+@pytest.mark.parametrize("cell", [" ", "   ", "\t", " \t "])
+def test_ingest_whitespace_only_cell_is_missing(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"t,v,w\n0,1.0,{cell}\n1,{cell},2.0\n2,3.0,4.0\n")
+    ds = ingest_csv(p)
+    assert list(ds.channel("v").mask) == [True, False, True]
+    assert list(ds.channel("w").mask) == [False, True, True]
+    assert list(ds.channel("v").values[[0, 2]]) == [1.0, 3.0]
+
+
+def test_ingest_quoted_numeric_cell_is_observed(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text('t,v\n0,"1.5"\n"1",2.5\n2,""\n')
+    ds = ingest_csv(p)
+    v = ds.channel("v")
+    assert list(v.mask) == [True, True, False]
+    assert list(v.values[:2]) == [1.5, 2.5]
+    assert list(ds.timestamps) == [0.0, 1.0, 2.0]
+
+
+def test_ingest_crlf_line_endings(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"t,v,w\r\n0,1.5,\r\n1,,2.0\r\n2,3.5,4.0\r\n")
+    ds = ingest_csv(p)
+    assert list(ds.timestamps) == [0.0, 1.0, 2.0]
+    assert list(ds.channel("v").mask) == [True, False, True]
+    assert list(ds.channel("w").mask) == [False, True, True]
+    assert list(ds.channel("v").values[[0, 2]]) == [1.5, 3.5]
+    assert list(ds.channel("w").values[1:]) == [2.0, 4.0]
+
+
+def ingest_error(p, text):
+    p.write_text(text)
+    with pytest.raises(FormatError) as info:
+        ingest_csv(p)
+    return str(info.value)
+
+
+def long_file(n_rows, bad_line=None, cell="1.5"):
+    """Rows 't,v,w' for n_rows data rows with a gap pattern; the data row on
+    line bad_line (the header is line 1) gets cell in column v."""
+    rows = ["t,v,w"]
+    for i in range(n_rows):
+        v = "" if i % 7 == 3 else f"{i * 0.25}"
+        rows.append(f"{i},{cell if i + 2 == bad_line else v},{i % 5}")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, cell",
+    [("t,v,w\n0,1,2\n1,x,3\n", 3, "x"),
+     ("t,v,w\n0,1,2\n1,1.5.2,3\n2,4,5\n", 3, "1.5.2"),
+     (long_file(5000, bad_line=4500, cell="oops"), 4500, "oops")],
+)
+def test_ingest_bad_value_names_line_and_column(tmp_path, text, line, cell):
+    p = tmp_path / "d.csv"
+    msg = ingest_error(p, text)
+    assert msg == f"{p}:{line}: bad value {cell!r} in column 'v'"
+
+
+@pytest.mark.parametrize(
+    "text, line, cell",
+    [("t,v\n0,1\nabc,2\n", 3, "abc"),
+     ("t,v\n0,1\n,2\n", 3, ""),
+     ("t,v\n0,1\n1, \n\t,3\n", 4, "\t")],
+)
+def test_ingest_bad_timestamp_names_line(tmp_path, text, line, cell):
+    p = tmp_path / "d.csv"
+    assert ingest_error(p, text) == f"{p}:{line}: bad timestamp {cell!r}"
+
+
+def test_ingest_empty_file_rejected(tmp_path):
+    p = tmp_path / "d.csv"
+    assert ingest_error(p, "") == f"{p}: empty file"
+
+
+def test_ingest_blank_header_line_rejected(tmp_path):
+    p = tmp_path / "d.csv"
+    assert ingest_error(p, "\nt,v\n0,1\n1,2\n") == f"{p}:1: empty header"
+
+
+def test_ingest_timestamp_column_missing_from_header_rejected(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("t,v\n0,1\n1,2\n")
+    with pytest.raises(FormatError, match="timestamp column 'time' not in header"):
+        ingest_csv(p, CsvSchema(timestamp="time"))
+
+
+@pytest.mark.parametrize("text", ["t,v\n", "t,v\n0,1\n"])
+def test_ingest_header_only_or_single_row_rejected(tmp_path, text):
+    p = tmp_path / "d.csv"
+    assert "need at least two rows" in ingest_error(p, text)
+
+
+@pytest.mark.parametrize("header, column", [("t,v,v", "v"), ("t,t,v", "t"), ("v,t,w,v", "v")])
+def test_ingest_repeated_column_names_file_and_column(tmp_path, header, column):
+    p = tmp_path / "d.csv"
+    msg = ingest_error(p, header + "\n0,1,2,3\n1,2,3,4\n")
+    assert msg == f"{p}:1: column {column!r} appears more than once"
+
+
+def test_scanned_block_reads_as_parsed_block(tmp_path):
+    """A block numpy's parser rejects (a whitespace-only cell, an underscore
+    in a number) is read cell by cell, to the same arrays."""
+    plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+    text = long_file(9000)
+    plain.write_text(text)
+    lines = text.splitlines(keepends=True)
+    assert lines[5002] == "5001,,1\n" and lines[6000] == "5999,1499.75,4\n"
+    lines[5002] = "5001, ,1\n"  # both in the second block
+    lines[6000] = "5999,1_499.75,4\n"
+    odd.write_text("".join(lines))
+    a, b = ingest_csv(plain), ingest_csv(odd)
+    assert a.timestamps.tobytes() == b.timestamps.tobytes()
+    assert a.values_matrix().tobytes() == b.values_matrix().tobytes()
+    assert np.array_equal(a.masks_matrix(), b.masks_matrix())
 
 
 def test_ingest_all_missing_channel_rejected(tmp_path):
@@ -149,9 +267,16 @@ def test_ingest_all_missing_channel_rejected(tmp_path):
 
 def test_ingest_ragged_row_names_line(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("t,v\n0,1.0\n1,2.0,extra\n")
-    with pytest.raises(FormatError, match=":3:"):
-        ingest_csv(p)
+    cases = [
+        ("t,v\n0,1.0\n1,2.0,extra\n", 3, 3),
+        ("t,v\n0,1.0\n\n2,3.0\n", 3, 0),  # a blank line is a ragged row
+        ("t,v\n0,1.0\n1,2.0\n\n", 4, 0),
+        ("t,v\n0\n1,2.0\n", 2, 1),
+        (long_file(5000).replace("\n4000,", "\n4000,9,"), 4002, 4),
+    ]
+    for text, line, got in cases:
+        msg = ingest_error(p, text)
+        assert msg.startswith(f"{p}:{line}: expected ") and msg.endswith(f"fields, got {got}")
 
 
 def test_ingest_nonuniform_timestamps_rejected(tmp_path):
@@ -212,6 +337,10 @@ def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
     schema = CsvSchema(timestamp="time", kinds={"va": ChannelKind.VOLTAGE_ANGLE,
                                                 "f": ChannelKind.FREQUENCY})
     ds = ingest_csv(p, schema)
+    assert ds.ids == ("va", "f")
+    assert list(ds.timestamps) == [0.0, 1.0]
+    assert list(ds.channel("va").values) == [10.0, 11.0]
+    assert list(ds.channel("f").values) == [60.0, 60.1]
     assert ds.channel("va").kind is ChannelKind.VOLTAGE_ANGLE
     assert ds.channel("f").kind is ChannelKind.FREQUENCY
 
