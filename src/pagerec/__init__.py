@@ -11,11 +11,8 @@ from .core import (
     ChannelSeries,
     CsvSchema,
     Dataset,
-    FillPolicy,
     ScalingPolicy,
     ScalingTransform,
-    fill_dataset,
-    fill_missing,
     ingest_csv,
     locf_fill,
     scale_dataset,
@@ -55,24 +52,15 @@ from .harness import (
     results_to_dict,
     run_benchmark,
 )
-from .matrices import (
-    BlockLayout,
-    MatrixVariant,
-    StackedMatrix,
-    hankel_matrix,
-    page_matrix,
-    reshape_back,
-    stack,
-)
+from .matrices import MatrixVariant
 from .recovery import (
     ForecastModel,
     RecoveryConfig,
     RecoveryReport,
     impute_offline,
-    learn_forecast,
     predict_next,
     predict_stream,
 )
-from .svt import OsvtOutcome, optimal_threshold, osvt_estimate, scale_to_unit
+from .svt import OsvtOutcome, optimal_threshold, osvt_estimate
 
 __version__ = "0.1.0"

@@ -128,6 +128,9 @@ def _load_input(args):
         missing = [c for c in wanted if c not in data.ids]
         if missing:
             raise ConfigError(f"channels not in input: {missing}")
+        repeated = sorted({c for c in wanted if wanted.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"channels named more than once in --channels: {repeated}")
         data = data.select(wanted)
     return data
 
@@ -152,7 +155,7 @@ def _cmd_impute(args) -> int:
         "median_window_seconds": report.median_step_seconds,
         "total_seconds": float(sum(report.step_seconds)),
     })
-    print(f"imputed {len(data)} samples x {len(data.channels)} channels -> {out}")
+    print(f"imputed {len(data)} samples x {len(data.ids)} channels -> {out}")
     return 0
 
 
@@ -167,7 +170,7 @@ def _cmd_predict(args) -> int:
         "median_step_seconds": report.median_step_seconds,
         "steps": len(report.step_seconds),
     })
-    print(f"predicted {len(preds)} steps x {len(preds.channels)} channels -> {out}")
+    print(f"predicted {len(preds)} steps x {len(preds.ids)} channels -> {out}")
     return 0
 
 
@@ -185,7 +188,7 @@ def _cmd_bench(args) -> int:
         corpus,
         scenarios,
         impute_cfg=cfg,
-        predict_cfg=RecoveryConfig.online(),
+        predict_cfg=RecoveryConfig(L=5, T=30),
         repetitions=args.reps,
         master_seed=args.seed,
         tasks=("impute", "predict"),

@@ -1,9 +1,10 @@
 """Time-series data model, CSV ingestion, gap filling and channel scaling.
 
-The central objects are :class:`ChannelSeries` (one measurement channel with
-an observation mask) and :class:`Dataset` (an ordered set of channels on a
-common time base). Channel order is significant: it fixes the block order of
-stacked matrices built downstream.
+:class:`Dataset` is columnar: one time base of n samples and (N, n) arrays
+of values and observation masks, one row per channel, all read-only.
+:class:`ChannelSeries` is the record of one channel, which a dataset is
+built from or hands out on request. Channel order is significant: it fixes
+the block order of the stacked matrices built downstream.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ class ChannelKind(enum.Enum):
     VOLTAGE_ANGLE = "voltage_angle"
     FREQUENCY = "frequency"
     GENERIC = "generic"
-
-
-class FillPolicy(enum.Enum):
-    """Gap-filling strategies. Only last-observation-carried-forward exists;
-    leading gaps are backfilled from the first observed sample."""
-
-    LOCF = "locf"
 
 
 def _uniform_steps(t: np.ndarray) -> bool:
@@ -115,86 +109,146 @@ class ChannelSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def n_missing(self) -> int:
-        return int((~self.mask).sum())
 
-    def replace_values(self, values, mask=None) -> "ChannelSeries":
-        """Copy of this channel with new values (and optionally a new mask)."""
-        return replace(
-            self,
-            values=np.asarray(values, dtype=float),
-            mask=self.mask if mask is None else np.asarray(mask, dtype=bool),
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """Ordered collection of channels sharing one time base."""
+    """Channels on one time base, stored as columns.
 
-    channels: tuple[ChannelSeries, ...]
-    rate_fps: float = 0.0  # 0 means "derive from the timestamp step"
+    timestamps holds the n sample times once; the channels' values and
+    observation masks are (N, n) arrays whose row i belongs to channel
+    ids[i] of kind kinds[i]. All three arrays are read-only.
+    ``Dataset(channels, rate_fps)`` builds one from ChannelSeries records,
+    :meth:`from_arrays` from the arrays themselves; both validate alike.
+    A rate_fps of 0 means "derive from the timestamp step".
+    """
 
-    def __post_init__(self):
-        chans = tuple(self.channels)
+    timestamps: np.ndarray
+    ids: tuple[str, ...]
+    kinds: tuple[ChannelKind, ...]
+    rate_fps: float
+    _values: np.ndarray = field(repr=False)
+    _masks: np.ndarray = field(repr=False)
+
+    def __init__(self, channels: Iterable[ChannelSeries], rate_fps: float = 0.0):
+        chans = tuple(channels)
         if not chans:
             raise ShapeError("dataset needs at least one channel")
-        ids = [c.channel_id for c in chans]
-        if len(set(ids)) != len(ids):
-            raise ShapeError("channel ids must be unique")
         t0 = chans[0].timestamps
-        for c in chans[1:]:
-            if len(c) != len(t0) or not (c.timestamps == t0).all():
-                raise ShapeError(
-                    f"channel {c.channel_id!r} does not share the common time base"
-                )
-        rate = self.rate_fps
-        if not rate:
-            rate = 1.0 / (t0[1] - t0[0]) if len(t0) >= 2 else 1.0
-        object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "rate_fps", float(rate))
+        shared = [len(c) == len(t0) for c in chans]
+        if all(shared):
+            shared = (np.array([c.timestamps for c in chans]) == t0).all(axis=1)
+        if not all(shared):
+            odd = chans[list(shared).index(False)]
+            raise ShapeError(
+                f"channel {odd.channel_id!r} does not share the common time base"
+            )
+        self._store(
+            t0,
+            np.array([c.values for c in chans]),
+            np.array([c.mask for c in chans]),
+            tuple(c.channel_id for c in chans),
+            tuple(c.kind for c in chans),
+            rate_fps,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        timestamps,
+        values,
+        masks,
+        ids: Iterable[str],
+        kinds: Iterable[ChannelKind] | None = None,
+        rate_fps: float = 0.0,
+    ) -> "Dataset":
+        """Dataset from its time base (n,), values and masks (N, n), channel
+        ids and kinds (GENERIC when omitted). The arrays are copied."""
+        t = np.array(timestamps, dtype=float)
+        if t.ndim == 1 and len(t) >= 2 and not _uniform_steps(t):
+            raise ShapeError(
+                "timestamps must be finite and strictly increasing with a constant step"
+            )
+        ids = tuple(ids)
+        self = cls.__new__(cls)
+        self._store(
+            t,
+            np.array(values, dtype=float, order="C"),
+            np.array(masks, dtype=bool, order="C"),
+            ids,
+            (ChannelKind.GENERIC,) * len(ids) if kinds is None else tuple(kinds),
+            rate_fps,
+        )
+        return self
+
+    def _store(self, t, values, masks, ids, kinds, rate_fps) -> None:
+        """Validate and keep, read-only, arrays that no caller holds. The
+        time steps were checked where t came from: by ChannelSeries or by
+        from_arrays."""
+        if not ids:
+            raise ShapeError("dataset needs at least one channel")
+        N = len(ids)
+        if (t.ndim != 1 or values.shape != (N, len(t)) or masks.shape != values.shape
+                or len(kinds) != N):
+            raise ShapeError(
+                f"expected timestamps (n,), values and masks ({N}, n) and {N} "
+                f"kinds, got {t.shape}, {values.shape}, {masks.shape} and {len(kinds)}"
+            )
+        if len(set(ids)) != len(ids):
+            repeated = next(c for k, c in enumerate(ids) if c in ids[:k])
+            raise ShapeError(f"channel id {repeated!r} appears more than once")
+        if not rate_fps:
+            rate_fps = 1.0 / (t[1] - t[0]) if len(t) >= 2 else 1.0
+        for a in (t, values, masks):
+            a.setflags(write=False)
+        for name, value in (("timestamps", t), ("ids", ids), ("kinds", kinds),
+                            ("rate_fps", float(rate_fps)), ("_values", values),
+                            ("_masks", masks)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.channels[0])
+        return len(self.timestamps)
+
+    def _row(self, channel_id: str) -> int:
+        try:
+            return self.ids.index(channel_id)
+        except ValueError:
+            raise KeyError(channel_id) from None
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(c.channel_id for c in self.channels)
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return self.channels[0].timestamps
+    def channels(self) -> tuple[ChannelSeries, ...]:
+        """The channels as ChannelSeries records, built on each access."""
+        return tuple(self.channel(c) for c in self.ids)
 
     def channel(self, channel_id: str) -> ChannelSeries:
-        for c in self.channels:
-            if c.channel_id == channel_id:
-                return c
-        raise KeyError(channel_id)
+        i = self._row(channel_id)
+        return ChannelSeries(
+            channel_id, self.kinds[i], self.timestamps, self._values[i], self._masks[i]
+        )
 
     def select(self, ids: Iterable[str]) -> "Dataset":
         """Sub-dataset with the given channels, in the given order."""
-        return Dataset(tuple(self.channel(i) for i in ids), self.rate_fps)
+        rows = [self._row(c) for c in ids]
+        return Dataset.from_arrays(
+            self.timestamps, self._values[rows], self._masks[rows],
+            [self.ids[i] for i in rows], [self.kinds[i] for i in rows], self.rate_fps,
+        )
 
     def values_matrix(self) -> np.ndarray:
-        """Channel values as an (n_channels, n_samples) array."""
-        return np.array([c.values for c in self.channels])
+        """Channel values as an (n_channels, n_samples) array: the stored,
+        read-only one."""
+        return self._values
 
     def masks_matrix(self) -> np.ndarray:
-        return np.array([c.mask for c in self.channels])
+        """Observation masks, shaped and stored like values_matrix()."""
+        return self._masks
 
-    def with_values(self, values: np.ndarray, masks: np.ndarray | None = None) -> "Dataset":
-        """Dataset with the same layout but new per-channel values."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(self.channels), len(self)):
-            raise ShapeError(
-                f"values matrix {values.shape} does not match dataset "
-                f"({len(self.channels)}, {len(self)})"
-            )
-        chans = []
-        for i, c in enumerate(self.channels):
-            m = None if masks is None else masks[i]
-            chans.append(c.replace_values(values[i], m))
-        return Dataset(tuple(chans), self.rate_fps)
+    def with_values(self, values, masks=None) -> "Dataset":
+        """Dataset with the same layout but new (N, n) values and, when
+        given, new masks."""
+        return Dataset.from_arrays(
+            self.timestamps, values, self._masks if masks is None else masks,
+            self.ids, self.kinds, self.rate_fps,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +273,11 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
     """Read a comma-separated file into a Dataset.
 
     One timestamp column, one column per channel, each named once in the
-    header. A cell that is empty, whitespace-only or a NaN literal (any case,
-    surrounding spaces allowed) marks a missing sample; a quoted numeric cell
-    (``"1.5"``) is read as its number. Rows must all have the header's width,
-    and timestamps must be finite and strictly increasing with a constant
-    step.
+    header by a non-empty name. A cell that is empty, whitespace-only or a
+    NaN literal (any case, surrounding spaces allowed) marks a missing
+    sample; a quoted numeric cell (``"1.5"``) is read as its number. Rows
+    must all have the header's width, and timestamps must be finite and
+    strictly increasing with a constant step.
 
     The data rows are parsed in blocks of ``_CSV_BLOCK_ROWS`` lines: the
     file's text is never held whole, only one block of it beside the parsed
@@ -232,9 +286,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
     Raises
     ------
     FormatError
-        Repeated header column, ragged row or unparsable cell (each reported
-        with its line number), fewer than two data rows, or a non-finite or
-        non-uniform time column.
+        Empty or repeated header column name, ragged row or unparsable cell
+        (each reported with its line number), fewer than two data rows, or a
+        non-finite or non-uniform time column.
     AllMissingChannel
         Some channel has no observed sample at all.
     """
@@ -250,7 +304,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
         if ts_col not in header:
             raise FormatError(f"{path}: timestamp column {ts_col!r} not in header")
         seen = set()
-        for name in header:
+        for j, name in enumerate(header, start=1):
+            if not name:
+                raise FormatError(f"{path}:1: column {j} has an empty name")
             if name in seen:
                 raise FormatError(f"{path}:1: column {name!r} appears more than once")
             seen.add(name)
@@ -267,24 +323,23 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
     if sum(len(b) for b in blocks) < 2:
         raise FormatError(f"{path}: need at least two rows to infer the rate")
     table = np.concatenate(blocks)
-    del blocks  # freed before the channels copy their columns out of table
+    del blocks  # freed before the columns are copied out of table
 
-    t = table[:, ts_idx]
+    t = table[:, ts_idx].copy()
     if not _uniform_steps(t):
         raise FormatError(f"{path}: timestamps are not finite and uniformly increasing")
     rate = schema.rate_fps if schema.rate_fps else 1.0 / (t[1] - t[0])
 
-    channels = []
-    for j, name in enumerate(header):
-        if j == ts_idx:
-            continue
-        vals = table[:, j]
-        mask = ~np.isnan(vals)
-        if not mask.any():
-            raise AllMissingChannel(f"{path}: column {name!r} has no observed sample")
-        kind = schema.kinds.get(name, ChannelKind.GENERIC)
-        channels.append(ChannelSeries(name, kind, t, vals, mask))
-    return Dataset(tuple(channels), rate)
+    ids = tuple(h for j, h in enumerate(header) if j != ts_idx)
+    values = table.T[[j for j in range(len(header)) if j != ts_idx]]
+    del table  # freed before the dataset copies values
+    masks = ~np.isnan(values)
+    unobserved = ~masks.any(axis=1)
+    if unobserved.any():
+        name = ids[unobserved.argmax()]
+        raise AllMissingChannel(f"{path}: column {name!r} has no observed sample")
+    kinds = [schema.kinds.get(name, ChannelKind.GENERIC) for name in ids]
+    return Dataset.from_arrays(t, values, masks, ids, kinds, rate)
 
 
 def _parse_block(lines: list[str], path, lineno: int, header: list[str],
@@ -347,15 +402,14 @@ def write_csv(dataset: Dataset, path, timestamp_column: str = "t") -> None:
     Every sample is written as the repr of its float, and every row ends in
     \\r\\n, as the csv module writes it. Rows are formatted in blocks of
     ``_CSV_BLOCK_ROWS``, so the memory used does not grow with the dataset."""
-    t = dataset.timestamps
+    t, values, masks = dataset.timestamps, dataset.values_matrix(), dataset.masks_matrix()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([timestamp_column, *dataset.ids])
         for lo in range(0, len(dataset), _CSV_BLOCK_ROWS):
             hi = lo + _CSV_BLOCK_ROWS
             columns = [map(repr, t[lo:hi].tolist())]
-            for c in dataset.channels:
-                cells = map(repr, c.values[lo:hi].tolist())
-                mask = c.mask[lo:hi]
+            for row, mask in zip(values[:, lo:hi], masks[:, lo:hi]):
+                cells = map(repr, row.tolist())
                 if not mask.all():
                     cells = [s if m else "" for s, m in zip(cells, mask.tolist())]
                 columns.append(cells)
@@ -378,23 +432,6 @@ def locf_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     first = mask.argmax(axis=-1)[..., None]
     idx = np.where(mask, np.arange(values.shape[-1]), first)
     return np.take_along_axis(values, np.maximum.accumulate(idx, axis=-1), axis=-1)
-
-
-def fill_missing(series: ChannelSeries, policy: FillPolicy = FillPolicy.LOCF) -> ChannelSeries:
-    """Fill masked-out samples; observed samples and the mask are untouched."""
-    if policy is not FillPolicy.LOCF:  # pragma: no cover - single-member enum
-        raise ConfigError(f"unknown fill policy {policy!r}")
-    if not series.mask.any():
-        raise AllMissingChannel(
-            f"channel {series.channel_id!r} has no observed sample"
-        )
-    return series.replace_values(locf_fill(series.values, series.mask))
-
-
-def fill_dataset(data: Dataset, policy: FillPolicy = FillPolicy.LOCF) -> Dataset:
-    return Dataset(
-        tuple(fill_missing(c, policy) for c in data.channels), data.rate_fps
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +457,7 @@ def unwrap_angles(series: ChannelSeries) -> ChannelSeries:
             f"channel {series.channel_id!r} has kind {series.kind.value}, "
             "expected voltage_angle"
         )
-    return series.replace_values(unwrap_degrees(series.values))
+    return replace(series, values=unwrap_degrees(series.values))
 
 
 @dataclass(frozen=True)
@@ -459,41 +496,38 @@ class ScalingTransform:
         Angle channels come back unwrapped (referencing is undone, wrapping
         is not reapplied).
         """
-        chans = []
-        for c in data.channels:
-            if c.kind is ChannelKind.VOLTAGE_MAGNITUDE:
-                chans.append(c.replace_values(c.values * self.base_kv[c.channel_id]))
-            elif c.kind is ChannelKind.VOLTAGE_ANGLE:
+        values = data.values_matrix().copy()
+        for i, (cid, kind) in enumerate(zip(data.ids, data.kinds)):
+            if kind is ChannelKind.VOLTAGE_MAGNITUDE:
+                values[i] = values[i] * self.base_kv[cid]
+            elif kind is ChannelKind.VOLTAGE_ANGLE:
                 if self.reference_values is None:
                     raise ConfigError("no reference series recorded for angles")
-                chans.append(c.replace_values(c.values + self.reference_values))
-            elif c.kind is ChannelKind.FREQUENCY:
-                chans.append(
-                    c.replace_values(c.values / self.freq_gain + self.nominal_hz)
-                )
-            else:
-                chans.append(c)
-        return Dataset(tuple(chans), data.rate_fps)
+                values[i] = values[i] + self.reference_values
+            elif kind is ChannelKind.FREQUENCY:
+                values[i] = values[i] / self.freq_gain + self.nominal_hz
+        return data.with_values(values)
 
 
-def _pick_reference(data: Dataset, policy: ScalingPolicy) -> ChannelSeries | None:
-    angles = [c for c in data.channels if c.kind is ChannelKind.VOLTAGE_ANGLE]
+def _pick_reference(data: Dataset, policy: ScalingPolicy) -> int | None:
+    """Row of the angle channel every angle channel is referenced to."""
     if policy.reference_channel is not None:
-        try:
-            ref = data.channel(policy.reference_channel)
-        except KeyError:
+        if policy.reference_channel not in data.ids:
             raise ConfigError(
                 f"reference channel {policy.reference_channel!r} not in dataset"
-            ) from None
-        if ref.kind is not ChannelKind.VOLTAGE_ANGLE:
+            )
+        i = data.ids.index(policy.reference_channel)
+        if data.kinds[i] is not ChannelKind.VOLTAGE_ANGLE:
             raise ConfigError(
                 f"reference channel {policy.reference_channel!r} is not an angle channel"
             )
-        return ref
+        return i
+    angles = [i for i, kind in enumerate(data.kinds) if kind is ChannelKind.VOLTAGE_ANGLE]
     if not angles:
         return None
     # fewest missing entries wins, first channel breaks ties
-    return min(angles, key=lambda c: (c.n_missing, data.ids.index(c.channel_id)))
+    missing = (~data.masks_matrix()).sum(axis=1)
+    return min(angles, key=lambda i: (missing[i], i))
 
 
 def scale_dataset(data: Dataset, policy: ScalingPolicy) -> tuple[Dataset, ScalingTransform]:
@@ -504,43 +538,39 @@ def scale_dataset(data: Dataset, policy: ScalingPolicy) -> tuple[Dataset, Scalin
     Returns the scaled dataset and the transform that maps estimates back to
     physical units.
     """
+    values = data.values_matrix().copy()
     ref = _pick_reference(data, policy)
     ref_unwrapped = None
     if ref is not None:
-        if not np.isfinite(ref.values).all():
+        if not np.isfinite(values[ref]).all():
             raise NumericError(
-                f"reference channel {ref.channel_id!r} has non-finite values; fill first"
+                f"reference channel {data.ids[ref]!r} has non-finite values; fill first"
             )
-        ref_unwrapped = unwrap_degrees(ref.values)
+        ref_unwrapped = unwrap_degrees(values[ref])
 
-    chans = []
-    for c in data.channels:
-        if c.kind is ChannelKind.VOLTAGE_MAGNITUDE:
-            if c.channel_id not in policy.base_kv:
+    for i, (cid, kind) in enumerate(zip(data.ids, data.kinds)):
+        if kind is ChannelKind.VOLTAGE_MAGNITUDE:
+            if cid not in policy.base_kv:
                 raise ConfigError(
-                    f"no per-unit base configured for magnitude channel {c.channel_id!r}"
+                    f"no per-unit base configured for magnitude channel {cid!r}"
                 )
-            chans.append(c.replace_values(c.values / policy.base_kv[c.channel_id]))
-        elif c.kind is ChannelKind.VOLTAGE_ANGLE:
+            values[i] = values[i] / policy.base_kv[cid]
+        elif kind is ChannelKind.VOLTAGE_ANGLE:
             if ref_unwrapped is None:
                 raise ConfigError("angle channels present but no reference available")
-            if not np.isfinite(c.values).all():
+            if not np.isfinite(values[i]).all():
                 raise NumericError(
-                    f"angle channel {c.channel_id!r} has non-finite values; fill first"
+                    f"angle channel {cid!r} has non-finite values; fill first"
                 )
-            chans.append(c.replace_values(unwrap_degrees(c.values) - ref_unwrapped))
-        elif c.kind is ChannelKind.FREQUENCY:
-            chans.append(
-                c.replace_values((c.values - policy.nominal_hz) * policy.freq_gain)
-            )
-        else:
-            chans.append(c)
+            values[i] = unwrap_degrees(values[i]) - ref_unwrapped
+        elif kind is ChannelKind.FREQUENCY:
+            values[i] = (values[i] - policy.nominal_hz) * policy.freq_gain
 
     transform = ScalingTransform(
         base_kv=dict(policy.base_kv),
-        reference_channel=ref.channel_id if ref is not None else None,
+        reference_channel=data.ids[ref] if ref is not None else None,
         reference_values=ref_unwrapped,
         nominal_hz=policy.nominal_hz,
         freq_gain=policy.freq_gain,
     )
-    return Dataset(tuple(chans), data.rate_fps), transform
+    return data.with_values(values), transform

@@ -13,8 +13,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ChannelKind, ChannelSeries, Dataset, FillPolicy, fill_dataset
-from .errors import ConfigError, MapeUndefined, ShapeError
+from .core import ChannelKind, Dataset, locf_fill
+from .errors import AllMissingChannel, ConfigError, MapeUndefined, ShapeError
 from .matrices import MatrixVariant
 from .recovery import RecoveryConfig, _denoise, _window_spans, impute_offline, predict_stream
 
@@ -143,20 +143,21 @@ def gen_synthetic(spec: SyntheticSpec) -> Synthetic:
     per-channel generators; step events are applied after the steady-state
     medians are recorded."""
     t = np.arange(spec.n_samples) / spec.rate_fps
-    channels = []
+    values = np.empty((len(spec.channels), spec.n_samples))
     medians = {}
-    for ch in spec.channels:
-        base = ch.signal.sample(t, spec.rate_fps)
-        medians[ch.channel_id] = float(np.median(np.abs(base)))
-        vals = base.copy()
+    for row, ch in zip(values, spec.channels):
+        row[:] = ch.signal.sample(t, spec.rate_fps)
+        medians[ch.channel_id] = float(np.median(np.abs(row)))
         for ev in ch.events:
             if not 0 <= ev.at <= spec.n_samples:
                 raise ConfigError(f"event index {ev.at} outside [0, {spec.n_samples}]")
-            vals[ev.at:] += ev.delta
-        channels.append(
-            ChannelSeries(ch.channel_id, ch.kind, t, vals, np.ones(spec.n_samples, bool))
-        )
-    return Synthetic(Dataset(tuple(channels), spec.rate_fps), medians)
+            row[ev.at:] += ev.delta
+    dataset = Dataset.from_arrays(
+        t, values, np.ones(values.shape, dtype=bool),
+        [ch.channel_id for ch in spec.channels], [ch.kind for ch in spec.channels],
+        spec.rate_fps,
+    )
+    return Synthetic(dataset, medians)
 
 
 def benchmark_corpus(
@@ -222,10 +223,7 @@ def degrade(
     noise_base overrides the per-channel noise scale; by default it is the
     median absolute value of the channel's observed samples.
     """
-    if not 0.0 <= spec.drop_rate <= 1.0:
-        raise ConfigError(f"drop_rate must lie in [0, 1], got {spec.drop_rate}")
-    if spec.noise_rate < 0.0:
-        raise ConfigError(f"noise_rate must be non-negative, got {spec.noise_rate}")
+    _check_rates(spec.drop_rate, spec.noise_rate)
     targets = set(spec.target_channels) if spec.target_channels is not None else set(data.ids)
     unknown = targets - set(data.ids)
     if unknown:
@@ -236,24 +234,29 @@ def degrade(
     n_drop = round(spec.drop_rate * n)
     drop_idx = rng.choice(n, size=n_drop, replace=False) if n_drop else np.empty(0, int)
 
-    channels = []
-    for c in data.channels:
-        if c.channel_id not in targets:
-            channels.append(c)
+    values = data.values_matrix().copy()
+    masks = data.masks_matrix().copy()
+    for i, cid in enumerate(data.ids):
+        if cid not in targets:
             continue
-        vals = c.values.copy()
-        mask = c.mask.copy()
+        vals, mask = values[i], masks[i]  # views: writing them writes the rows
         if spec.noise_rate:
             if noise_base is not None:
-                base = float(noise_base[c.channel_id])
+                base = float(noise_base[cid])
             else:
                 base = float(np.median(np.abs(vals[mask])))
             noise = rng.normal(0.0, spec.noise_rate * base, n)
             vals[mask] += noise[mask]
         mask[drop_idx] = False
         vals[drop_idx] = np.nan
-        channels.append(c.replace_values(vals, mask))
-    return Dataset(tuple(channels), data.rate_fps)
+    return data.with_values(values, masks)
+
+
+def _check_rates(drop_rate: float, noise_rate: float) -> None:
+    if not 0.0 <= drop_rate <= 1.0:
+        raise ConfigError(f"drop_rate must lie in [0, 1], got {drop_rate}")
+    if not noise_rate >= 0.0:
+        raise ConfigError(f"noise_rate must be non-negative, got {noise_rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +315,12 @@ def rank_profile(data: Dataset, cfg: RecoveryConfig) -> list[int]:
 
 def locf_baseline(degraded: Dataset) -> Dataset:
     """The do-nothing competitor: carry the last observation forward."""
-    return fill_dataset(degraded, FillPolicy.LOCF)
+    masks = degraded.masks_matrix()
+    observed = masks.any(axis=1)
+    if not observed.all():
+        cid = degraded.ids[observed.argmin()]
+        raise AllMissingChannel(f"channel {cid!r} has no observed sample")
+    return degraded.with_values(locf_fill(degraded.values_matrix(), masks))
 
 
 def persistence_baseline(degraded: Dataset, T: int) -> np.ndarray:
@@ -374,12 +382,19 @@ def run_benchmark(
     recovered, and scored per channel against the truth (median over
     repetitions). The LOCF fill of the degraded input and the one-step
     persistence forecast serve as baselines. Scenario failures are isolated
-    into the result's error field.
+    into the result's error field; an empty grid, fewer than one repetition
+    or a rate outside its range is a ConfigError before anything runs.
     """
-    tasks = tuple(tasks)
+    tasks, scenarios = tuple(tasks), tuple(scenarios)
     unknown = set(tasks) - {"impute", "predict"}
     if unknown:
         raise ConfigError(f"unknown benchmark tasks: {sorted(unknown)}")
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
+    if not scenarios:
+        raise ConfigError("the scenario grid is empty")
+    for scenario in scenarios:
+        _check_rates(scenario.drop_rate, scenario.noise_rate)
     truth_vals = truth.dataset.values_matrix()
     ids = truth.dataset.ids
     results: list[ScenarioResult] = []
@@ -413,7 +428,7 @@ def run_benchmark(
                     win_secs.extend(rep_report.step_seconds)
                 if "predict" in tasks:
                     cfg = replace(
-                        predict_cfg or RecoveryConfig.online(), variant=scenario.variant
+                        predict_cfg or RecoveryConfig(L=5, T=30), variant=scenario.variant
                     )
                     preds, rep_report = predict_stream(degraded, cfg)
                     pred_vals = preds.values_matrix()

@@ -26,15 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ChannelSeries, Dataset, FillPolicy, locf_fill
+from .core import Dataset, locf_fill
 from .errors import AllMissingChannel, ConfigError, NumericError, ShapeError
-from .matrices import (
-    MatrixVariant,
-    StackedMatrix,
-    antidiagonal_means,
-    hankel_entries,
-    page_entries,
-)
+from .matrices import MatrixVariant, antidiagonal_means, hankel_entries, page_entries
 # the engine calls osvt_batch; osvt_estimate stays bound here because
 # perfbench's tracer wraps it at this module's attribute
 from .svt import osvt_batch, osvt_estimate  # noqa: F401
@@ -44,7 +38,6 @@ __all__ = [
     "ForecastModel",
     "RecoveryReport",
     "impute_offline",
-    "learn_forecast",
     "predict_next",
     "predict_stream",
 ]
@@ -54,17 +47,16 @@ __all__ = [
 class RecoveryConfig:
     """Hyperparameters for imputation and prediction.
 
-    Defaults suit offline imputation of long archives; use
-    :meth:`online` for streaming prediction (short window, small L).
-    refresh_every re-learns the forecast coefficients every s steps
-    (1 = every step).
+    Defaults suit offline imputation of long archives; streaming
+    prediction wants a short window and a small L, for example
+    RecoveryConfig(L=5, T=30). refresh_every re-learns the forecast
+    coefficients every s steps (1 = every step).
     """
 
     L: int = 10
     T: int = 54000
     variant: MatrixVariant = MatrixVariant.PAGE
     overwrite_observed: bool = True
-    fill: FillPolicy = FillPolicy.LOCF
     refresh_every: int = 1
 
     def __post_init__(self):
@@ -80,17 +72,12 @@ class RecoveryConfig:
         if self.refresh_every < 1:
             raise ConfigError("refresh_every must be a positive integer")
 
-    @classmethod
-    def online(cls, L: int = 5, T: int = 30, **kwargs) -> "RecoveryConfig":
-        return cls(L=L, T=T, **kwargs)
-
     def echo(self) -> dict:
         return {
             "L": self.L,
             "T": self.T,
             "variant": self.variant.value,
             "overwrite_observed": self.overwrite_observed,
-            "fill": self.fill.value,
             "refresh_every": self.refresh_every,
         }
 
@@ -234,11 +221,6 @@ def _fit(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beta, np.sqrt((r * r).sum(axis=-1))  # np.linalg.norm's sum, minus its checks
 
 
-def _learn_beta(entries: np.ndarray) -> ForecastModel:
-    beta, residual = _fit(entries[None])
-    return ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
-
-
 def _forecast(
     entries: np.ndarray, beta: np.ndarray, mid: np.ndarray, half: np.ndarray
 ) -> np.ndarray:
@@ -247,16 +229,6 @@ def _forecast(
     cols = entries.shape[-1] // mid.shape[1]
     last = entries[:, 1:, cols - 1::cols]  # (B, L-1, N)
     return (beta[:, None, :] @ last)[:, 0] * half[..., 0] + mid[..., 0]
-
-
-def learn_forecast(matrix: StackedMatrix) -> ForecastModel:
-    """Fit the last row of a denoised stacked matrix as a linear combination
-    of its first L-1 rows (minimum-norm least squares over the columns)."""
-    if matrix.entries.shape[0] < 2:
-        raise ShapeError("need at least two rows to learn a forecast")
-    if matrix.entries.shape[1] < 1:
-        raise ShapeError("need at least one column to learn a forecast")
-    return _learn_beta(matrix.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +318,8 @@ def predict_next(
         window.values_matrix()[None], window.masks_matrix()[None], cfg, ids, (0,)
     )
     if model is None:
-        model = _learn_beta(entries[0])
+        beta, residual = _fit(entries)
+        model = ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
     preds = _forecast(entries, model.beta[None], mid, half)[0]
     return dict(zip(ids, preds)), model
 
@@ -399,11 +372,8 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
         report.step_seconds.extend([elapsed / len(j)] * len(j))
         report.kept_rank.extend(ranks.tolist())
 
-    t_pred = data.timestamps[cfg.T:]
-    channels = tuple(
-        ChannelSeries(
-            c.channel_id, c.kind, t_pred, preds[i], np.ones(steps, dtype=bool)
-        )
-        for i, c in enumerate(data.channels)
+    preds = Dataset.from_arrays(
+        data.timestamps[cfg.T:], preds, np.ones(preds.shape, dtype=bool),
+        data.ids, data.kinds, data.rate_fps,
     )
-    return Dataset(channels, data.rate_fps), report
+    return preds, report

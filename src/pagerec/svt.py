@@ -21,28 +21,10 @@ from .errors import NumericError
 __all__ = [
     "OsvtBatch",
     "OsvtOutcome",
-    "scale_to_unit",
     "optimal_threshold",
     "osvt_batch",
     "osvt_estimate",
 ]
-
-
-def scale_to_unit(X: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Affinely map entries of X into [-1, 1].
-
-    Returns (Y, a, b) with a = min(X), b = max(X) and
-    y = (x - (a+b)/2) / ((b-a)/2). A constant matrix (a == b) is returned
-    unchanged; callers detect that case via a == b.
-    """
-    X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise NumericError("matrix has non-finite entries")
-    a = float(X.min())
-    b = float(X.max())
-    if a == b:
-        return X.copy(), a, b
-    return (X - 0.5 * (a + b)) / (0.5 * (b - a)), a, b
 
 
 def optimal_threshold(m: int, n: int) -> float:
@@ -107,7 +89,8 @@ def osvt_batch(X: np.ndarray) -> OsvtBatch:
         out = osvt_batch(X.swapaxes(1, 2))
         return replace(out, estimate=out.estimate.swapaxes(1, 2))
 
-    # the scale_to_unit map per matrix; a constant matrix keeps the identity.
+    # map each matrix affinely onto [-1, 1], min to -1 and max to 1; a
+    # constant matrix keeps the identity.
     # A NaN entry makes its matrix's min and max NaN and an infinite one
     # makes one of them infinite, so the bounds alone show non-finite input.
     bounds = np.empty((B, 2))

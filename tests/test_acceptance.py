@@ -18,7 +18,6 @@ from pagerec import (
     ChannelSpec,
     Dataset,
     DegradeSpec,
-    FillPolicy,
     LinearRecurrence,
     MatrixVariant,
     RecoveryConfig,
@@ -28,20 +27,19 @@ from pagerec import (
     SyntheticSpec,
     benchmark_corpus,
     degrade,
-    fill_missing,
     gen_synthetic,
-    hankel_matrix,
     impute_offline,
+    locf_fill,
     mape,
     optimal_threshold,
     osvt_estimate,
-    page_matrix,
     predict_next,
     predict_stream,
     rank_profile,
-    reshape_back,
     run_benchmark,
 )
+from pagerec.matrices import hankel_entries, page_entries
+from pagerec.recovery import _unstack
 
 
 def report(criterion, ok, detail):
@@ -323,6 +321,15 @@ def _tone_matrix(rng):
     return w.reshape(-1, 6).T
 
 
+def _round_trip(w, L, variant):
+    """w stacked by the engine's own matrix builder and reshaped back by its
+    _unstack, one window of one channel with the identity scale."""
+    make = page_entries if variant is MatrixVariant.PAGE else hankel_entries
+    cfg = RecoveryConfig(L=L, T=len(w), variant=variant)
+    scale = np.zeros((1, 1, 1))
+    return _unstack(make(w, L)[None], scale, scale + 1.0, cfg)[0, 0]
+
+
 def test_criterion_9_property_suites():
     cases = 100
     failures = []
@@ -352,9 +359,8 @@ def test_criterion_9_property_suites():
             mask[int(rng.integers(n))] = True
         vals = rng.normal(0, 5, n)
         vals[~mask] = np.nan
-        s = ChannelSeries("c", ChannelKind.GENERIC, np.arange(n, dtype=float), vals, mask)
-        out = fill_missing(s, FillPolicy.LOCF)
-        if not np.array_equal(out.values[mask], vals[mask]):
+        out = locf_fill(vals, mask)
+        if not np.array_equal(out[mask], vals[mask]):
             failures.append("fill preserves observed")
             break
 
@@ -362,7 +368,7 @@ def test_criterion_9_property_suites():
     for _ in range(cases):
         L = int(rng.integers(2, 7))
         w = rng.normal(size=L * int(rng.integers(1, 9)))
-        if not np.array_equal(reshape_back(page_matrix(w, L, channel_id="x"))["x"], w):
+        if not np.array_equal(_round_trip(w, L, MatrixVariant.PAGE), w):
             failures.append("page round trip")
             break
 
@@ -370,7 +376,7 @@ def test_criterion_9_property_suites():
     for _ in range(cases):
         L = int(rng.integers(2, 7))
         w = rng.normal(size=int(rng.integers(L, 40)))
-        back = reshape_back(hankel_matrix(w, L, channel_id="x"))["x"]
+        back = _round_trip(w, L, MatrixVariant.HANKEL)
         if np.abs(back - w).max() >= 1e-12:
             failures.append("hankel unmodified round trip")
             break

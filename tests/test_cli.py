@@ -74,6 +74,17 @@ def test_bad_channel_selection_is_usage_error(tmp_path, sample_csv, capsys):
     assert code == 2
 
 
+def test_repeated_channel_selection_is_usage_error(tmp_path, sample_csv, capsys):
+    out = tmp_path / "o.csv"
+    code = run(["impute", "--input", str(sample_csv), "--output", str(out), "--T", "120",
+                "--channels", "ch00,ch01,ch00"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: channels named more than once in --channels: ['ch00']\n"
+    )
+    assert not out.exists()
+
+
 def test_input_file_never_mutated(tmp_path, sample_csv):
     before = sample_csv.read_bytes()
     run(["impute", "--input", str(sample_csv),
@@ -138,3 +149,20 @@ def test_bench_variant_grid(tmp_path):
     payload = json.loads(out.read_text())
     variants = {e["scenario"]["variant"] for e in payload["results"]}
     assert variants == {"page", "hankel"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "0"], "repetitions must be at least 1, got 0"),
+    (["--reps", "-3"], "repetitions must be at least 1, got -3"),
+    (["--drop", ""], "the scenario grid is empty"),
+    (["--variant", ""], "the scenario grid is empty"),
+    (["--drop", "0.1,1.5"], "drop_rate must lie in [0, 1], got 1.5"),
+    (["--noise", "-0.2"], "noise_rate must be non-negative, got -0.2"),
+])
+def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.json"
+    code = run(["bench", "--output", str(out), "--reps", "1", "--T", "240", "--L", "10",
+                *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists() and not (tmp_path / "r.json.csv").exists()

@@ -12,12 +12,12 @@ from pagerec import (
     ConfigError,
     CsvSchema,
     Dataset,
-    FillPolicy,
     FormatError,
     ScalingPolicy,
     ShapeError,
-    fill_missing,
     ingest_csv,
+    locf_baseline,
+    locf_fill,
     scale_dataset,
     unwrap_angles,
     unwrap_degrees,
@@ -116,6 +116,77 @@ def test_dataset_rate_derived_from_step():
     t = np.arange(5) / 60.0
     a = ChannelSeries("a", ChannelKind.GENERIC, t, np.zeros(5), np.ones(5, bool))
     assert Dataset((a,)).rate_fps == pytest.approx(60.0)
+
+
+def assert_same_dataset(a, b):
+    assert (a.ids, a.kinds, a.rate_fps) == (b.ids, b.kinds, b.rate_fps)
+    for x, y in ((a.timestamps, b.timestamps), (a.values_matrix(), b.values_matrix()),
+                 (a.masks_matrix(), b.masks_matrix())):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_dataset_from_channels_equals_array_form():
+    rng = np.random.default_rng(31)
+    t = 100.0 + np.arange(50) / 30.0
+    values = rng.normal(0.0, 5.0, (3, 50))
+    masks = rng.random((3, 50)) > 0.3
+    values[~masks] = np.nan
+    ids = ("c0", "c1", "c2")
+    kinds = (ChannelKind.VOLTAGE_MAGNITUDE, ChannelKind.GENERIC, ChannelKind.FREQUENCY)
+    chans = tuple(ChannelSeries(*row) for row in zip(ids, kinds, [t] * 3, values, masks))
+    for rate in (0.0, 25.0):
+        a = Dataset(chans, rate)
+        assert_same_dataset(a, Dataset.from_arrays(t, values, masks, ids, kinds, rate))
+        assert_same_dataset(a, Dataset(a.channels, rate))
+    assert Dataset(chans).rate_fps == pytest.approx(30.0)
+    generic = Dataset.from_arrays(t, values, masks, ids)
+    assert generic.kinds == (ChannelKind.GENERIC,) * 3
+    c1 = generic.channel("c1")
+    assert c1.kind is ChannelKind.GENERIC and np.array_equal(c1.mask, masks[1])
+
+
+def test_dataset_arrays_read_only_and_stored_once():
+    values = np.arange(6.0).reshape(2, 3)
+    masks = np.ones((2, 3), bool)
+    t = np.arange(3.0)
+    chans = tuple(ChannelSeries(c, ChannelKind.GENERIC, t, v, m)
+                  for c, v, m in zip(("a", "b"), values, masks))
+    for ds in (Dataset.from_arrays(t, values, masks, ("a", "b")), Dataset(chans)):
+        for a in (ds.values_matrix(), ds.masks_matrix()):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        assert not ds.timestamps.flags.writeable
+        assert ds.values_matrix() is ds.values_matrix()
+        assert ds.masks_matrix() is ds.masks_matrix()
+    # the array form keeps copies: the caller's arrays stay writable and apart
+    ds = Dataset.from_arrays(t, values, masks, ("a", "b"))
+    values[0, 0] = 99.0
+    t[0] = -1.0
+    assert ds.values_matrix()[0, 0] == 0.0 and ds.timestamps[0] == 0.0
+
+
+def test_dataset_array_form_validates():
+    t, values, masks = np.arange(4.0), np.zeros((2, 4)), np.ones((2, 4), bool)
+    with pytest.raises(ShapeError, match="channel id 'a' appears more than once"):
+        Dataset.from_arrays(t, values, masks, ("a", "a"))
+    with pytest.raises(ShapeError):
+        Dataset.from_arrays(t, values[:, :3], masks, ("a", "b"))
+    with pytest.raises(ShapeError):
+        Dataset.from_arrays(t, values, masks[:1], ("a", "b"))
+    with pytest.raises(ShapeError):
+        Dataset.from_arrays(t, values, masks, ("a", "b"), (ChannelKind.GENERIC,))
+    with pytest.raises(ShapeError, match="timestamps must be finite"):
+        Dataset.from_arrays([0.0, 1.0, 3.0, 4.0], values, masks, ("a", "b"))
+    with pytest.raises(ShapeError, match="at least one channel"):
+        Dataset.from_arrays(t, values[:0], masks[:0], ())
+    with pytest.raises(ShapeError, match=r"expected timestamps \(n,\)"):
+        Dataset.from_arrays(0.0, values, masks, ("a", "b"))
+    ds = Dataset.from_arrays(t, values, masks, ("a", "b"))
+    with pytest.raises(ShapeError, match="channel id 'b' appears more than once"):
+        ds.select(["b", "a", "b"])
+    with pytest.raises(KeyError):
+        ds.select(["c"])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +290,14 @@ def test_ingest_empty_file_rejected(tmp_path):
 def test_ingest_blank_header_line_rejected(tmp_path):
     p = tmp_path / "d.csv"
     assert ingest_error(p, "\nt,v\n0,1\n1,2\n") == f"{p}:1: empty header"
+
+
+@pytest.mark.parametrize("header, column",
+                         [("t,,v", 2), ("t,v, ", 3), (" ,v,w", 1), ("t,\t,v", 2)])
+def test_ingest_empty_header_cell_names_file_and_position(tmp_path, header, column):
+    p = tmp_path / "d.csv"
+    msg = ingest_error(p, header + "\n0,1,2\n1,2,3\n")
+    assert msg == f"{p}:1: column {column} has an empty name"
 
 
 def test_ingest_timestamp_column_missing_from_header_rejected(tmp_path):
@@ -346,22 +425,27 @@ def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fill_missing
+# LOCF gap filling: locf_fill on arrays, locf_baseline on a dataset
 # ---------------------------------------------------------------------------
+
+def filled(s):
+    """The one channel of s after locf_baseline, which keeps the mask."""
+    return locf_baseline(Dataset((s,))).channel(s.channel_id)
+
 
 def test_fill_locf_interior_gap():
     s = make_series([1.0, np.nan, np.nan, 4.0], mask=[True, False, False, True])
-    assert list(fill_missing(s).values) == [1.0, 1.0, 1.0, 4.0]
+    assert list(locf_fill(s.values, s.mask)) == [1.0, 1.0, 1.0, 4.0]
 
 
 def test_fill_leading_gap_backfills():
     s = make_series([np.nan, 2.0, 3.0], mask=[False, True, True])
-    assert list(fill_missing(s).values) == [2.0, 2.0, 3.0]
+    assert list(locf_fill(s.values, s.mask)) == [2.0, 2.0, 3.0]
 
 
 def test_fill_fully_observed_identity():
     s = make_series([5.0, 6.0, 7.0])
-    out = fill_missing(s)
+    out = filled(s)
     assert np.array_equal(out.values, s.values)
     assert np.array_equal(out.mask, s.mask)
 
@@ -369,7 +453,7 @@ def test_fill_fully_observed_identity():
 def test_fill_all_missing_raises():
     s = make_series([np.nan, np.nan], mask=[False, False])
     with pytest.raises(AllMissingChannel):
-        fill_missing(s)
+        locf_fill(s.values, s.mask)
 
 
 def test_fill_never_touches_observed():
@@ -382,7 +466,7 @@ def test_fill_never_touches_observed():
         vals = rng.normal(0, 10, n)
         vals[~mask] = np.nan
         s = make_series(vals, mask=mask)
-        out = fill_missing(s, FillPolicy.LOCF)
+        out = filled(s)
         assert np.array_equal(out.values[mask], vals[mask])
         assert np.array_equal(out.mask, mask)
         assert np.isfinite(out.values).all()
@@ -493,7 +577,7 @@ def test_scale_default_reference_fewest_missing():
                       np.array([True, False, True, True]))
     b = ChannelSeries("b", ChannelKind.VOLTAGE_ANGLE, t,
                       np.array([2.0, 3.0, 4.0, 5.0]), np.ones(4, bool))
-    filled_a = fill_missing(a)
+    filled_a = ChannelSeries("a", a.kind, t, locf_fill(a.values, a.mask), a.mask)
     ds = Dataset((filled_a, b))
     scaled, transform = scale_dataset(ds, ScalingPolicy())
     assert transform.reference_channel == "b"

@@ -141,14 +141,16 @@ def traced_peak(fn, *args):
 
 def test_block_io_memory_stays_below_file_size(tmp_path):
     """ingest_csv may hold the parsed table and the dataset built from it,
-    not the file's cells as Python strings; write_csv holds one block of
-    formatted rows, not the file."""
+    not the file's cells as Python strings, nor a time array per channel;
+    write_csv holds one block of formatted rows, not the file."""
     values, masks = gappy(np.random.default_rng(4), 12, 20000)
     data = make_dataset(values, masks)
     p = tmp_path / "archive.csv"
     write_csv(data, p)
     size = p.stat().st_size
-    assert traced_peak(ingest_csv, p) < 3 * size
+    # 1.31x the file's size with the time base held once; 1.88x when every
+    # channel kept its own copy of it
+    assert traced_peak(ingest_csv, p) < 1.6 * size
 
     out = tmp_path / "out.csv"
     peak = traced_peak(write_csv, data, out)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pagerec import (
+    AllMissingChannel,
     ChannelSpec,
     ConfigError,
     ConstantSignal,
@@ -20,6 +21,7 @@ from pagerec import (
     benchmark_corpus,
     degrade,
     gen_synthetic,
+    locf_baseline,
     mape,
     mape_detail,
     rank_profile,
@@ -146,6 +148,18 @@ def test_degrade_target_channels_only():
     masks = out.masks_matrix()
     assert (~masks[0]).sum() == 40
     assert masks[1].all() and masks[2].all()
+
+
+def test_locf_baseline_names_channel_with_no_observed_sample():
+    corpus = benchmark_corpus(n_channels=3, n_samples=40, seed=1)
+    out = degrade(corpus.dataset,
+                  DegradeSpec(drop_rate=1.0, target_channels=("ch01",), seed=2))
+    with pytest.raises(AllMissingChannel, match="^channel 'ch01' has no observed sample$"):
+        locf_baseline(out)
+    partial = degrade(corpus.dataset, DegradeSpec(drop_rate=0.5, seed=2))
+    filled = locf_baseline(partial)
+    assert np.array_equal(filled.masks_matrix(), partial.masks_matrix())
+    assert np.isfinite(filled.values_matrix()).all()
 
 
 def test_degrade_validates_rates():
@@ -312,7 +326,7 @@ def test_benchmark_report_serialization():
         truth,
         [Scenario(drop_rate=0.1, noise_rate=0.02)],
         impute_cfg=RecoveryConfig(L=10, T=90),
-        predict_cfg=RecoveryConfig.online(),
+        predict_cfg=RecoveryConfig(L=5, T=30),
         repetitions=2,
         tasks=("impute", "predict"),
     )

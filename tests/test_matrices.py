@@ -1,17 +1,11 @@
-"""Page/Hankel construction, stacking and reshaping."""
+"""Page/Hankel construction and the window engine's reshaping back."""
 
 import numpy as np
 import pytest
 
-from pagerec import (
-    ConfigError,
-    MatrixVariant,
-    ShapeError,
-    hankel_matrix,
-    page_matrix,
-    reshape_back,
-    stack,
-)
+from pagerec import ConfigError, MatrixVariant, RecoveryConfig, ShapeError
+from pagerec.matrices import hankel_entries, page_entries
+from pagerec.recovery import _unstack
 
 
 def antidiag_oracle(block, length):
@@ -26,111 +20,97 @@ def antidiag_oracle(block, length):
     return out / cnt
 
 
+def unstack(stacked, L, variant=MatrixVariant.PAGE, n_channels=1):
+    """One stacked matrix (L, n_channels * cols) back to its (n_channels, T)
+    window through the engine, with the identity scale (mid 0, half 1)."""
+    cols = stacked.shape[1] // n_channels
+    T = L * cols if variant is MatrixVariant.PAGE else L + cols - 1
+    cfg = RecoveryConfig(L=L, T=T, variant=variant)
+    scale = np.zeros((1, n_channels, 1))
+    return _unstack(stacked[None], scale, scale + 1.0, cfg)[0]
+
+
 # ---------------------------------------------------------------------------
-# page_matrix
+# page_entries
 # ---------------------------------------------------------------------------
 
 def test_page_basic_l2():
-    m = page_matrix([1, 2, 3, 4, 5, 6], 2)
-    assert np.array_equal(m.entries, [[1, 3, 5], [2, 4, 6]])
-    assert m.variant is MatrixVariant.PAGE and m.L == 2 and m.T == 6
+    assert np.array_equal(page_entries([1, 2, 3, 4, 5, 6], 2), [[1, 3, 5], [2, 4, 6]])
 
 
 def test_page_basic_l3():
-    m = page_matrix([1, 2, 3, 4, 5, 6], 3)
-    assert np.array_equal(m.entries, [[1, 4], [2, 5], [3, 6]])
+    assert np.array_equal(page_entries([1, 2, 3, 4, 5, 6], 3), [[1, 4], [2, 5], [3, 6]])
 
 
 def test_page_30_over_5_is_5x6():
-    m = page_matrix(np.arange(30.0), 5)
-    assert m.entries.shape == (5, 6)
+    assert page_entries(np.arange(30.0), 5).shape == (5, 6)
 
 
 def test_page_rejects_indivisible():
     with pytest.raises(ShapeError):
-        page_matrix(np.arange(7.0), 2)
+        page_entries(np.arange(7.0), 2)
 
 
 def test_page_rejects_l1():
     with pytest.raises(ConfigError):
-        page_matrix(np.arange(6.0), 1)
+        page_entries(np.arange(6.0), 1)
 
 
 # ---------------------------------------------------------------------------
-# hankel_matrix
+# hankel_entries
 # ---------------------------------------------------------------------------
 
 def test_hankel_basic():
-    m = hankel_matrix([1, 2, 3, 4], 2)
-    assert np.array_equal(m.entries, [[1, 2, 3], [2, 3, 4]])
+    assert np.array_equal(hankel_entries([1, 2, 3, 4], 2), [[1, 2, 3], [2, 3, 4]])
 
 
 def test_hankel_shapes():
-    assert hankel_matrix(np.arange(30.0), 5).entries.shape == (5, 26)
-    assert hankel_matrix(np.arange(10.0), 5).entries.shape == (5, 6)
+    assert hankel_entries(np.arange(30.0), 5).shape == (5, 26)
+    assert hankel_entries(np.arange(10.0), 5).shape == (5, 6)
 
 
 def test_hankel_entry_definition():
     w = np.random.default_rng(0).normal(size=12)
-    m = hankel_matrix(w, 4)
+    m = hankel_entries(w, 4)
     for i in range(4):
         for j in range(9):
-            assert m.entries[i, j] == w[i + j]
+            assert m[i, j] == w[i + j]
 
 
 def test_hankel_rejects_short_window():
     with pytest.raises(ShapeError):
-        hankel_matrix([1.0, 2.0], 3)
+        hankel_entries([1.0, 2.0], 3)
 
 
 # ---------------------------------------------------------------------------
-# stack / reshape_back
+# stacked matrices: channel blocks side by side, and back through the engine
 # ---------------------------------------------------------------------------
 
 def test_stack_two_blocks():
-    a = page_matrix([1, 2, 3, 4, 5, 6], 2, channel_id="a")
-    b = page_matrix([7, 8, 9, 10, 11, 12], 2, channel_id="b")
-    s = stack([a, b])
-    assert s.entries.shape == (2, 6)
-    assert [lay.channel_id for lay in s.layout] == ["a", "b"]
-    assert s.layout[1].col_start == 3 and s.layout[1].col_stop == 6
-
-
-def test_stack_single_block_identity():
-    a = page_matrix([1, 2, 3, 4], 2, channel_id="a")
-    s = stack([a])
-    assert np.array_equal(s.entries, a.entries)
-    assert len(s.layout) == 1
+    a = page_entries([1, 2, 3, 4, 5, 6], 2)
+    b = page_entries([7, 8, 9, 10, 11, 12], 2)
+    s = np.hstack([a, b])
+    assert s.shape == (2, 6)
+    # channel a owns columns 0:3 and channel b columns 3:6
+    back = unstack(s, 2, n_channels=2)
+    assert np.array_equal(back, [[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
+    s[:, 3:] = 0.0
+    assert np.array_equal(unstack(s, 2, n_channels=2), [[1, 2, 3, 4, 5, 6], [0] * 6])
 
 
 def test_stack_dimension_arithmetic():
     # 30 channels x (54000/10) columns each
     L, T, N = 10, 54000, 30
-    blocks = [page_matrix(np.zeros(T), L, channel_id=f"c{i}") for i in range(N)]
-    s = stack(blocks)
-    assert s.entries.shape == (L, N * T // L)
-    assert s.entries.shape == (10, 162000)
+    blocks = page_entries(np.zeros((N, T)), L)
+    assert blocks.shape == (N, L, T // L)
+    assert (L, N * blocks.shape[-1]) == (10, 162000)
 
 
 def test_stack_hankel_dimension_arithmetic():
     L, T, N = 5, 30, 4
-    blocks = [hankel_matrix(np.zeros(T), L, channel_id=f"c{i}") for i in range(N)]
-    s = stack(blocks)
-    assert s.entries.shape == (L, N * (T - L + 1))
-
-
-def test_stack_rejects_mismatched_l():
-    a = page_matrix([1, 2, 3, 4], 2, channel_id="a")
-    b = page_matrix([1, 2, 3, 4, 5, 6], 3, channel_id="b")
-    with pytest.raises(ShapeError):
-        stack([a, b])
-
-
-def test_stack_rejects_mixed_variants():
-    a = page_matrix([1, 2, 3, 4], 2, channel_id="a")
-    b = hankel_matrix([1, 2, 3, 4], 2, channel_id="b")
-    with pytest.raises(ShapeError):
-        stack([a, b])
+    blocks = hankel_entries(np.zeros((N, T)), L)
+    assert blocks.shape == (N, L, T - L + 1)
+    assert N * blocks.shape[-1] == N * (T - L + 1)
 
 
 def test_page_round_trip_identity():
@@ -139,32 +119,31 @@ def test_page_round_trip_identity():
         L = int(rng.integers(2, 7))
         cols = int(rng.integers(1, 9))
         w = rng.normal(size=L * cols)
-        out = reshape_back(page_matrix(w, L, channel_id="x"))
-        assert np.array_equal(out["x"], w)
+        out = unstack(page_entries(w, L), L)
+        assert np.array_equal(out[0], w)
 
 
 def test_hankel_unmodified_round_trip():
-    out = reshape_back(hankel_matrix([1.0, 2.0, 3.0, 4.0], 2, channel_id="x"))
-    assert np.allclose(out["x"], [1.0, 2.0, 3.0, 4.0])
+    out = unstack(hankel_entries([1.0, 2.0, 3.0, 4.0], 2), 2, MatrixVariant.HANKEL)
+    assert np.allclose(out[0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_hankel_antidiagonal_mean_example():
     # modified 2x3 hankel-layout block averages anti-diagonals
-    m = hankel_matrix([0.0, 0.0, 0.0, 0.0], 2, channel_id="x")
-    m = m.with_entries(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-    out = reshape_back(m)
-    expected = antidiag_oracle(m.entries, 4)
+    m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    out = unstack(m, 2, MatrixVariant.HANKEL)
+    expected = antidiag_oracle(m, 4)
     assert np.allclose(expected, [1.0, 3.0, 4.0, 6.0])
-    assert np.allclose(out["x"], expected)
+    assert np.allclose(out[0], expected)
 
 
 def test_stacked_round_trip_multichannel():
     rng = np.random.default_rng(9)
     windows = {f"c{i}": rng.normal(size=20) for i in range(4)}
-    s = stack([page_matrix(w, 5, channel_id=cid) for cid, w in windows.items()])
-    out = reshape_back(s)
-    for cid, w in windows.items():
-        assert np.array_equal(out[cid], w)
+    s = np.hstack([page_entries(w, 5) for w in windows.values()])
+    out = unstack(s, 5, n_channels=4)
+    for i, w in enumerate(windows.values()):
+        assert np.array_equal(out[i], w)
 
 
 def test_column_count_page_vs_hankel():
@@ -174,11 +153,11 @@ def test_column_count_page_vs_hankel():
         L = int(rng.integers(2, 8))
         cols = int(rng.integers(2, 10))
         T = L * cols
-        p = page_matrix(np.zeros(T), L)
-        h = hankel_matrix(np.zeros(T), L)
-        assert p.entries.shape[1] == T // L
-        assert h.entries.shape[1] == T - L + 1
-        assert h.entries.shape[1] > p.entries.shape[1]
+        p = page_entries(np.zeros(T), L)
+        h = hankel_entries(np.zeros(T), L)
+        assert p.shape[1] == T // L
+        assert h.shape[1] == T - L + 1
+        assert h.shape[1] > p.shape[1]
 
 
 def test_lrf_page_matrix_low_rank():
@@ -195,6 +174,6 @@ def test_lrf_page_matrix_low_rank():
         for t in range(G, 240):
             f[t] = np.dot(coeffs, f[t - 1::-1][:G])
         L = G + int(rng.integers(2, 4))
-        m = page_matrix(f[:L * (240 // L)], L)
-        s = np.linalg.svd(m.entries, compute_uv=False)
+        m = page_entries(f[:L * (240 // L)], L)
+        s = np.linalg.svd(m, compute_uv=False)
         assert (s[G + 1:] < 1e-8 * s[0]).all()

@@ -17,14 +17,13 @@ from pagerec import (
     benchmark_corpus,
     degrade,
     impute_offline,
-    learn_forecast,
     locf_baseline,
     mape,
-    page_matrix,
     predict_next,
     predict_stream,
 )
-from pagerec.recovery import _chunk_steps
+from pagerec.matrices import page_entries
+from pagerec.recovery import _chunk_steps, _fit
 
 
 def lrf_oracle(n, coeffs, init):
@@ -96,45 +95,41 @@ def test_config_bounds():
         RecoveryConfig(L=5, T=30, refresh_every=0)
 
 
-def test_config_online_defaults():
-    cfg = RecoveryConfig.online()
-    assert (cfg.L, cfg.T) == (5, 30)
-
-
 # ---------------------------------------------------------------------------
-# learn_forecast
+# the engine's forecast fit
 # ---------------------------------------------------------------------------
+
+def fit_one(m):
+    """_fit on one matrix: its coefficients (L-1,) and residual norm."""
+    beta, residual = _fit(m[None])
+    return beta[0], float(residual[0])
+
 
 def test_forecast_constant_matrix_minimum_norm():
     L, cols = 5, 8
-    m = page_matrix(np.full(L * cols, 3.0), L)
-    model = learn_forecast(m)
-    beta_oracle = np.linalg.pinv(m.entries[:-1].T) @ m.entries[-1]
+    m = page_entries(np.full(L * cols, 3.0), L)
+    beta, residual = fit_one(m)
+    beta_oracle = np.linalg.pinv(m[:-1].T) @ m[-1]
     assert np.allclose(beta_oracle, np.full(L - 1, 1.0 / (L - 1)))
-    assert np.allclose(model.beta, beta_oracle, atol=1e-12)
-    assert model.residual_norm < 1e-9
+    assert np.allclose(beta, beta_oracle, atol=1e-12)
+    assert residual < 1e-9
 
 
 def test_forecast_linear_ramp_exact():
-    m = page_matrix(np.arange(12.0), 3)
-    model = learn_forecast(m)
-    beta_oracle = np.linalg.pinv(m.entries[:-1].T) @ m.entries[-1]
-    assert np.allclose(model.beta, beta_oracle, atol=1e-9)
-    assert model.residual_norm < 1e-9
-    assert np.allclose(m.entries[:-1].T @ model.beta, m.entries[-1], atol=1e-9)
+    m = page_entries(np.arange(12.0), 3)
+    beta, residual = fit_one(m)
+    beta_oracle = np.linalg.pinv(m[:-1].T) @ m[-1]
+    assert np.allclose(beta, beta_oracle, atol=1e-9)
+    assert residual < 1e-9
+    assert np.allclose(m[:-1].T @ beta, m[-1], atol=1e-9)
 
 
 def test_forecast_l2_closed_form():
     w = np.array([1.0, 2.0, 3.0, 7.0, 5.0, 11.0])
-    m = page_matrix(w, 2)
-    g, h = m.entries[0], m.entries[1]
-    model = learn_forecast(m)
-    assert model.beta[0] == pytest.approx(np.dot(g, h) / np.dot(g, g))
-
-
-def test_forecast_needs_two_rows_and_a_column():
-    with pytest.raises(ShapeError):
-        learn_forecast(page_matrix(np.array([]), 3))
+    m = page_entries(w, 2)
+    g, h = m[0], m[1]
+    beta, _ = fit_one(m)
+    assert beta[0] == pytest.approx(np.dot(g, h) / np.dot(g, g))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +206,7 @@ def test_impute_large_window_wall_time():
 
 def test_predict_constant_signal():
     rows = np.full((3, 30), 4.2)
-    preds, _ = predict_next(dataset_from_rows(rows), RecoveryConfig.online())
+    preds, _ = predict_next(dataset_from_rows(rows), RecoveryConfig(L=5, T=30))
     for v in preds.values():
         assert v == pytest.approx(4.2, abs=1e-9)
 
@@ -223,7 +218,7 @@ def test_predict_lrf_window_exact():
         ChannelSeries(c.channel_id, c.kind, t, c.values[:30], np.ones(30, bool))
         for c in ds.channels
     )
-    preds, model = predict_next(Dataset(chans, 60.0), RecoveryConfig.online())
+    preds, model = predict_next(Dataset(chans, 60.0), RecoveryConfig(L=5, T=30))
     for i, cid in enumerate(ds.ids):
         assert abs(preds[cid] - rows[i, 30]) < 1e-6
     assert len(model.beta) == 4
@@ -232,10 +227,10 @@ def test_predict_lrf_window_exact():
 def test_predict_shift_invariance():
     corpus = benchmark_corpus(n_channels=3, n_samples=30,
                               mode_freqs=(4.3, 7.1), seed=6)
-    base, _ = predict_next(corpus.dataset, RecoveryConfig.online())
+    base, _ = predict_next(corpus.dataset, RecoveryConfig(L=5, T=30))
     for c in (-7.5, 13.0):
         shifted = corpus.dataset.with_values(corpus.dataset.values_matrix() + c)
-        out, _ = predict_next(shifted, RecoveryConfig.online())
+        out, _ = predict_next(shifted, RecoveryConfig(L=5, T=30))
         for cid in base:
             assert out[cid] - base[cid] == pytest.approx(c, abs=1e-6)
 
@@ -243,20 +238,20 @@ def test_predict_shift_invariance():
 def test_predict_window_length_enforced():
     rows = np.full((2, 31), 1.0)
     with pytest.raises(ShapeError):
-        predict_next(dataset_from_rows(rows), RecoveryConfig.online())
+        predict_next(dataset_from_rows(rows), RecoveryConfig(L=5, T=30))
 
 
 def test_predict_next_rejects_model_for_another_L():
     corpus = benchmark_corpus(n_channels=3, n_samples=30, seed=6)
-    _, model = predict_next(corpus.dataset, RecoveryConfig.online(L=5))
+    _, model = predict_next(corpus.dataset, RecoveryConfig(L=5, T=30))
     with pytest.raises(ShapeError, match=r"model has 4 coefficients, L=6 needs 5"):
-        predict_next(corpus.dataset, RecoveryConfig.online(L=6), model)
+        predict_next(corpus.dataset, RecoveryConfig(L=6, T=30), model)
 
 
 def test_stream_outage_names_channel_and_window():
     # ch01 observes nothing in [400, 450), a span longer than T that starts
     # after the replay's first chunk
-    cfg = RecoveryConfig.online()
+    cfg = RecoveryConfig(L=5, T=30)
     assert _chunk_steps(cfg, 3) < 400
     corpus = benchmark_corpus(n_channels=3, n_samples=600, seed=8)
     masks = corpus.dataset.masks_matrix().copy()
@@ -285,7 +280,7 @@ NONFINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @NONFINITE
 def test_stream_nonfinite_observed_sample_names_channel_and_window(bad):
     # the first window holding sample 420 starts at 391, in the second chunk
-    cfg = RecoveryConfig.online()
+    cfg = RecoveryConfig(L=5, T=30)
     assert _chunk_steps(cfg, 3) < 391
     with pytest.raises(
         NumericError,
@@ -309,7 +304,7 @@ def test_impute_nonfinite_observed_sample_names_channel_and_window(bad):
 @pytest.mark.filterwarnings("error")
 @NONFINITE
 def test_predict_next_nonfinite_observed_sample_names_channel(bad):
-    cfg = RecoveryConfig.online()
+    cfg = RecoveryConfig(L=5, T=30)
     data = data_with_sample(bad, channel=0, at=12)
     window = Dataset(tuple(
         ChannelSeries(c.channel_id, c.kind, c.timestamps[:cfg.T], c.values[:cfg.T], c.mask[:cfg.T])
@@ -325,7 +320,7 @@ def test_predict_next_nonfinite_observed_sample_names_channel(bad):
 
 def test_stream_constant():
     rows = np.full((2, 80), 2.5)
-    preds, report = predict_stream(dataset_from_rows(rows), RecoveryConfig.online())
+    preds, report = predict_stream(dataset_from_rows(rows), RecoveryConfig(L=5, T=30))
     assert preds.values_matrix().shape == (2, 50)
     assert np.allclose(preds.values_matrix(), 2.5, atol=1e-9)
     assert report.kept_rank == [1] * 50
@@ -333,14 +328,14 @@ def test_stream_constant():
 
 def test_stream_lrf_tracks_recursion():
     ds, rows = geometric_mode_dataset(30 + 120)
-    preds, _ = predict_stream(ds, RecoveryConfig.online())
+    preds, _ = predict_stream(ds, RecoveryConfig(L=5, T=30))
     err = np.abs(preds.values_matrix() - rows[:, 30:])
     assert err.max() < 1e-5
 
 
 def test_stream_alignment_and_metadata():
     corpus = benchmark_corpus(n_channels=2, n_samples=50, seed=8)
-    preds, report = predict_stream(corpus.dataset, RecoveryConfig.online())
+    preds, report = predict_stream(corpus.dataset, RecoveryConfig(L=5, T=30))
     assert np.array_equal(preds.timestamps, corpus.dataset.timestamps[30:])
     assert preds.ids == corpus.dataset.ids
     assert len(report.step_seconds) == 20
@@ -350,21 +345,21 @@ def test_stream_refresh_every_matches_step_learning():
     # on an exact time-invariant recurrence the step-0 coefficients stay
     # valid, so reusing them must not change the predictions
     ds, _ = geometric_mode_dataset(30 + 60)
-    a, _ = predict_stream(ds, RecoveryConfig.online())
-    b, _ = predict_stream(ds, RecoveryConfig.online(refresh_every=7))
+    a, _ = predict_stream(ds, RecoveryConfig(L=5, T=30))
+    b, _ = predict_stream(ds, RecoveryConfig(L=5, T=30, refresh_every=7))
     assert np.allclose(a.values_matrix(), b.values_matrix(), atol=1e-8)
 
 
 def test_stream_requires_length_beyond_window():
     rows = np.full((2, 30), 1.0)
     with pytest.raises(ShapeError):
-        predict_stream(dataset_from_rows(rows), RecoveryConfig.online())
+        predict_stream(dataset_from_rows(rows), RecoveryConfig(L=5, T=30))
 
 
 def test_stream_additive_shift_equivariance():
     corpus = benchmark_corpus(n_channels=3, n_samples=60,
                               mode_freqs=(4.3, 7.1), seed=10)
-    base, _ = predict_stream(corpus.dataset, RecoveryConfig.online())
+    base, _ = predict_stream(corpus.dataset, RecoveryConfig(L=5, T=30))
     shifted_data = corpus.dataset.with_values(corpus.dataset.values_matrix() + 11.0)
-    shifted, _ = predict_stream(shifted_data, RecoveryConfig.online())
+    shifted, _ = predict_stream(shifted_data, RecoveryConfig(L=5, T=30))
     assert np.abs(shifted.values_matrix() - base.values_matrix() - 11.0).max() < 1e-6

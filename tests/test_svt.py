@@ -6,7 +6,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from pagerec import NumericError, optimal_threshold, osvt_estimate, scale_to_unit
+from pagerec import NumericError, optimal_threshold, osvt_estimate
 from pagerec.svt import osvt_batch
 from pagerec.matrices import page_entries
 
@@ -20,32 +20,35 @@ def threshold_oracle(zeta_str: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scale_to_unit
+# the estimator's scaling into [-1, 1]: its bounds, and the spectrum it
+# thresholds against that of the scaled matrix computed here
 # ---------------------------------------------------------------------------
 
 def test_scale_symmetric_range():
     X = np.array([[-2.0, 0.0], [1.0, 2.0]])
-    Y, a, b = scale_to_unit(X)
-    assert (a, b) == (-2.0, 2.0)
-    assert np.allclose(Y, X / 2.0)
+    out = osvt_estimate(X)
+    assert out.scale_bounds == (-2.0, 2.0)
+    assert np.allclose(out.singular_values, np.linalg.svd(X / 2.0, compute_uv=False))
 
 
 def test_scale_endpoints_map_to_unit():
-    Y, a, b = scale_to_unit(np.array([[0.0, 10.0]]))
-    assert np.allclose(Y, [[-1.0, 1.0]])
-    assert (a, b) == (0.0, 10.0)
+    out = osvt_estimate(np.array([[0.0, 10.0]]))
+    assert np.allclose(out.singular_values, np.linalg.svd([[-1.0, 1.0]], compute_uv=False))
+    assert out.scale_bounds == (0.0, 10.0)
 
 
 def test_scale_constant_matrix_flagged_by_bounds():
     X = np.full((3, 4), 5.0)
-    Y, a, b = scale_to_unit(X)
+    out = osvt_estimate(X)
+    a, b = out.scale_bounds
     assert a == b == 5.0
-    assert np.array_equal(Y, X)
+    assert out.constant_input
+    assert np.array_equal(out.estimate, X)
 
 
 def test_scale_rejects_nonfinite():
     with pytest.raises(NumericError):
-        scale_to_unit(np.array([[1.0, np.nan]]))
+        osvt_estimate(np.array([[1.0, np.nan]]))
 
 
 def test_scale_range_always_unit():
@@ -55,9 +58,14 @@ def test_scale_range_always_unit():
                        (int(rng.integers(1, 8)), int(rng.integers(1, 8))))
         if X.min() == X.max():
             continue
-        Y, _, _ = scale_to_unit(X)
+        out = osvt_estimate(X)
+        a, b = out.scale_bounds
+        assert (a, b) == (X.min(), X.max())
+        Y = (X - 0.5 * (a + b)) / (0.5 * (b - a))
         assert Y.min() >= -1.0 - 1e-12 and Y.max() <= 1.0 + 1e-12
         assert math.isclose(Y.min(), -1.0) and math.isclose(Y.max(), 1.0)
+        s = np.linalg.svd(Y, compute_uv=False)
+        assert np.allclose(out.singular_values, s, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +124,7 @@ def test_estimate_rank_one_exact():
     u = np.array([1.0, -1.0, 0.5, 0.25])
     v = np.linspace(0.5, 2.0, 12)
     X = np.outer(u, v)  # entries span [-2, 2] symmetrically, so no shift term
-    s = np.linalg.svd(scale_to_unit(X)[0], compute_uv=False)
+    s = np.linalg.svd(X / 2.0, compute_uv=False)
     assert s[0] > optimal_threshold(4, 12) and s[1] < 1e-12
     out = osvt_estimate(X)
     assert out.kept_rank == 1
