@@ -48,17 +48,15 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
+def _variant(text: str) -> MatrixVariant:
+    try:
+        return MatrixVariant(text.strip().lower())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"variant must be page or hankel, got {text!r}")
+
+
 def _variant_list(text: str) -> list[MatrixVariant]:
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        try:
-            out.append(MatrixVariant(token))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"variant must be page or hankel, got {token!r}")
-    return out
+    return [_variant(token) for token in text.split(",") if token.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("impute", help="denoise and fill a recorded archive")
     common(p, L=10, T=54000)
-    p.add_argument("--variant", type=_variant_list, default=[MatrixVariant.PAGE])
+    p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
     p.add_argument("--overwrite-observed", type=_bool_flag, default=True,
                    help="true replaces observed samples with their denoised "
                         "estimates, false restores them")
 
     p = sub.add_parser("predict", help="replay one-step-ahead predictions")
     common(p, L=5, T=30)
-    p.add_argument("--variant", type=_variant_list, default=[MatrixVariant.PAGE])
+    p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
 
     p = sub.add_parser("bench", help="scenario benchmark on a synthetic corpus")
     common(p, L=10, T=240, with_input=False, default_output="bench.report.json")
@@ -102,15 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="per-window numerical rank profile")
     common(p, L=10, T=600)
-    p.add_argument("--variant", type=_variant_list, default=[MatrixVariant.PAGE])
+    p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
 
     return parser
-
-
-def _single_variant(args) -> MatrixVariant:
-    if len(args.variant) != 1:
-        raise ConfigError("this subcommand takes exactly one --variant")
-    return args.variant[0]
 
 
 def _output_path(args, suffix: str) -> str:
@@ -143,7 +135,7 @@ def _write_json(path, payload) -> None:
 
 def _cmd_impute(args) -> int:
     cfg = RecoveryConfig(
-        L=args.L, T=args.T, variant=_single_variant(args),
+        L=args.L, T=args.T, variant=args.variant,
         overwrite_observed=args.overwrite_observed,
     )
     out = _output_path(args, ".recovered.csv")
@@ -160,7 +152,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    cfg = RecoveryConfig(L=args.L, T=args.T, variant=_single_variant(args))
+    cfg = RecoveryConfig(L=args.L, T=args.T, variant=args.variant)
     out = _output_path(args, ".predictions.csv")
     data = _load_input(args)
     preds, report = predict_stream(data, cfg)
@@ -206,7 +198,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    cfg = RecoveryConfig(L=args.L, T=args.T, variant=_single_variant(args))
+    cfg = RecoveryConfig(L=args.L, T=args.T, variant=args.variant)
     out = _output_path(args, ".ranks.csv")
     data = _load_input(args)
     ranks = rank_profile(data, cfg)

@@ -175,12 +175,11 @@ def _denoise(
             f"channel {ids[i]!r} has a non-finite observed sample in the "
             f"window starting at sample {starts[b]}"
         )
+    # each row maps onto [-1, 1] on its own, so the stack needs no second
+    # scale; a constant row is centred on its value and maps to zeros
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    constant = lo == hi  # a constant row passes through with the identity map
-    if constant.any():
-        mid[constant] = 0.0
-        half[constant] = 1.0
+    half[lo == hi] = 1.0
     norm = (filled - mid) / half
     make = page_entries if cfg.variant is MatrixVariant.PAGE else hankel_entries
     blocks = make(norm, cfg.L)  # (B, N, L, cols)

@@ -1,12 +1,16 @@
 """Low-rank matrix estimation by hard singular value thresholding.
 
-The estimator rescales the matrix entrywise into [-1, 1], zeroes every
-singular value at or below a closed-form cutoff that depends only on the
-aspect ratio, and maps the truncated reconstruction back to the original
-range. No rank input and no noise-level estimate is required; the full
-spectrum is reported so callers can audit what was kept. osvt_batch runs the
-estimator over a stack of equally shaped matrices in one batched SVD;
-osvt_estimate is its one-matrix form.
+The estimator zeroes every singular value at or below a closed-form cutoff
+that depends only on the aspect ratio. The cutoff is meant for a matrix
+whose entries lie in [-1, 1]. No rank input and no noise-level estimate is
+required; the full spectrum is reported so callers can audit what was kept.
+
+osvt_batch is the bare kernel: it thresholds a stack of equally shaped
+matrices in one batched SVD and expects the caller to have scaled them
+(the window engine scales each channel block on its own). osvt_estimate is
+the one-matrix estimator and the only place here that scales: it maps the
+whole matrix affinely onto [-1, 1], thresholds it with osvt_batch and maps
+the reconstruction back to the original range.
 """
 
 from __future__ import annotations
@@ -69,45 +73,27 @@ class OsvtBatch:
     kept_rank: np.ndarray  # (B,)
     singular_values: np.ndarray  # (B, min(m, n))
     threshold: float
-    scale_bounds: np.ndarray  # (B, 2)
-    constant_input: np.ndarray  # (B,)
     fallback_rank1: np.ndarray  # (B,)
 
 
-def osvt_batch(X: np.ndarray) -> OsvtBatch:
-    """Threshold every matrix of a (B, m, n) stack as osvt_estimate does.
+def osvt_batch(Y: np.ndarray) -> OsvtBatch:
+    """Threshold every matrix of a (B, m, n) stack as it is given.
 
-    Each matrix's result depends on that matrix alone, bit for bit, not on
-    the others in the stack: reconstructions are computed per kept rank
-    from exactly the kept singular triples.
+    Precondition: the caller has scaled every matrix, so that its entries
+    are finite and lie in [-1, 1]; the cutoff is calibrated for that range,
+    and nothing here rescales or checks the entries. Each matrix's result
+    depends on that matrix alone, bit for bit, not on the others in the
+    stack: reconstructions are computed per kept rank from exactly the kept
+    singular triples.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 3:
-        raise NumericError(f"expected a (B, m, n) stack, got shape {X.shape}")
-    B, m, n = X.shape
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 3:
+        raise NumericError(f"expected a (B, m, n) stack, got shape {Y.shape}")
+    m, n = Y.shape[1:]
     if m > n:
-        out = osvt_batch(X.swapaxes(1, 2))
+        out = osvt_batch(Y.swapaxes(1, 2))
         return replace(out, estimate=out.estimate.swapaxes(1, 2))
 
-    # map each matrix affinely onto [-1, 1], min to -1 and max to 1; a
-    # constant matrix keeps the identity.
-    # A NaN entry makes its matrix's min and max NaN and an infinite one
-    # makes one of them infinite, so the bounds alone show non-finite input.
-    bounds = np.empty((B, 2))
-    a, b = bounds[:, 0], bounds[:, 1]
-    X.min(axis=(1, 2), out=a)
-    X.max(axis=(1, 2), out=b)
-    if not np.isfinite(bounds).all():
-        raise NumericError("matrix has non-finite entries")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    constant = a == b
-    any_constant = constant.any()
-    if any_constant:
-        mid[constant] = 0.0
-        half[constant] = 1.0
-    mid, half = mid[:, None, None], half[:, None, None]
-    Y = (X - mid) / half
     threshold = optimal_threshold(m, n)
     try:
         U, s, Vt = np.linalg.svd(Y, full_matrices=False)
@@ -118,22 +104,15 @@ def osvt_batch(X: np.ndarray) -> OsvtBatch:
     kept = (s > threshold).sum(axis=1)
     fallback = kept == 0
     kept = np.maximum(kept, 1)
-    estimate = np.empty_like(X)
+    estimate = np.empty_like(Y)
     for k in sorted(set(kept.tolist())):
         sel = kept == k
         estimate[sel] = (U[sel, :, :k] * s[sel, None, :k]) @ Vt[sel, :k]
-    estimate *= half
-    estimate += mid
-    if any_constant:
-        estimate[constant] = X[constant]
-        fallback &= ~constant
     return OsvtBatch(
         estimate=estimate,
         kept_rank=kept,
         singular_values=s,
         threshold=threshold,
-        scale_bounds=bounds,
-        constant_input=constant,
         fallback_rank1=fallback,
     )
 
@@ -141,6 +120,9 @@ def osvt_batch(X: np.ndarray) -> OsvtBatch:
 def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
     """Denoise X by optimal hard thresholding of its scaled spectrum.
 
+    X is mapped affinely onto [-1, 1], min to -1 and max to 1, thresholded
+    by osvt_batch and mapped back. A constant matrix is returned unchanged,
+    flagged by constant_input; a NaN or infinite entry raises NumericError.
     Wide or tall inputs are both accepted; internally the estimation runs on
     the orientation with rows <= columns and transposes back, so the result
     is transpose-consistent.
@@ -148,14 +130,20 @@ def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise NumericError(f"expected a 2-D matrix, got shape {X.shape}")
-    out = osvt_batch(X[None])
-    a, b = out.scale_bounds[0]
+    # a NaN entry makes the min and max NaN and an infinite one makes one of
+    # them infinite, so the bounds alone show non-finite input
+    a, b = float(X.min()), float(X.max())
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericError("matrix has non-finite entries")
+    constant = a == b
+    mid, half = (0.0, 1.0) if constant else (0.5 * (a + b), 0.5 * (b - a))
+    out = osvt_batch(((X - mid) / half)[None])
     return OsvtOutcome(
-        estimate=out.estimate[0],
+        estimate=X.copy() if constant else out.estimate[0] * half + mid,
         kept_rank=int(out.kept_rank[0]),
         singular_values=out.singular_values[0],
         threshold=out.threshold,
-        scale_bounds=(float(a), float(b)),
-        constant_input=bool(out.constant_input[0]),
-        fallback_rank1=bool(out.fallback_rank1[0]),
+        scale_bounds=(a, b),
+        constant_input=constant,
+        fallback_rank1=bool(out.fallback_rank1[0]) and not constant,
     )

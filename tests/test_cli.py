@@ -123,6 +123,25 @@ def test_rank_profile_csv(tmp_path, sample_csv):
     assert all(r >= 1 for r in ranks)
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("impute", ["--L", "10", "--T", "120"]),
+    ("predict", ["--L", "5", "--T", "30"]),
+    ("rank", ["--L", "10", "--T", "60"]),
+])
+def test_single_variant_commands_take_one_variant(tmp_path, sample_csv, capsys, command, flags):
+    # only bench takes a list of variants
+    args = [command, "--input", str(sample_csv), *flags]
+    out = tmp_path / "o.csv"
+    for bad in ("page,hankel", ""):
+        assert run([*args, "--output", str(out), "--variant", bad]) == 2
+        assert f"argument --variant: variant must be page or hankel, got {bad!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+    assert run([*args, "--output", str(out), "--variant", "HANKEL"]) == 0
+    assert out.exists()
+
+
 def test_bench_deterministic_across_runs(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -175,6 +175,30 @@ def test_impute_overwrite_observed_false_preserves_samples():
     assert np.isfinite(rv).all()
 
 
+def test_impute_stuck_channel_leaves_other_channels_alone():
+    # a sensor stuck at 60.0 joins six degraded channels; its block must not
+    # compress theirs in the shared matrix
+    corpus = benchmark_corpus(n_channels=6, n_samples=1200, seed=7)
+    degraded = degrade(corpus.dataset,
+                       DegradeSpec(drop_rate=0.3, noise_rate=0.02, seed=1),
+                       noise_base=corpus.steady_median)
+    n = len(degraded)
+    with_stuck = Dataset.from_arrays(
+        degraded.timestamps,
+        np.vstack([degraded.values_matrix(), np.full(n, 60.0)]),
+        np.vstack([degraded.masks_matrix(), np.ones(n, bool)]),
+        degraded.ids + ("stuck",),
+    )
+    cfg = RecoveryConfig(L=10, T=240)
+    alone, alone_report = impute_offline(degraded, cfg)
+    rec, report = impute_offline(with_stuck, cfg)
+    assert report.kept_rank == alone_report.kept_rank
+    truth = corpus.dataset.values_matrix()
+    for i in range(truth.shape[0]):
+        assert mape(truth[i], rec.values_matrix()[i]) <= 1.05 * mape(truth[i], alone.values_matrix()[i])
+    assert np.abs(rec.values_matrix()[-1] - 60.0).max() <= 1e-12
+
+
 def test_impute_tail_passthrough():
     # length = T + L + 3: one full window, one short window, 3-sample tail
     cfg = RecoveryConfig(L=10, T=60)

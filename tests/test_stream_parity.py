@@ -43,7 +43,7 @@ def step_loop(data, cfg):
         for i in range(N):
             row = locf_fill(values[i, w], masks[i, w])
             lo, hi = row.min(), row.max()
-            mid, half = (0.5 * (lo + hi), 0.5 * (hi - lo)) if hi > lo else (0.0, 1.0)
+            mid, half = (0.5 * (lo + hi), 0.5 * (hi - lo)) if hi > lo else (lo, 1.0)
             blocks.append(make((row - mid) / half, cfg.L))
             scales.append((mid, half))
         outcome = osvt_estimate(np.hstack(blocks))
@@ -61,10 +61,17 @@ def step_loop(data, cfg):
 N_CHANNELS, STEPS = 5, 700
 
 
-def stream(drop):
+def stream(drop, stuck=False):
+    """The degraded test stream; stuck=True pins channel 2 at 60.0, a sensor
+    that keeps reporting one value through the drops."""
     corpus = benchmark_corpus(n_channels=N_CHANNELS, n_samples=30 + STEPS, seed=21)
     spec = DegradeSpec(drop_rate=drop, noise_rate=0.02, seed=4)
-    return degrade(corpus.dataset, spec, noise_base=corpus.steady_median)
+    data = degrade(corpus.dataset, spec, noise_base=corpus.steady_median)
+    if stuck:
+        values = data.values_matrix().copy()
+        values[2] = 60.0
+        data = data.with_values(values, data.masks_matrix())
+    return data
 
 
 @pytest.mark.parametrize("drop", [0.0, 0.3])
@@ -77,6 +84,16 @@ def test_stream_matches_step_loop(variant, refresh, drop):
     assert chunk % 7 and STEPS > 2 * chunk
     data = stream(drop)
     assert data.masks_matrix().all() == (drop == 0.0)
+    expect, expect_ranks = step_loop(data, cfg)
+    got, report = predict_stream(data, cfg)
+    assert report.kept_rank == expect_ranks
+    assert np.abs(got.values_matrix() - expect).max() <= 1e-8
+
+
+@pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
+def test_stream_with_stuck_channel_matches_step_loop(variant):
+    cfg = RecoveryConfig(L=5, T=30, variant=variant)
+    data = stream(0.3, stuck=True)
     expect, expect_ranks = step_loop(data, cfg)
     got, report = predict_stream(data, cfg)
     assert report.kept_rank == expect_ranks

@@ -209,20 +209,28 @@ def test_estimate_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# osvt_batch
+# osvt_batch: the bare kernel on already-scaled stacks
 # ---------------------------------------------------------------------------
 
+def to_unit(X):
+    """X mapped affinely onto [-1, 1], min to -1 and max to 1, as the window
+    engine maps each channel block."""
+    a, b = X.min(), X.max()
+    return (X - 0.5 * (a + b)) / (0.5 * (b - a))
+
+
 def mixed_stack():
-    """5 x 36 matrices that keep ranks 1, 2 and 3, a constant matrix and one
-    whose scaled spectrum lies wholly under the cutoff (rank-1 fallback)."""
+    """Scaled 5 x 36 matrices that keep ranks 1, 2 and 3, the all-zero
+    matrix a window of constant channels scales to, and one whose spectrum
+    lies wholly under the cutoff; the last two fall back to rank 1."""
     rng = np.random.default_rng(21)
     mats = []
     for rank in (1, 2, 3, 2, 1, 3):
         u = np.linalg.qr(rng.standard_normal((5, rank)))[0]
         v = np.linalg.qr(rng.standard_normal((36, rank)))[0]
         signal = (u * [1.0, 0.9, 0.8][:rank]) @ v.T
-        mats.append(signal + 1e-4 * rng.standard_normal((5, 36)))
-    mats.append(np.full((5, 36), -4.25))
+        mats.append(to_unit(signal + 1e-4 * rng.standard_normal((5, 36))))
+    mats.append(np.zeros((5, 36)))
     spikes = np.zeros((5, 36))
     spikes[0, 0], spikes[0, 1], spikes[2, 7] = 1.0, 0.5, -1.0
     mats.append(spikes)
@@ -236,24 +244,42 @@ def test_batch_matrix_results_equal_single_matrix_results_bitwise(tall):
         X = X.swapaxes(1, 2).copy()
     out = osvt_batch(X)
     assert out.kept_rank.tolist() == [1, 2, 3, 2, 1, 3, 1, 1]
-    assert out.constant_input.tolist() == [False] * 6 + [True, False]
-    assert out.fallback_rank1.tolist() == [False] * 7 + [True]
+    assert out.fallback_rank1.tolist() == [False] * 6 + [True, True]
+    assert not out.estimate[6].any()
     for i in range(len(X)):
         alone = osvt_batch(X[i:i + 1])
         assert alone.threshold == out.threshold
-        for name in ("estimate", "kept_rank", "singular_values", "scale_bounds",
-                     "constant_input", "fallback_rank1"):
+        for name in ("estimate", "kept_rank", "singular_values", "fallback_rank1"):
             a, b = getattr(alone, name)[0], getattr(out, name)[i]
             assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
             assert a.tobytes() == b.tobytes(), (i, name)
 
 
+@pytest.mark.parametrize("tall", [False, True])
+def test_batch_thresholds_its_input_as_given(tall):
+    # entries strictly inside (-1, 1): the kernel must not stretch them
+    rng = np.random.default_rng(22)
+    u = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+    v = np.linalg.qr(rng.standard_normal((40, 2)))[0]
+    Y = (u * [4.0, 2.5]) @ v.T + 0.01 * rng.standard_normal((6, 40))
+    Y *= 0.9 / np.abs(Y).max()
+    if tall:
+        Y = Y.T.copy()
+    out = osvt_batch(Y[None])
+    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    assert np.allclose(out.singular_values[0], s, rtol=1e-13, atol=0)
+    k = int((s > out.threshold).sum())
+    assert k == out.kept_rank[0] == 2
+    assert np.allclose(out.estimate[0], (U[:, :k] * s[:k]) @ Vt[:k], rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("tall", [False, True])
-def test_batch_rejects_nonfinite(bad, tall):
-    X = mixed_stack()
-    X[3, 2, 4] = bad
+def test_estimate_rejects_nonfinite_entry(bad, tall):
+    # osvt_batch checks nothing; osvt_estimate, which scales, rejects
+    X = mixed_stack()[3]
+    X[2, 4] = bad
     if tall:
-        X = X.swapaxes(1, 2)
+        X = X.T
     with pytest.raises(NumericError, match="non-finite"):
-        osvt_batch(X)
+        osvt_estimate(X)
