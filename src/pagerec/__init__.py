@@ -45,9 +45,7 @@ from .harness import (
     gen_synthetic,
     locf_baseline,
     mape,
-    mape_detail,
     persistence_baseline,
-    rank_profile,
     results_to_csv_rows,
     results_to_dict,
     run_benchmark,

@@ -2,7 +2,7 @@
 
 Subcommands: impute (recover an archive), predict (replay a stream of
 one-step-ahead forecasts), bench (scenario grid on a seeded synthetic
-corpus), rank (per-window numerical rank profile).
+corpus), rank (the kept rank of each of impute's windows).
 
 Exit codes: 0 success, 1 data error, 2 usage error. Primary artifacts are
 deterministic for identical arguments, inputs and seeds; wall-clock timing
@@ -22,7 +22,6 @@ from .errors import ConfigError, PagerecError
 from .harness import (
     Scenario,
     benchmark_corpus,
-    rank_profile,
     results_to_csv_rows,
     results_to_dict,
     run_benchmark,
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20, help="repetitions per scenario")
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
-    p = sub.add_parser("rank", help="per-window numerical rank profile")
+    p = sub.add_parser("rank", help="kept rank of each imputation window")
     common(p, L=10, T=600)
     p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
 
@@ -114,9 +113,15 @@ def _output_path(args, suffix: str) -> str:
 
 
 def _load_input(args):
+    """The input dataset, restricted to --channels, and the name of its
+    timestamp column (the first header cell, as CsvSchema() reads it)."""
     data = ingest_csv(args.input, CsvSchema())
-    if args.channels:
+    with open(args.input, newline="") as fh:
+        time_column = next(csv.reader([fh.readline()]))[0].strip()
+    if args.channels is not None:
         wanted = [c.strip() for c in args.channels.split(",") if c.strip()]
+        if not wanted:
+            raise ConfigError(f"--channels {args.channels!r} names no channel")
         missing = [c for c in wanted if c not in data.ids]
         if missing:
             raise ConfigError(f"channels not in input: {missing}")
@@ -124,7 +129,7 @@ def _load_input(args):
         if repeated:
             raise ConfigError(f"channels named more than once in --channels: {repeated}")
         data = data.select(wanted)
-    return data
+    return data, time_column
 
 
 def _write_json(path, payload) -> None:
@@ -139,10 +144,10 @@ def _cmd_impute(args) -> int:
         overwrite_observed=args.overwrite_observed,
     )
     out = _output_path(args, ".recovered.csv")
-    data = _load_input(args)
+    data, time_column = _load_input(args)
     recovered, report = impute_offline(data, cfg)
-    write_csv(recovered, out)
-    _write_json(out + ".report.json", report.to_dict(include_timing=False))
+    write_csv(recovered, out, time_column)
+    _write_json(out + ".report.json", report.to_dict())
     _write_json(out + ".timing.json", {
         "median_window_seconds": report.median_step_seconds,
         "total_seconds": float(sum(report.step_seconds)),
@@ -154,10 +159,10 @@ def _cmd_impute(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = RecoveryConfig(L=args.L, T=args.T, variant=args.variant)
     out = _output_path(args, ".predictions.csv")
-    data = _load_input(args)
+    data, time_column = _load_input(args)
     preds, report = predict_stream(data, cfg)
-    write_csv(preds, out)
-    _write_json(out + ".report.json", report.to_dict(include_timing=False))
+    write_csv(preds, out, time_column)
+    _write_json(out + ".report.json", report.to_dict())
     _write_json(out + ".timing.json", {
         "median_step_seconds": report.median_step_seconds,
         "steps": len(report.step_seconds),
@@ -180,12 +185,11 @@ def _cmd_bench(args) -> int:
         corpus,
         scenarios,
         impute_cfg=cfg,
-        predict_cfg=RecoveryConfig(L=5, T=30),
         repetitions=args.reps,
         master_seed=args.seed,
         tasks=("impute", "predict"),
     )
-    _write_json(out, results_to_dict(results, include_timing=False))
+    _write_json(out, results_to_dict(results))
     with open(out + ".csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "channel", "metric", "value"])
@@ -200,8 +204,8 @@ def _cmd_bench(args) -> int:
 def _cmd_rank(args) -> int:
     cfg = RecoveryConfig(L=args.L, T=args.T, variant=args.variant)
     out = _output_path(args, ".ranks.csv")
-    data = _load_input(args)
-    ranks = rank_profile(data, cfg)
+    data, _ = _load_input(args)
+    ranks = impute_offline(data, cfg)[1].kept_rank
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "start_sample", "rank"])

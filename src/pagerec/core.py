@@ -401,7 +401,13 @@ def write_csv(dataset: Dataset, path, timestamp_column: str = "t") -> None:
 
     Every sample is written as the repr of its float, and every row ends in
     \\r\\n, as the csv module writes it. Rows are formatted in blocks of
-    ``_CSV_BLOCK_ROWS``, so the memory used does not grow with the dataset."""
+    ``_CSV_BLOCK_ROWS``, so the memory used does not grow with the dataset.
+    A timestamp_column named like a channel is a ConfigError, raised before
+    the file is opened: ingest_csv could not read the header back."""
+    if timestamp_column in dataset.ids:
+        raise ConfigError(
+            f"timestamp column {timestamp_column!r} is also the name of a channel"
+        )
     t, values, masks = dataset.timestamps, dataset.values_matrix(), dataset.masks_matrix()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([timestamp_column, *dataset.ids])

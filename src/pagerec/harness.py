@@ -1,5 +1,8 @@
 """Synthetic signals, degradation injection, error metrics and benchmarks.
 
+Benchmarks call only the public recovery entry points (impute_offline,
+predict_stream) and score their output against ground truth.
+
 Everything here is deterministic under its seed: degradation derives all
 randomness from DegradeSpec.seed, and benchmark repetition seeds are derived
 from one master seed, so reports are reproducible byte for byte.
@@ -16,7 +19,7 @@ import numpy as np
 from .core import ChannelKind, Dataset, locf_fill
 from .errors import AllMissingChannel, ConfigError, MapeUndefined, ShapeError
 from .matrices import MatrixVariant
-from .recovery import RecoveryConfig, _denoise, _window_spans, impute_offline, predict_stream
+from .recovery import RecoveryConfig, impute_offline, predict_stream
 
 __all__ = [
     "ConstantSignal",
@@ -31,8 +34,6 @@ __all__ = [
     "DegradeSpec",
     "degrade",
     "mape",
-    "mape_detail",
-    "rank_profile",
     "Scenario",
     "ScenarioResult",
     "run_benchmark",
@@ -263,50 +264,21 @@ def _check_rates(drop_rate: float, noise_rate: float) -> None:
 # Error metric
 # ---------------------------------------------------------------------------
 
-def mape_detail(truth, estimate) -> tuple[float, int]:
-    """Mean absolute percentage error and the count of excluded indices.
+def mape(truth, estimate) -> float:
+    """Mean absolute percentage error of estimate against truth.
 
-    Indices where the true value is exactly zero are excluded from the mean
-    (the relative error is undefined there); the second return value reports
-    how many were skipped.
+    Indices where the true value is exactly zero are left out of the mean,
+    since the relative error is undefined there; MapeUndefined is raised
+    when every index is left out, ShapeError when the shapes differ.
     """
     a = np.asarray(truth, dtype=float)
     b = np.asarray(estimate, dtype=float)
     if a.shape != b.shape:
         raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
     include = a != 0.0
-    excluded = int((~include).sum())
     if not include.any():
         raise MapeUndefined("every index has a zero true value")
-    value = float(np.mean(np.abs((a[include] - b[include]) / a[include])))
-    return value, excluded
-
-
-def mape(truth, estimate) -> float:
-    return mape_detail(truth, estimate)[0]
-
-
-# ---------------------------------------------------------------------------
-# Rank profiling
-# ---------------------------------------------------------------------------
-
-def rank_profile(data: Dataset, cfg: RecoveryConfig) -> list[int]:
-    """Numerical rank (thresholded singular value count) of each window's
-    stacked matrix, using the same fill/normalize/stack pipeline as
-    imputation."""
-    n = len(data)
-    if n < cfg.T:
-        raise ShapeError(f"dataset length {n} is shorter than the window T={cfg.T}")
-    values = data.values_matrix()
-    masks = data.masks_matrix()
-    spans, _ = _window_spans(n, cfg)
-    ranks = []
-    for start, stop in spans:
-        *_, kept = _denoise(
-            values[None, :, start:stop], masks[None, :, start:stop], cfg, data.ids, (start,)
-        )
-        ranks.append(int(kept[0]))
-    return ranks
+    return float(np.mean(np.abs((a[include] - b[include]) / a[include])))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +321,6 @@ class ScenarioResult:
     baseline_mape: dict[str, float] = field(default_factory=dict)
     predict_mape: dict[str, float] = field(default_factory=dict)
     persistence_mape: dict[str, float] = field(default_factory=dict)
-    median_window_seconds: float | None = None
-    median_step_seconds: float | None = None
     error: str | None = None
 
 
@@ -367,11 +337,14 @@ def _per_channel_median(rows: list[dict[str, float]]) -> dict[str, float]:
     }
 
 
+# the streaming window of the benchmark's predict task
+_PREDICT_CFG = RecoveryConfig(L=5, T=30)
+
+
 def run_benchmark(
     truth: Synthetic,
     scenarios: Sequence[Scenario],
     impute_cfg: RecoveryConfig | None = None,
-    predict_cfg: RecoveryConfig | None = None,
     repetitions: int = 20,
     master_seed: int = 0,
     tasks: Iterable[str] = ("impute",),
@@ -380,7 +353,9 @@ def run_benchmark(
 
     Per scenario and repetition the corpus is degraded with a derived seed,
     recovered, and scored per channel against the truth (median over
-    repetitions). The LOCF fill of the degraded input and the one-step
+    repetitions). The impute task runs impute_offline with impute_cfg, the
+    predict task predict_stream with L=5, T=30; both take the scenario's
+    variant. The LOCF fill of the degraded input and the one-step
     persistence forecast serve as baselines. Scenario failures are isolated
     into the result's error field; an empty grid, fewer than one repetition
     or a rate outside its range is a ConfigError before anything runs.
@@ -403,8 +378,6 @@ def run_benchmark(
         results.append(result)
         try:
             imp_rows, base_rows, pred_rows, pers_rows = [], [], [], []
-            win_secs: list[float] = []
-            step_secs: list[float] = []
             for rep in range(repetitions):
                 seed = _rep_seed(master_seed, s_idx, rep)
                 result.seeds.append(seed)
@@ -416,7 +389,7 @@ def run_benchmark(
                 degraded = degrade(truth.dataset, dspec, noise_base=truth.steady_median)
                 if "impute" in tasks:
                     cfg = replace(impute_cfg or RecoveryConfig(), variant=scenario.variant)
-                    recovered, rep_report = impute_offline(degraded, cfg)
+                    recovered, _ = impute_offline(degraded, cfg)
                     rec_vals = recovered.values_matrix()
                     base_vals = locf_baseline(degraded).values_matrix()
                     imp_rows.append(
@@ -425,12 +398,9 @@ def run_benchmark(
                     base_rows.append(
                         {cid: mape(truth_vals[i], base_vals[i]) for i, cid in enumerate(ids)}
                     )
-                    win_secs.extend(rep_report.step_seconds)
                 if "predict" in tasks:
-                    cfg = replace(
-                        predict_cfg or RecoveryConfig(L=5, T=30), variant=scenario.variant
-                    )
-                    preds, rep_report = predict_stream(degraded, cfg)
+                    cfg = replace(_PREDICT_CFG, variant=scenario.variant)
+                    preds, _ = predict_stream(degraded, cfg)
                     pred_vals = preds.values_matrix()
                     pers_vals = persistence_baseline(degraded, cfg.T)
                     pred_rows.append(
@@ -445,26 +415,21 @@ def run_benchmark(
                             for i, cid in enumerate(ids)
                         }
                     )
-                    step_secs.extend(rep_report.step_seconds)
             result.impute_mape = _per_channel_median(imp_rows)
             result.baseline_mape = _per_channel_median(base_rows)
             result.predict_mape = _per_channel_median(pred_rows)
             result.persistence_mape = _per_channel_median(pers_rows)
-            if win_secs:
-                result.median_window_seconds = float(np.median(win_secs))
-            if step_secs:
-                result.median_step_seconds = float(np.median(step_secs))
         except Exception as exc:  # isolate per-scenario failures
             result.error = f"{type(exc).__name__}: {exc}"
     return results
 
 
-def results_to_dict(results: Sequence[ScenarioResult], include_timing: bool = False) -> dict:
-    """JSON-ready report collection; timing is opt-in because wall times are
-    not reproducible across runs."""
-    out = []
-    for r in results:
-        entry = {
+def results_to_dict(results: Sequence[ScenarioResult]) -> dict:
+    """JSON-ready report collection: per scenario its settings, repetition
+    seeds, per-channel median MAPEs and error. It holds no wall time, so it
+    is the same for the same inputs and seeds."""
+    return {"results": [
+        {
             "scenario": {
                 "drop_rate": r.scenario.drop_rate,
                 "noise_rate": r.scenario.noise_rate,
@@ -478,11 +443,8 @@ def results_to_dict(results: Sequence[ScenarioResult], include_timing: bool = Fa
             "persistence_mape": r.persistence_mape,
             "error": r.error,
         }
-        if include_timing:
-            entry["median_window_seconds"] = r.median_window_seconds
-            entry["median_step_seconds"] = r.median_step_seconds
-        out.append(entry)
-    return {"results": out}
+        for r in results
+    ]}
 
 
 def results_to_csv_rows(results: Sequence[ScenarioResult]) -> list[tuple[str, str, str, float]]:

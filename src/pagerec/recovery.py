@@ -99,17 +99,14 @@ class RecoveryReport:
     (online); step_seconds the matching wall times. A stream replay computes
     its steps in chunks, so each stream step's time is its chunk's wall time
     divided by the chunk's step count (amortised, not a single-step
-    latency; time predict_next for that). mape/mape_excluded are filled in
-    by evaluation harnesses when ground truth is available.
+    latency; time predict_next for that). to_dict() holds the deterministic
+    part (config, kept_rank, trimmed_tail); the wall times stay out of it.
     """
 
     config: dict
     kept_rank: list[int] = field(default_factory=list)
     step_seconds: list[float] = field(default_factory=list)
     trimmed_tail: int = 0
-    seed: int | None = None
-    mape: dict[str, float] = field(default_factory=dict)
-    mape_excluded: dict[str, int] = field(default_factory=dict)
 
     @property
     def median_step_seconds(self) -> float:
@@ -117,19 +114,12 @@ class RecoveryReport:
             raise ValueError("no timings recorded")
         return float(np.median(self.step_seconds))
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "config": dict(self.config),
             "kept_rank": list(self.kept_rank),
             "trimmed_tail": self.trimmed_tail,
-            "seed": self.seed,
-            "mape": dict(self.mape),
-            "mape_excluded": dict(self.mape_excluded),
         }
-        if include_timing and self.step_seconds:
-            out["median_step_seconds"] = self.median_step_seconds
-            out["total_seconds"] = float(np.sum(self.step_seconds))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +241,12 @@ def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     """Denoise and impute a recorded dataset window by window.
 
     Every sample inside a processed window gets an estimate (observed ones
-    are restored afterwards when overwrite_observed is False). A trailing
-    remainder shorter than L is passed through untouched and counted in the
-    report, with its original mask retained.
+    are restored afterwards when overwrite_observed is False). Windows start
+    at every multiple of T; a trailing remainder is processed as one short
+    window trimmed to a multiple of L, and what is left after that (fewer
+    than L samples) is passed through untouched and counted in the report's
+    trimmed_tail, with its original mask retained. The report's kept_rank
+    lists each window's kept rank in that order, the short window last.
     """
     n = len(data)
     if n < cfg.T:

@@ -35,7 +35,6 @@ from pagerec import (
     osvt_estimate,
     predict_next,
     predict_stream,
-    rank_profile,
     run_benchmark,
 )
 from pagerec.matrices import hankel_entries, page_entries
@@ -303,7 +302,8 @@ def test_criterion_8_event_rank_rises():
     details = []
     ok = True
     for variant in (MatrixVariant.PAGE, MatrixVariant.HANKEL):
-        ranks = rank_profile(data, RecoveryConfig(L=10, T=120, variant=variant))
+        _, rep = impute_offline(data, RecoveryConfig(L=10, T=120, variant=variant))
+        ranks = rep.kept_rank
         ok &= ranks[1] > ranks[0]
         details.append(f"{variant.value}: steady={ranks[0]} event={ranks[1]}")
     report(8, ok, "; ".join(details))

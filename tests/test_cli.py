@@ -1,10 +1,22 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
-from pagerec import benchmark_corpus, degrade, DegradeSpec, ingest_csv, write_csv
+from pagerec import (
+    Dataset,
+    DegradeSpec,
+    MatrixVariant,
+    RecoveryConfig,
+    benchmark_corpus,
+    degrade,
+    impute_offline,
+    ingest_csv,
+    write_csv,
+)
 from pagerec.cli import run
 
 
@@ -68,10 +80,15 @@ def test_repeated_column_names_file_and_column(tmp_path, capsys):
 
 
 def test_bad_channel_selection_is_usage_error(tmp_path, sample_csv, capsys):
-    code = run(["impute", "--input", str(sample_csv),
-                "--output", str(tmp_path / "o.csv"), "--T", "120",
-                "--channels", "ch00,ghost"])
-    assert code == 2
+    # a name the input lacks, or a list that names no channel at all
+    out = tmp_path / "o.csv"
+    for channels in ("ch00,ghost", "", ",", " , "):
+        code = run(["impute", "--input", str(sample_csv),
+                    "--output", str(out), "--T", "120",
+                    "--channels", channels])
+        assert code == 2, channels
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
 
 def test_repeated_channel_selection_is_usage_error(tmp_path, sample_csv, capsys):
@@ -83,6 +100,71 @@ def test_repeated_channel_selection_is_usage_error(tmp_path, sample_csv, capsys)
         "usage error: channels named more than once in --channels: ['ch00']\n"
     )
     assert not out.exists()
+
+
+def test_outputs_keep_the_input_timestamp_column_name(tmp_path, sample_csv):
+    # a channel named "t" beside a time column named "time": the outputs must
+    # not name their own time column "t" and so repeat a column
+    source = ingest_csv(sample_csv)
+    data = Dataset.from_arrays(
+        source.timestamps, source.values_matrix()[:2], source.masks_matrix()[:2],
+        ["t", "v"], source.kinds[:2], source.rate_fps,
+    )
+    src = tmp_path / "named.csv"
+    write_csv(data, src, timestamp_column="time")
+    recovered, again, preds = (tmp_path / n for n in ("rec.csv", "again.csv", "pred.csv"))
+    assert run(["impute", "--input", str(src), "--output", str(recovered),
+                "--L", "10", "--T", "60"]) == 0
+    assert run(["impute", "--input", str(recovered), "--output", str(again),
+                "--L", "10", "--T", "60"]) == 0
+    assert run(["predict", "--input", str(src), "--output", str(preds),
+                "--L", "5", "--T", "30"]) == 0
+    for path, timestamps in ((recovered, data.timestamps), (again, data.timestamps),
+                             (preds, data.timestamps[30:])):
+        assert path.read_text().splitlines()[0] == "time,t,v"
+        back = ingest_csv(path)
+        assert back.ids == ("t", "v")
+        assert np.array_equal(back.timestamps, timestamps)
+
+
+def test_impute_predict_rank_deterministic_across_runs(tmp_path, sample_csv):
+    # primary artifacts are byte-identical run to run; only .timing.json
+    # holds wall times
+    runs = [
+        ("impute", ".csv", ["--L", "10", "--T", "50"]),
+        ("impute", ".csv", ["--L", "10", "--T", "50", "--variant", "hankel",
+                            "--overwrite-observed", "false"]),
+        ("predict", ".csv", ["--L", "5", "--T", "30"]),
+        ("rank", ".csv", ["--L", "10", "--T", "50"]),
+    ]
+    for k, (command, suffix, flags) in enumerate(runs):
+        artifacts = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{command}{k}{name}{suffix}"
+            assert run([command, "--input", str(sample_csv), "--output", str(out),
+                        *flags]) == 0
+            paths = [out]
+            if command != "rank":
+                paths.append(tmp_path / (out.name + ".report.json"))
+                report = json.loads(paths[-1].read_text())
+                assert set(report) == {"config", "kept_rank", "trimmed_tail"}
+            artifacts.append([p.read_bytes() for p in paths])
+        assert artifacts[0] == artifacts[1], command
+
+
+@pytest.mark.parametrize("variant", ["page", "hankel"])
+def test_rank_lists_the_kept_ranks_of_impute_windows(tmp_path, sample_csv, variant):
+    # 120 samples with T=50: two full windows and a short one of 20 samples
+    out = tmp_path / "ranks.csv"
+    assert run(["rank", "--input", str(sample_csv), "--output", str(out),
+                "--L", "10", "--T", "50", "--variant", variant]) == 0
+    cfg = RecoveryConfig(L=10, T=50, variant=MatrixVariant(variant))
+    _, report = impute_offline(ingest_csv(sample_csv), cfg)
+    assert len(report.kept_rank) == 3
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["window", "start_sample", "rank"]
+    assert rows[1:] == [[str(i), str(i * 50), str(r)] for i, r in enumerate(report.kept_rank)]
 
 
 def test_input_file_never_mutated(tmp_path, sample_csv):

@@ -410,6 +410,19 @@ def test_csv_round_trip(tmp_path):
         assert np.array_equal(a.values[a.mask], b.values[b.mask])
 
 
+def test_write_csv_timestamp_column_named_like_a_channel(tmp_path):
+    ds = Dataset.from_arrays(
+        np.arange(3) / 60.0, np.ones((2, 3)), np.ones((2, 3), dtype=bool),
+        ["t", "v"], [ChannelKind.GENERIC] * 2, 60.0,
+    )
+    p = tmp_path / "clash.csv"
+    with pytest.raises(ConfigError, match="timestamp column 't' is also the name of a channel"):
+        write_csv(ds, p)
+    assert not p.exists()
+    write_csv(ds, p, timestamp_column="time")
+    assert p.read_text().splitlines()[0] == "time,t,v"
+
+
 def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("va,time,f\n10,0,60.0\n11,1,60.1\n")

@@ -1,4 +1,4 @@
-"""Synthetic generation, degradation, MAPE, rank profiling, benchmarks."""
+"""Synthetic generation, degradation, MAPE, kept ranks, benchmarks."""
 
 import numpy as np
 import pytest
@@ -21,10 +21,9 @@ from pagerec import (
     benchmark_corpus,
     degrade,
     gen_synthetic,
+    impute_offline,
     locf_baseline,
     mape,
-    mape_detail,
-    rank_profile,
     results_to_csv_rows,
     results_to_dict,
     run_benchmark,
@@ -185,9 +184,7 @@ def test_mape_half():
 
 
 def test_mape_excludes_zero_truth():
-    value, excluded = mape_detail([1.0, 0.0, 2.0], [1.0, 5.0, 1.0])
-    assert value == pytest.approx(0.25)
-    assert excluded == 1
+    assert mape([1.0, 0.0, 2.0], [1.0, 5.0, 1.0]) == pytest.approx(0.25)
 
 
 def test_mape_undefined_when_all_zero():
@@ -212,22 +209,26 @@ def test_mape_scale_invariance():
 
 
 # ---------------------------------------------------------------------------
-# rank_profile
+# kept rank of each impute_offline window
 # ---------------------------------------------------------------------------
+
+def kept_ranks(ds, cfg):
+    return impute_offline(ds, cfg)[1].kept_rank
+
 
 def test_rank_constant_dataset():
     spec = SyntheticSpec(
         tuple(ChannelSpec(f"c{i}", ConstantSignal(float(i + 1))) for i in range(3)), 240
     )
     ds = gen_synthetic(spec).dataset
-    assert rank_profile(ds, RecoveryConfig(L=10, T=120)) == [1, 1]
+    assert kept_ranks(ds, RecoveryConfig(L=10, T=120)) == [1, 1]
 
 
 def test_rank_single_sinusoid():
     gen = SinusoidSum(((1.0, 5.3, 0.4),))
     spec = SyntheticSpec(tuple(ChannelSpec(f"c{i}", gen) for i in range(4)), 240)
     ds = gen_synthetic(spec).dataset
-    assert rank_profile(ds, RecoveryConfig(L=10, T=120)) == [2, 2]
+    assert kept_ranks(ds, RecoveryConfig(L=10, T=120)) == [2, 2]
 
 
 def _event_corpus(seed=5):
@@ -251,7 +252,7 @@ def _event_corpus(seed=5):
 def test_rank_rises_in_event_window():
     ds = _event_corpus()
     for variant in (MatrixVariant.PAGE, MatrixVariant.HANKEL):
-        ranks = rank_profile(ds, RecoveryConfig(L=10, T=120, variant=variant))
+        ranks = kept_ranks(ds, RecoveryConfig(L=10, T=120, variant=variant))
         assert len(ranks) == 3
         assert ranks[1] > ranks[0]
 
@@ -326,12 +327,14 @@ def test_benchmark_report_serialization():
         truth,
         [Scenario(drop_rate=0.1, noise_rate=0.02)],
         impute_cfg=RecoveryConfig(L=10, T=90),
-        predict_cfg=RecoveryConfig(L=5, T=30),
         repetitions=2,
         tasks=("impute", "predict"),
     )
-    payload = results_to_dict(results, include_timing=False)
-    assert "median_step_seconds" not in payload["results"][0]
+    payload = results_to_dict(results)
+    assert set(payload["results"][0]) == {
+        "scenario", "repetitions", "seeds", "impute_mape", "baseline_mape",
+        "predict_mape", "persistence_mape", "error",
+    }
     rows = results_to_csv_rows(results)
     metrics = {r[2] for r in rows}
     assert {"impute_mape", "baseline_mape", "predict_mape", "persistence_mape"} <= metrics
