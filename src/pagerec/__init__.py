@@ -11,12 +11,10 @@ from .core import (
     ChannelSeries,
     CsvSchema,
     Dataset,
-    ScalingPolicy,
     ScalingTransform,
     ingest_csv,
     locf_fill,
     scale_dataset,
-    unwrap_angles,
     unwrap_degrees,
     write_csv,
 )

@@ -69,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, L, T, with_input=True, default_output="derived from --input"):
         if with_input:
             p.add_argument("--input", required=True, help="input CSV path")
+            p.add_argument("--channels", default=None,
+                           help="comma list restricting the channels to process")
         p.add_argument("--output", default=None,
                        help=f"primary output path (default: {default_output})")
         p.add_argument("--L", type=int, default=L, help="matrix rows (segment length)")
         p.add_argument("--T", type=int, default=T, help="window length in samples")
-        p.add_argument("--channels", default=None,
-                       help="comma list restricting the channels to process")
 
     p = sub.add_parser("impute", help="denoise and fill a recorded archive")
     common(p, L=10, T=54000)

@@ -1,4 +1,4 @@
-"""Time-series data model, CSV ingestion, gap filling and channel scaling.
+"""Time-series data model, CSV ingestion, gap filling and angle referencing.
 
 :class:`Dataset` is columnar: one time base of n samples and (N, n) arrays
 of values and observation masks, one row per channel, all read-only.
@@ -14,7 +14,7 @@ import enum
 import io
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -72,7 +72,8 @@ class ChannelSeries:
     channel_id : str
         Opaque identifier, unique within a dataset.
     kind : ChannelKind
-        Physical interpretation, used only by scaling.
+        Physical interpretation; scale_dataset unwraps and references the
+        VOLTAGE_ANGLE channels and passes the others through.
     timestamps : array of float
         Finite, strictly increasing, uniformly spaced sample times.
     values : array of float
@@ -441,7 +442,7 @@ def locf_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Angle unwrapping and channel scaling
+# Angle unwrapping and referencing
 # ---------------------------------------------------------------------------
 
 def unwrap_degrees(values: np.ndarray) -> np.ndarray:
@@ -456,76 +457,38 @@ def unwrap_degrees(values: np.ndarray) -> np.ndarray:
     return v[0] + np.concatenate(([0.0], np.cumsum(d - 360.0 * k)))
 
 
-def unwrap_angles(series: ChannelSeries) -> ChannelSeries:
-    """Unwrap a VOLTAGE_ANGLE channel (degrees)."""
-    if series.kind is not ChannelKind.VOLTAGE_ANGLE:
-        raise ConfigError(
-            f"channel {series.channel_id!r} has kind {series.kind.value}, "
-            "expected voltage_angle"
-        )
-    return replace(series, values=unwrap_degrees(series.values))
-
-
-@dataclass(frozen=True)
-class ScalingPolicy:
-    """How channels are mapped into comparable units.
-
-    base_kv: per-channel divisor for magnitude channels (per-unit base).
-    reference_channel: angle channel subtracted from every angle channel;
-        None picks the angle channel with the fewest missing entries.
-    nominal_hz, freq_gain: frequency channels map to (f - nominal) * gain.
-    """
-
-    base_kv: Mapping[str, float] = field(default_factory=dict)
-    reference_channel: str | None = None
-    nominal_hz: float = 60.0
-    freq_gain: float = 10.0
-
-
 @dataclass(frozen=True)
 class ScalingTransform:
-    """Inverse bookkeeping produced by :func:`scale_dataset`.
+    """Inverse bookkeeping produced by :func:`scale_dataset`: the reference
+    channel and its unwrapped series, which undoing the referencing needs."""
 
-    Angle referencing is invertible only with the unwrapped reference series,
-    which is retained here.
-    """
-
-    base_kv: Mapping[str, float]
     reference_channel: str | None
     reference_values: np.ndarray | None
-    nominal_hz: float
-    freq_gain: float
 
     def invert(self, data: Dataset) -> Dataset:
         """Map a scaled dataset back to physical units.
 
         Angle channels come back unwrapped (referencing is undone, wrapping
-        is not reapplied).
+        is not reapplied); every other channel passes through.
         """
         values = data.values_matrix().copy()
-        for i, (cid, kind) in enumerate(zip(data.ids, data.kinds)):
-            if kind is ChannelKind.VOLTAGE_MAGNITUDE:
-                values[i] = values[i] * self.base_kv[cid]
-            elif kind is ChannelKind.VOLTAGE_ANGLE:
+        for i, kind in enumerate(data.kinds):
+            if kind is ChannelKind.VOLTAGE_ANGLE:
                 if self.reference_values is None:
                     raise ConfigError("no reference series recorded for angles")
                 values[i] = values[i] + self.reference_values
-            elif kind is ChannelKind.FREQUENCY:
-                values[i] = values[i] / self.freq_gain + self.nominal_hz
         return data.with_values(values)
 
 
-def _pick_reference(data: Dataset, policy: ScalingPolicy) -> int | None:
+def _pick_reference(data: Dataset, reference_channel: str | None) -> int | None:
     """Row of the angle channel every angle channel is referenced to."""
-    if policy.reference_channel is not None:
-        if policy.reference_channel not in data.ids:
-            raise ConfigError(
-                f"reference channel {policy.reference_channel!r} not in dataset"
-            )
-        i = data.ids.index(policy.reference_channel)
+    if reference_channel is not None:
+        if reference_channel not in data.ids:
+            raise ConfigError(f"reference channel {reference_channel!r} not in dataset")
+        i = data.ids.index(reference_channel)
         if data.kinds[i] is not ChannelKind.VOLTAGE_ANGLE:
             raise ConfigError(
-                f"reference channel {policy.reference_channel!r} is not an angle channel"
+                f"reference channel {reference_channel!r} is not an angle channel"
             )
         return i
     angles = [i for i, kind in enumerate(data.kinds) if kind is ChannelKind.VOLTAGE_ANGLE]
@@ -536,16 +499,23 @@ def _pick_reference(data: Dataset, policy: ScalingPolicy) -> int | None:
     return min(angles, key=lambda i: (missing[i], i))
 
 
-def scale_dataset(data: Dataset, policy: ScalingPolicy) -> tuple[Dataset, ScalingTransform]:
-    """Scale channels by kind: per-unit magnitudes, referenced (and unwrapped)
-    angles, gain-mapped frequencies. Fill gaps first: angle unwrapping
-    propagates non-finite values.
+def scale_dataset(
+    data: Dataset, reference_channel: str | None = None
+) -> tuple[Dataset, ScalingTransform]:
+    """Unwrap every angle channel and subtract the unwrapped reference angle
+    channel from it; other channels pass through unchanged. A per-channel
+    gain or offset needs no configuring: the window engine maps each channel
+    onto [-1, 1] in every window, so estimates follow such a map and kept
+    ranks do not change.
+
+    reference_channel None picks the angle channel with the fewest missing
+    entries. Fill gaps first: angle unwrapping propagates non-finite values.
 
     Returns the scaled dataset and the transform that maps estimates back to
     physical units.
     """
     values = data.values_matrix().copy()
-    ref = _pick_reference(data, policy)
+    ref = _pick_reference(data, reference_channel)
     ref_unwrapped = None
     if ref is not None:
         if not np.isfinite(values[ref]).all():
@@ -555,28 +525,15 @@ def scale_dataset(data: Dataset, policy: ScalingPolicy) -> tuple[Dataset, Scalin
         ref_unwrapped = unwrap_degrees(values[ref])
 
     for i, (cid, kind) in enumerate(zip(data.ids, data.kinds)):
-        if kind is ChannelKind.VOLTAGE_MAGNITUDE:
-            if cid not in policy.base_kv:
-                raise ConfigError(
-                    f"no per-unit base configured for magnitude channel {cid!r}"
-                )
-            values[i] = values[i] / policy.base_kv[cid]
-        elif kind is ChannelKind.VOLTAGE_ANGLE:
-            if ref_unwrapped is None:
-                raise ConfigError("angle channels present but no reference available")
+        if kind is ChannelKind.VOLTAGE_ANGLE:
             if not np.isfinite(values[i]).all():
                 raise NumericError(
                     f"angle channel {cid!r} has non-finite values; fill first"
                 )
             values[i] = unwrap_degrees(values[i]) - ref_unwrapped
-        elif kind is ChannelKind.FREQUENCY:
-            values[i] = (values[i] - policy.nominal_hz) * policy.freq_gain
 
     transform = ScalingTransform(
-        base_kv=dict(policy.base_kv),
         reference_channel=data.ids[ref] if ref is not None else None,
         reference_values=ref_unwrapped,
-        nominal_hz=policy.nominal_hz,
-        freq_gain=policy.freq_gain,
     )
     return data.with_values(values), transform

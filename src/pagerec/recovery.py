@@ -49,15 +49,14 @@ class RecoveryConfig:
 
     Defaults suit offline imputation of long archives; streaming
     prediction wants a short window and a small L, for example
-    RecoveryConfig(L=5, T=30). refresh_every re-learns the forecast
-    coefficients every s steps (1 = every step).
+    RecoveryConfig(L=5, T=30). Every prediction learns its forecast
+    coefficients from its own window.
     """
 
     L: int = 10
     T: int = 54000
     variant: MatrixVariant = MatrixVariant.PAGE
     overwrite_observed: bool = True
-    refresh_every: int = 1
 
     def __post_init__(self):
         if self.L < 2:
@@ -69,8 +68,6 @@ class RecoveryConfig:
                 f"window length T={self.T} must be divisible by L={self.L} "
                 "for the page variant"
             )
-        if self.refresh_every < 1:
-            raise ConfigError("refresh_every must be a positive integer")
 
     def echo(self) -> dict:
         return {
@@ -78,7 +75,6 @@ class RecoveryConfig:
             "T": self.T,
             "variant": self.variant.value,
             "overwrite_observed": self.overwrite_observed,
-            "refresh_every": self.refresh_every,
         }
 
 
@@ -290,29 +286,22 @@ def _chunk_steps(cfg: RecoveryConfig, n_channels: int) -> int:
 
 
 def predict_next(
-    window: Dataset,
-    cfg: RecoveryConfig,
-    model: ForecastModel | None = None,
+    window: Dataset, cfg: RecoveryConfig
 ) -> tuple[dict[str, float], ForecastModel]:
     """Predict each channel's next sample from a length-T trailing window.
 
-    Pass a previously returned model to reuse its coefficients; by default
-    they are re-learned from this window.
+    Returns the predictions by channel id and the forecast coefficients
+    learned from this window, with their residual norm.
     """
     if len(window) != cfg.T:
         raise ShapeError(f"window length {len(window)} != configured T={cfg.T}")
-    if model is not None and len(model.beta) != cfg.L - 1:
-        raise ShapeError(
-            f"model has {len(model.beta)} coefficients, L={cfg.L} needs {cfg.L - 1}"
-        )
     ids = window.ids
     entries, mid, half, _ = _denoise(
         window.values_matrix()[None], window.masks_matrix()[None], cfg, ids, (0,)
     )
-    if model is None:
-        beta, residual = _fit(entries)
-        model = ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
-    preds = _forecast(entries, model.beta[None], mid, half)[0]
+    beta, residual = _fit(entries)
+    preds = _forecast(entries, beta, mid, half)[0]
+    model = ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
     return dict(zip(ids, preds)), model
 
 
@@ -321,9 +310,9 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
 
     For every step j the window [j, j+T) is denoised and the sample at index
     j+T is predicted for every channel, so the result aligns with
-    data.timestamps[T:]. Coefficients are re-learned every
-    cfg.refresh_every steps. Steps run in chunks through the window engine;
-    with refresh_every 1 each step equals predict_next on its window.
+    data.timestamps[T:]. Each step learns its forecast coefficients from its
+    own window. Steps run in chunks through the window engine, and each
+    equals predict_next on its window.
     """
     n = len(data)
     steps = n - cfg.T
@@ -341,7 +330,6 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
 
     preds = np.empty((N, steps))
     report = RecoveryReport(config=cfg.echo())
-    beta = np.zeros(cfg.L - 1)  # never used: step 0 always learns
     for j0 in range(0, steps, chunk):
         t0 = time.perf_counter()
         stop = min(j0 + chunk, steps)
@@ -351,15 +339,7 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
             None if window_masks is None else window_masks[part],
             cfg, data.ids, j,
         )
-        # each step uses the coefficients of the latest learning step at or
-        # before it, which for a chunk's first steps may lie in an earlier
-        # chunk (row 0 carries those)
-        learn = j % cfg.refresh_every == 0
-        fitted = np.vstack([beta[None], _fit(entries[learn])[0]])
-        latest = np.maximum.accumulate(np.where(learn, np.cumsum(learn), 0))
-        betas = fitted[latest]
-        beta = betas[-1]
-        preds[:, part] = _forecast(entries, betas, mid, half).T
+        preds[:, part] = _forecast(entries, _fit(entries)[0], mid, half).T
         elapsed = time.perf_counter() - t0
         report.step_seconds.extend([elapsed / len(j)] * len(j))
         report.kept_rank.extend(ranks.tolist())

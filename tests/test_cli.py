@@ -267,3 +267,13 @@ def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message)
     assert code == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists() and not (tmp_path / "r.json.csv").exists()
+
+
+def test_bench_rejects_channels(tmp_path, capsys):
+    # bench benchmarks its own synthetic corpus, so it has no channels to pick
+    out = tmp_path / "r.json"
+    code = run(["bench", "--output", str(out), "--reps", "1", "--drop", "0.1",
+                "--channels", "ghost"])
+    assert code == 2
+    assert "unrecognized arguments: --channels ghost" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "r.json.csv").exists()

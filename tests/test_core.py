@@ -1,4 +1,4 @@
-"""Data model, CSV ingestion, gap filling, unwrapping and scaling."""
+"""Data model, CSV ingestion, gap filling, unwrapping and angle referencing."""
 
 import re
 
@@ -13,23 +13,23 @@ from pagerec import (
     CsvSchema,
     Dataset,
     FormatError,
-    ScalingPolicy,
     ShapeError,
     ingest_csv,
     locf_baseline,
     locf_fill,
     scale_dataset,
-    unwrap_angles,
     unwrap_degrees,
     write_csv,
 )
 from pagerec.core import _uniform_steps
 
 
-def make_series(values, mask=None, kind=ChannelKind.GENERIC, cid="c0"):
+def make_series(values, mask=None, cid="c0"):
     values = np.asarray(values, dtype=float)
     mask = np.ones(len(values), bool) if mask is None else np.asarray(mask, bool)
-    return ChannelSeries(cid, kind, np.arange(len(values), dtype=float), values, mask)
+    return ChannelSeries(
+        cid, ChannelKind.GENERIC, np.arange(len(values), dtype=float), values, mask
+    )
 
 
 def brute_force_unwrap(values):
@@ -486,18 +486,16 @@ def test_fill_never_touches_observed():
 
 
 # ---------------------------------------------------------------------------
-# unwrap_angles
+# unwrap_degrees
 # ---------------------------------------------------------------------------
 
 def test_unwrap_single_crossing():
-    s = make_series([179.0, -179.0], kind=ChannelKind.VOLTAGE_ANGLE)
-    assert list(unwrap_angles(s).values) == [179.0, 181.0]
+    assert list(unwrap_degrees([179.0, -179.0])) == [179.0, 181.0]
 
 
 def test_unwrap_monotone_ramp_unchanged():
     vals = np.linspace(-170.0, 170.0, 20)
-    s = make_series(vals, kind=ChannelKind.VOLTAGE_ANGLE)
-    assert np.allclose(unwrap_angles(s).values, vals)
+    assert np.allclose(unwrap_degrees(vals), vals)
 
 
 def test_unwrap_double_jump_matches_oracle():
@@ -506,8 +504,7 @@ def test_unwrap_double_jump_matches_oracle():
     expected = brute_force_unwrap(vals)
     assert np.allclose(expected, [170.0, 190.0, 150.0])
     assert np.allclose(np.unwrap(vals, period=360), expected)
-    s = make_series(vals, kind=ChannelKind.VOLTAGE_ANGLE)
-    assert np.allclose(unwrap_angles(s).values, expected)
+    assert np.allclose(unwrap_degrees(vals), expected)
 
 
 def test_unwrap_matches_oracle_randomized():
@@ -522,12 +519,6 @@ def test_unwrap_matches_oracle_randomized():
         assert np.allclose(k, np.round(k), atol=1e-9)
         d = np.diff(out)
         assert ((d > -180.0 - 1e-9) & (d <= 180.0 + 1e-9)).all()
-
-
-def test_unwrap_wrong_kind_rejected():
-    s = make_series([1.0, 2.0], kind=ChannelKind.FREQUENCY)
-    with pytest.raises(ConfigError):
-        unwrap_angles(s)
 
 
 # ---------------------------------------------------------------------------
@@ -547,40 +538,19 @@ def _pmu_dataset():
     return Dataset((mag, ang_ref, ang, freq))
 
 
-def test_scale_frequency_gain():
-    ds = _pmu_dataset()
-    policy = ScalingPolicy(base_kv={"vm": 345.0}, reference_channel="ref")
-    scaled, _ = scale_dataset(ds, policy)
-    assert scaled.channel("f").values[0] == pytest.approx(0.5)  # (60.05-60)*10
-    assert scaled.channel("f").values[1] == pytest.approx(0.0)
-
-
-def test_scale_magnitude_per_unit():
-    ds = _pmu_dataset()
-    scaled, _ = scale_dataset(ds, ScalingPolicy(base_kv={"vm": 345.0}))
-    assert np.allclose(scaled.channel("vm").values, 1.0)
-
-
 def test_scale_reference_channel_become_zero():
     ds = _pmu_dataset()
-    scaled, _ = scale_dataset(ds, ScalingPolicy(base_kv={"vm": 345.0},
-                                                reference_channel="ref"))
+    scaled, _ = scale_dataset(ds, reference_channel="ref")
     assert np.allclose(scaled.channel("ref").values, 0.0)
     assert np.allclose(scaled.channel("va").values, 5.0)
-
-
-def test_scale_missing_base_rejected():
-    ds = _pmu_dataset()
-    with pytest.raises(ConfigError):
-        scale_dataset(ds, ScalingPolicy())
 
 
 def test_scale_bad_reference_rejected():
     ds = _pmu_dataset()
     with pytest.raises(ConfigError):
-        scale_dataset(ds, ScalingPolicy(base_kv={"vm": 345.0}, reference_channel="f"))
+        scale_dataset(ds, reference_channel="f")
     with pytest.raises(ConfigError):
-        scale_dataset(ds, ScalingPolicy(base_kv={"vm": 345.0}, reference_channel="nope"))
+        scale_dataset(ds, reference_channel="nope")
 
 
 def test_scale_default_reference_fewest_missing():
@@ -592,18 +562,21 @@ def test_scale_default_reference_fewest_missing():
                       np.array([2.0, 3.0, 4.0, 5.0]), np.ones(4, bool))
     filled_a = ChannelSeries("a", a.kind, t, locf_fill(a.values, a.mask), a.mask)
     ds = Dataset((filled_a, b))
-    scaled, transform = scale_dataset(ds, ScalingPolicy())
+    scaled, transform = scale_dataset(ds)
     assert transform.reference_channel == "b"
     assert np.allclose(scaled.channel("b").values, 0.0)
 
 
 def test_scale_round_trip_within_1e12():
     ds = _pmu_dataset()
-    policy = ScalingPolicy(base_kv={"vm": 345.0}, reference_channel="ref")
-    scaled, transform = scale_dataset(ds, policy)
+    scaled, transform = scale_dataset(ds, reference_channel="ref")
     back = transform.invert(scaled)
     for cid in ds.ids:
         orig = ds.channel(cid).values
         rec = back.channel(cid).values
         denom = np.maximum(np.abs(orig), 1.0)
         assert (np.abs(rec - orig) / denom).max() < 1e-12
+    # the magnitude and frequency channels pass through both ways untouched
+    for cid in ("vm", "f"):
+        assert np.array_equal(scaled.channel(cid).values, ds.channel(cid).values)
+        assert np.array_equal(back.channel(cid).values, ds.channel(cid).values)
