@@ -2,9 +2,10 @@
 
 :class:`Dataset` is columnar: one time base of n samples and (N, n) arrays
 of values and observation masks, one row per channel, all read-only.
-:class:`ChannelSeries` is the record of one channel, which a dataset is
-built from or hands out on request. Channel order is significant: it fixes
-the block order of the stacked matrices built downstream.
+:class:`ChannelSeries` is the plain record of one channel: a dataset
+checks the records it is built from and hands records out, as read-only
+views, on request. Channel order is significant: it fixes the block order
+of the stacked matrices built downstream.
 """
 
 from __future__ import annotations
@@ -57,15 +58,10 @@ def _uniform_steps(t: np.ndarray) -> bool:
     return first > 0 and bool((np.abs(steps - first) <= 1e-12 + 1e-9 * first).all())
 
 
-def _immutable(a, dtype) -> np.ndarray:
-    a = np.array(a, dtype=dtype)  # always a copy
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class ChannelSeries:
-    """One measurement channel.
+    """One measurement channel: a plain record. A :class:`Dataset` checks
+    and copies it when the dataset is built from it.
 
     Parameters
     ----------
@@ -89,24 +85,6 @@ class ChannelSeries:
     values: np.ndarray
     mask: np.ndarray
 
-    def __post_init__(self):
-        t = _immutable(self.timestamps, float)
-        v = _immutable(self.values, float)
-        m = _immutable(self.mask, bool)
-        if not (len(t) == len(v) == len(m)):
-            raise ShapeError(
-                f"channel {self.channel_id!r}: timestamps ({len(t)}), values "
-                f"({len(v)}) and mask ({len(m)}) lengths differ"
-            )
-        if len(t) >= 2 and not _uniform_steps(t):
-            raise ShapeError(
-                f"channel {self.channel_id!r}: timestamps must be finite and "
-                "strictly increasing with a constant step"
-            )
-        object.__setattr__(self, "timestamps", t)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "mask", m)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -119,7 +97,8 @@ class Dataset:
     observation masks are (N, n) arrays whose row i belongs to channel
     ids[i] of kind kinds[i]. All three arrays are read-only.
     ``Dataset(channels, rate_fps)`` builds one from ChannelSeries records,
-    :meth:`from_arrays` from the arrays themselves; both validate alike.
+    :meth:`from_arrays` from the arrays themselves; both copy their inputs
+    and validate alike.
     A rate_fps of 0 means "derive from the timestamp step".
     """
 
@@ -132,25 +111,30 @@ class Dataset:
 
     def __init__(self, channels: Iterable[ChannelSeries], rate_fps: float = 0.0):
         chans = tuple(channels)
-        if not chans:
-            raise ShapeError("dataset needs at least one channel")
-        t0 = chans[0].timestamps
-        shared = [len(c) == len(t0) for c in chans]
-        if all(shared):
-            shared = (np.array([c.timestamps for c in chans]) == t0).all(axis=1)
-        if not all(shared):
-            odd = chans[list(shared).index(False)]
-            raise ShapeError(
-                f"channel {odd.channel_id!r} does not share the common time base"
-            )
+        t0 = chans[0].timestamps if chans else ()
+        n = len(t0)
+        for c in chans:
+            lengths = (len(c.timestamps), len(c.values), len(c.mask))
+            if lengths != (n, n, n):
+                raise ShapeError(
+                    f"channel {c.channel_id!r}: timestamps, values and mask lengths "
+                    f"{lengths} differ from the common time base's {n}"
+                )
         self._store(
             t0,
-            np.array([c.values for c in chans]),
-            np.array([c.mask for c in chans]),
+            [c.values for c in chans],
+            [c.mask for c in chans],
             tuple(c.channel_id for c in chans),
             tuple(c.kind for c in chans),
             rate_fps,
         )
+        # after _store has checked the first time base, so that a non-finite
+        # shared one is reported as such, not as unshared (NaN != NaN)
+        shared = (np.array([c.timestamps for c in chans], dtype=float)
+                  == self.timestamps).all(axis=1)
+        if not shared.all():
+            raise ShapeError(f"channel {chans[shared.argmin()].channel_id!r} "
+                             "does not share the common time base")
 
     @classmethod
     def from_arrays(
@@ -164,29 +148,29 @@ class Dataset:
     ) -> "Dataset":
         """Dataset from its time base (n,), values and masks (N, n), channel
         ids and kinds (GENERIC when omitted). The arrays are copied."""
-        t = np.array(timestamps, dtype=float)
-        if t.ndim == 1 and len(t) >= 2 and not _uniform_steps(t):
-            raise ShapeError(
-                "timestamps must be finite and strictly increasing with a constant step"
-            )
         ids = tuple(ids)
         self = cls.__new__(cls)
         self._store(
-            t,
-            np.array(values, dtype=float, order="C"),
-            np.array(masks, dtype=bool, order="C"),
-            ids,
+            timestamps, values, masks, ids,
             (ChannelKind.GENERIC,) * len(ids) if kinds is None else tuple(kinds),
             rate_fps,
         )
         return self
 
     def _store(self, t, values, masks, ids, kinds, rate_fps) -> None:
-        """Validate and keep, read-only, arrays that no caller holds. The
-        time steps were checked where t came from: by ChannelSeries or by
-        from_arrays."""
+        """Check the time base, copy it, the values and the masks, check
+        their shapes, the kinds and the ids, and keep the copies read-only:
+        the one validator of both constructors."""
         if not ids:
             raise ShapeError("dataset needs at least one channel")
+        t = np.array(t, dtype=float)
+        # before the (N, n) copies, so that its temporaries do not add to them
+        if t.ndim == 1 and len(t) >= 2 and not _uniform_steps(t):
+            raise ShapeError(
+                "timestamps must be finite and strictly increasing with a constant step"
+            )
+        values = np.array(values, dtype=float, order="C")
+        masks = np.array(masks, dtype=bool, order="C")
         N = len(ids)
         if (t.ndim != 1 or values.shape != (N, len(t)) or masks.shape != values.shape
                 or len(kinds) != N):
@@ -217,10 +201,12 @@ class Dataset:
 
     @property
     def channels(self) -> tuple[ChannelSeries, ...]:
-        """The channels as ChannelSeries records, built on each access."""
+        """The channels as ChannelSeries records, built on each access; their
+        arrays are read-only views of the stored ones."""
         return tuple(self.channel(c) for c in self.ids)
 
     def channel(self, channel_id: str) -> ChannelSeries:
+        """The record of one channel, over views of the stored arrays."""
         i = self._row(channel_id)
         return ChannelSeries(
             channel_id, self.kinds[i], self.timestamps, self._values[i], self._masks[i]

@@ -50,7 +50,7 @@ __all__ = [
 class ConstantSignal:
     value: float
 
-    def sample(self, t: np.ndarray, rate_fps: float) -> np.ndarray:
+    def sample(self, t: np.ndarray) -> np.ndarray:
         return np.full(len(t), self.value)
 
 
@@ -61,7 +61,7 @@ class SinusoidSum:
     components: tuple[tuple[float, float, float], ...]  # (amplitude, hz, phase)
     offset: float = 0.0
 
-    def sample(self, t: np.ndarray, rate_fps: float) -> np.ndarray:
+    def sample(self, t: np.ndarray) -> np.ndarray:
         out = np.full(len(t), self.offset)
         for amp, hz, phase in self.components:
             out += amp * np.sin(2.0 * np.pi * hz * t + phase)
@@ -88,7 +88,7 @@ class LinearRecurrence:
         companion[1:, :-1] = np.eye(g - 1)
         return float(np.abs(np.linalg.eigvals(companion)).max())
 
-    def sample(self, t: np.ndarray, rate_fps: float) -> np.ndarray:
+    def sample(self, t: np.ndarray) -> np.ndarray:
         if self.spectral_radius() > 1.0 + 1e-12:
             warnings.warn(
                 f"recurrence {self.coeffs} is unstable (spectral radius "
@@ -147,7 +147,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Synthetic:
     values = np.empty((len(spec.channels), spec.n_samples))
     medians = {}
     for row, ch in zip(values, spec.channels):
-        row[:] = ch.signal.sample(t, spec.rate_fps)
+        row[:] = ch.signal.sample(t)
         medians[ch.channel_id] = float(np.median(np.abs(row)))
         for ev in ch.events:
             if not 0 <= ev.at <= spec.n_samples:
@@ -172,7 +172,9 @@ def benchmark_corpus(
     events: Mapping[str, tuple[StepEvent, ...]] | None = None,
 ) -> Synthetic:
     """Correlated multichannel corpus: every channel mixes the same set of
-    sinusoidal modes with seeded weights, phases and offsets."""
+    sinusoidal modes with seeded weights, phases and offsets. A negative
+    seed is a ConfigError."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, len(mode_freqs))
     specs = []
@@ -222,9 +224,12 @@ def degrade(
     """Apply a degradation spec to a (typically ground-truth) dataset.
 
     noise_base overrides the per-channel noise scale; by default it is the
-    median absolute value of the channel's observed samples.
+    median absolute value of the channel's observed samples. A rate outside
+    its range, an unknown target channel or a negative seed is a
+    ConfigError.
     """
     _check_rates(spec.drop_rate, spec.noise_rate)
+    _check_seed(spec.seed)
     targets = set(spec.target_channels) if spec.target_channels is not None else set(data.ids)
     unknown = targets - set(data.ids)
     if unknown:
@@ -251,6 +256,11 @@ def degrade(
         mask[drop_idx] = False
         vals[drop_idx] = np.nan
     return data.with_values(values, masks)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 def _check_rates(drop_rate: float, noise_rate: float) -> None:
@@ -357,8 +367,9 @@ def run_benchmark(
     predict task predict_stream with L=5, T=30; both take the scenario's
     variant. The LOCF fill of the degraded input and the one-step
     persistence forecast serve as baselines. Scenario failures are isolated
-    into the result's error field; an empty grid, fewer than one repetition
-    or a rate outside its range is a ConfigError before anything runs.
+    into the result's error field; an empty grid, fewer than one repetition,
+    a rate outside its range or a negative master seed is a ConfigError
+    before anything runs.
     """
     tasks, scenarios = tuple(tasks), tuple(scenarios)
     unknown = set(tasks) - {"impute", "predict"}
@@ -368,6 +379,7 @@ def run_benchmark(
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
     if not scenarios:
         raise ConfigError("the scenario grid is empty")
+    _check_seed(master_seed)
     for scenario in scenarios:
         _check_rates(scenario.drop_rate, scenario.noise_rate)
     truth_vals = truth.dataset.values_matrix()

@@ -51,13 +51,18 @@ def brute_force_unwrap(values):
 # ---------------------------------------------------------------------------
 
 def test_series_length_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        ChannelSeries("x", ChannelKind.GENERIC, np.arange(3.0), np.zeros(2), np.ones(3, bool))
+    with pytest.raises(ShapeError, match="channel 'x'"):
+        Dataset((ChannelSeries("x", ChannelKind.GENERIC, np.arange(3.0), np.zeros(2),
+                               np.ones(3, bool)),))
+    # a ShapeError that names the channel, not numpy's error on ragged rows
+    with pytest.raises(ShapeError, match="channel 'b'"):
+        Dataset((make_series([1.0, 2.0, 3.0], cid="a"), make_series([1.0, 2.0], cid="b")))
 
 
 def test_series_nonuniform_timestamps_rejected():
     with pytest.raises(ShapeError):
-        ChannelSeries("x", ChannelKind.GENERIC, np.array([0.0, 1.0, 3.0]), np.zeros(3), np.ones(3, bool))
+        Dataset((ChannelSeries("x", ChannelKind.GENERIC, np.array([0.0, 1.0, 3.0]),
+                               np.zeros(3), np.ones(3, bool)),))
 
 
 @pytest.mark.parametrize(
@@ -65,8 +70,13 @@ def test_series_nonuniform_timestamps_rejected():
     [[0.0, np.inf], [-np.inf, 0.0], [0.0, np.nan], [0.0, 1.0, np.inf], [np.nan, 0.0, 1.0]],
 )
 def test_series_nonfinite_timestamps_rejected(t):
-    with pytest.raises(ShapeError, match="timestamps must be finite"):
-        ChannelSeries("x", ChannelKind.GENERIC, np.array(t), np.zeros(len(t)), np.ones(len(t), bool))
+    # one channel, then two that share the bad time base: the bad time base
+    # is named, not a time base the two channels fail to share
+    chans = [ChannelSeries(c, ChannelKind.GENERIC, np.array(t), np.zeros(len(t)),
+                           np.ones(len(t), bool)) for c in ("x", "y")]
+    for n_channels in (1, 2):
+        with pytest.raises(ShapeError, match="timestamps must be finite"):
+            Dataset(chans[:n_channels])
 
 
 def step_check_reference(t):
@@ -93,10 +103,20 @@ def test_uniform_steps_matches_allclose_on_finite_timestamps():
     assert 0 < sum(got[1::5]) < len(got[1::5])  # the jitter straddles the tolerance
 
 
-def test_series_arrays_immutable():
-    s = make_series([1.0, 2.0, 3.0])
+def test_records_handed_out_are_views_and_constructor_copies():
+    t, values, mask = np.arange(3.0), np.array([1.0, 2.0, 3.0]), np.ones(3, bool)
+    ds = Dataset((ChannelSeries("a", ChannelKind.GENERIC, t, values, mask),))
+    t[0], values[0], mask[0] = -1.0, 9.0, False
+    assert ds.timestamps.tolist() == [0.0, 1.0, 2.0]
+    assert ds.values_matrix().tolist() == [[1.0, 2.0, 3.0]]
+    assert ds.masks_matrix().all()
+    a = ds.channel("a")
+    for got, stored in ((a.timestamps, ds.timestamps), (a.values, ds.values_matrix()),
+                        (a.mask, ds.masks_matrix())):
+        assert not got.flags.writeable
+        assert np.shares_memory(got, stored)
     with pytest.raises(ValueError):
-        s.values[0] = 9.0
+        a.values[0] = 9.0
 
 
 def test_dataset_requires_shared_timebase():

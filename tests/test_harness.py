@@ -169,6 +169,8 @@ def test_degrade_validates_rates():
         degrade(corpus.dataset, DegradeSpec(noise_rate=-0.1))
     with pytest.raises(ConfigError):
         degrade(corpus.dataset, DegradeSpec(target_channels=("nope",)))
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        degrade(corpus.dataset, DegradeSpec(seed=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +348,11 @@ def test_benchmark_rejects_unknown_task():
     truth = benchmark_corpus(n_channels=2, n_samples=60, seed=2)
     with pytest.raises(ConfigError):
         run_benchmark(truth, [Scenario(0.1)], tasks=("smooth",))
+
+
+def test_negative_seed_is_config_error():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        benchmark_corpus(n_channels=2, n_samples=60, seed=-1)
+    truth = benchmark_corpus(n_channels=2, n_samples=60, seed=2)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -2"):
+        run_benchmark(truth, [Scenario(0.1)], master_seed=-2)
