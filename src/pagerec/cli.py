@@ -20,6 +20,7 @@ import sys
 from .core import CsvSchema, ingest_csv, write_csv
 from .errors import ConfigError, PagerecError
 from .harness import (
+    PREDICT_CFG,
     Scenario,
     benchmark_corpus,
     results_to_csv_rows,
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "estimates, false restores them")
 
     p = sub.add_parser("predict", help="replay one-step-ahead predictions")
-    common(p, L=5, T=30)
+    common(p, L=PREDICT_CFG.L, T=PREDICT_CFG.T)
     p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
 
     p = sub.add_parser("bench", help="scenario benchmark on a synthetic corpus")
@@ -210,7 +211,7 @@ def _cmd_rank(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["window", "start_sample", "rank"])
         for i, r in enumerate(ranks):
-            writer.writerow([i, i * cfg.T, r])
+            writer.writerow([i, min(i * cfg.T, len(data) - cfg.T), r])
     print(f"profiled {len(ranks)} windows -> {out}")
     return 0
 

@@ -40,9 +40,7 @@ _EMPTY_BEFORE = re.compile(r",(?=[,\r\n]|\Z)")
 
 
 class ChannelKind(enum.Enum):
-    VOLTAGE_MAGNITUDE = "voltage_magnitude"
     VOLTAGE_ANGLE = "voltage_angle"
-    FREQUENCY = "frequency"
     GENERIC = "generic"
 
 
@@ -58,7 +56,7 @@ def _uniform_steps(t: np.ndarray) -> bool:
     return first > 0 and bool((np.abs(steps - first) <= 1e-12 + 1e-9 * first).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSeries:
     """One measurement channel: a plain record. A :class:`Dataset` checks
     and copies it when the dataset is built from it.

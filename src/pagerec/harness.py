@@ -347,8 +347,9 @@ def _per_channel_median(rows: list[dict[str, float]]) -> dict[str, float]:
     }
 
 
-# the streaming window of the benchmark's predict task
-_PREDICT_CFG = RecoveryConfig(L=5, T=30)
+# the streaming window of the benchmark's predict task and of `pagerec
+# predict`'s defaults
+PREDICT_CFG = RecoveryConfig(L=5, T=30)
 
 
 def run_benchmark(
@@ -364,7 +365,7 @@ def run_benchmark(
     Per scenario and repetition the corpus is degraded with a derived seed,
     recovered, and scored per channel against the truth (median over
     repetitions). The impute task runs impute_offline with impute_cfg, the
-    predict task predict_stream with L=5, T=30; both take the scenario's
+    predict task predict_stream with PREDICT_CFG; both take the scenario's
     variant. The LOCF fill of the degraded input and the one-step
     persistence forecast serve as baselines. Scenario failures are isolated
     into the result's error field; an empty grid, fewer than one repetition,
@@ -411,7 +412,7 @@ def run_benchmark(
                         {cid: mape(truth_vals[i], base_vals[i]) for i, cid in enumerate(ids)}
                     )
                 if "predict" in tasks:
-                    cfg = replace(_PREDICT_CFG, variant=scenario.variant)
+                    cfg = replace(PREDICT_CFG, variant=scenario.variant)
                     preds, _ = predict_stream(degraded, cfg)
                     pred_vals = preds.values_matrix()
                     pers_vals = persistence_baseline(degraded, cfg.T)

@@ -2,7 +2,9 @@
 
 Offline: split the series into length-T windows, fill gaps, normalize each
 channel block into [-1, 1], denoise the stacked matrix, reshape back and
-undo the block normalization.
+undo the block normalization. Every window has length T: windows start at
+0, T, 2T, ..., and a remainder after the last of them is covered by one more
+window over the record's last T samples.
 
 Online: denoise the trailing window the same way, regress the last matrix
 row on the other rows (no intercept), then apply the coefficients to the
@@ -49,7 +51,7 @@ class RecoveryConfig:
 
     Defaults suit offline imputation of long archives; streaming
     prediction wants a short window and a small L, for example
-    RecoveryConfig(L=5, T=30). Every prediction learns its forecast
+    harness.PREDICT_CFG. Every prediction learns its forecast
     coefficients from its own window.
     """
 
@@ -96,13 +98,12 @@ class RecoveryReport:
     its steps in chunks, so each stream step's time is its chunk's wall time
     divided by the chunk's step count (amortised, not a single-step
     latency; time predict_next for that). to_dict() holds the deterministic
-    part (config, kept_rank, trimmed_tail); the wall times stay out of it.
+    part (config, kept_rank); the wall times stay out of it.
     """
 
     config: dict
     kept_rank: list[int] = field(default_factory=list)
     step_seconds: list[float] = field(default_factory=list)
-    trimmed_tail: int = 0
 
     @property
     def median_step_seconds(self) -> float:
@@ -114,7 +115,6 @@ class RecoveryReport:
         return {
             "config": dict(self.config),
             "kept_rank": list(self.kept_rank),
-            "trimmed_tail": self.trimmed_tail,
         }
 
 
@@ -220,53 +220,38 @@ def _forecast(
 # Offline imputation
 # ---------------------------------------------------------------------------
 
-def _window_spans(n: int, cfg: RecoveryConfig) -> tuple[list[tuple[int, int]], int]:
-    """Full-length windows plus a trailing short window trimmed to a multiple
-    of L; returns the spans and the length of the untouched tail."""
-    spans = [(s, s + cfg.T) for s in range(0, n - cfg.T + 1, cfg.T)]
-    done = spans[-1][1] if spans else 0
-    remainder = n - done
-    short = (remainder // cfg.L) * cfg.L
-    if short >= cfg.L:
-        spans.append((done, done + short))
-        done += short
-    return spans, n - done
-
-
 def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, RecoveryReport]:
     """Denoise and impute a recorded dataset window by window.
 
-    Every sample inside a processed window gets an estimate (observed ones
-    are restored afterwards when overwrite_observed is False). Windows start
-    at every multiple of T; a trailing remainder is processed as one short
-    window trimmed to a multiple of L, and what is left after that (fewer
-    than L samples) is passed through untouched and counted in the report's
-    trimmed_tail, with its original mask retained. The report's kept_rank
-    lists each window's kept rank in that order, the short window last.
+    Every window has length T. Windows start at 0, T, 2T, ...; when samples
+    remain after the last of them, one more window [n-T, n) runs and writes
+    only the samples that no earlier window covered. Every sample gets an
+    estimate, so the result is fully observed (observed samples are restored
+    when overwrite_observed is False). The report's kept_rank lists each
+    window's kept rank in that order.
     """
     n = len(data)
     if n < cfg.T:
         raise ShapeError(f"dataset length {n} is shorter than the window T={cfg.T}")
     values = data.values_matrix()
     masks = data.masks_matrix()
-    spans, tail = _window_spans(n, cfg)
 
     out = values.copy()
-    out_masks = masks.copy()
-    report = RecoveryReport(config=cfg.echo(), trimmed_tail=tail)
-    for start, stop in spans:
+    report = RecoveryReport(config=cfg.echo())
+    for done in range(0, n, cfg.T):
         t0 = time.perf_counter()
+        start = min(done, n - cfg.T)
+        stop = start + cfg.T
         w_values, w_masks = values[None, :, start:stop], masks[None, :, start:stop]
         entries, mid, half, ranks = _denoise(w_values, w_masks, cfg, data.ids, (start,))
         denoised = _unstack(entries, mid, half, cfg)[0]
         if not cfg.overwrite_observed:
             obs = w_masks[0]
             denoised[obs] = w_values[0][obs]
-        out[:, start:stop] = denoised
-        out_masks[:, start:stop] = True
+        out[:, done:stop] = denoised[:, done - start:]
         report.kept_rank.append(int(ranks[0]))
         report.step_seconds.append(time.perf_counter() - t0)
-    return data.with_values(out, out_masks), report
+    return data.with_values(out, np.ones(out.shape, dtype=bool)), report
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pagerec import (
     write_csv,
 )
 from pagerec.cli import run
+from pagerec.harness import PREDICT_CFG
 
 
 @pytest.fixture
@@ -147,14 +148,15 @@ def test_impute_predict_rank_deterministic_across_runs(tmp_path, sample_csv):
             if command != "rank":
                 paths.append(tmp_path / (out.name + ".report.json"))
                 report = json.loads(paths[-1].read_text())
-                assert set(report) == {"config", "kept_rank", "trimmed_tail"}
+                assert set(report) == {"config", "kept_rank"}
             artifacts.append([p.read_bytes() for p in paths])
         assert artifacts[0] == artifacts[1], command
 
 
 @pytest.mark.parametrize("variant", ["page", "hankel"])
 def test_rank_lists_the_kept_ranks_of_impute_windows(tmp_path, sample_csv, variant):
-    # 120 samples with T=50: two full windows and a short one of 20 samples
+    # 120 samples with T=50: windows at 0 and 50, and one over the last 50
+    # samples, starting at 70
     out = tmp_path / "ranks.csv"
     assert run(["rank", "--input", str(sample_csv), "--output", str(out),
                 "--L", "10", "--T", "50", "--variant", variant]) == 0
@@ -164,7 +166,23 @@ def test_rank_lists_the_kept_ranks_of_impute_windows(tmp_path, sample_csv, varia
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["window", "start_sample", "rank"]
-    assert rows[1:] == [[str(i), str(i * 50), str(r)] for i, r in enumerate(report.kept_rank)]
+    starts = [0, 50, 70]
+    assert rows[1:] == [[str(i), str(s), str(r)]
+                        for i, (s, r) in enumerate(zip(starts, report.kept_rank))]
+
+
+def test_impute_leaves_no_empty_cell_after_the_last_full_window(tmp_path):
+    # 245 samples with T=120: two full windows and a 5-sample remainder
+    corpus = benchmark_corpus(n_channels=3, n_samples=245, seed=1)
+    degraded = degrade(corpus.dataset, DegradeSpec(drop_rate=0.2, seed=1))
+    assert not degraded.masks_matrix()[:, -5:].all()
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_csv(degraded, src)
+    assert run(["impute", "--input", str(src), "--output", str(out), "--T", "120"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 245
+    assert all(cell.strip() for row in rows for cell in row)
 
 
 def test_input_file_never_mutated(tmp_path, sample_csv):
@@ -183,6 +201,13 @@ def test_predict_writes_steps(tmp_path, sample_csv):
     assert len(preds) == 120 - 30
     timing = json.loads((tmp_path / "preds.csv.timing.json").read_text())
     assert timing["steps"] == 90
+
+
+def test_predict_defaults_to_the_benchmark_streaming_window(tmp_path, sample_csv):
+    out = tmp_path / "preds.csv"
+    assert run(["predict", "--input", str(sample_csv), "--output", str(out)]) == 0
+    config = json.loads((tmp_path / "preds.csv.report.json").read_text())["config"]
+    assert (config["L"], config["T"]) == (PREDICT_CFG.L, PREDICT_CFG.T)
 
 
 def test_predict_channel_subset(tmp_path, sample_csv):

@@ -119,6 +119,14 @@ def test_records_handed_out_are_views_and_constructor_copies():
         a.values[0] = 9.0
 
 
+def test_records_compare_by_identity():
+    # a record holds arrays, so field-wise equality and hashing are undefined
+    ds = Dataset((make_series([1.0, 2.0], cid="a"),))
+    a, b = ds.channel("a"), ds.channel("a")
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_dataset_requires_shared_timebase():
     a = make_series([1.0, 2.0], cid="a")
     b = ChannelSeries("b", ChannelKind.GENERIC, np.array([0.0, 2.0]), np.zeros(2), np.ones(2, bool))
@@ -152,7 +160,7 @@ def test_dataset_from_channels_equals_array_form():
     masks = rng.random((3, 50)) > 0.3
     values[~masks] = np.nan
     ids = ("c0", "c1", "c2")
-    kinds = (ChannelKind.VOLTAGE_MAGNITUDE, ChannelKind.GENERIC, ChannelKind.FREQUENCY)
+    kinds = (ChannelKind.VOLTAGE_ANGLE, ChannelKind.GENERIC, ChannelKind.VOLTAGE_ANGLE)
     chans = tuple(ChannelSeries(*row) for row in zip(ids, kinds, [t] * 3, values, masks))
     for rate in (0.0, 25.0):
         a = Dataset(chans, rate)
@@ -447,14 +455,14 @@ def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("va,time,f\n10,0,60.0\n11,1,60.1\n")
     schema = CsvSchema(timestamp="time", kinds={"va": ChannelKind.VOLTAGE_ANGLE,
-                                                "f": ChannelKind.FREQUENCY})
+                                                "f": ChannelKind.GENERIC})
     ds = ingest_csv(p, schema)
     assert ds.ids == ("va", "f")
     assert list(ds.timestamps) == [0.0, 1.0]
     assert list(ds.channel("va").values) == [10.0, 11.0]
     assert list(ds.channel("f").values) == [60.0, 60.1]
     assert ds.channel("va").kind is ChannelKind.VOLTAGE_ANGLE
-    assert ds.channel("f").kind is ChannelKind.FREQUENCY
+    assert ds.channel("f").kind is ChannelKind.GENERIC
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +555,13 @@ def test_unwrap_matches_oracle_randomized():
 
 def _pmu_dataset():
     t = np.arange(6, dtype=float)
-    mag = ChannelSeries("vm", ChannelKind.VOLTAGE_MAGNITUDE, t,
+    mag = ChannelSeries("vm", ChannelKind.GENERIC, t,
                         np.full(6, 345.0), np.ones(6, bool))
     ang_ref = ChannelSeries("ref", ChannelKind.VOLTAGE_ANGLE, t,
                             np.array([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]), np.ones(6, bool))
     ang = ChannelSeries("va", ChannelKind.VOLTAGE_ANGLE, t,
                         np.array([5.0, 15.0, 25.0, 35.0, 45.0, 55.0]), np.ones(6, bool))
-    freq = ChannelSeries("f", ChannelKind.FREQUENCY, t,
+    freq = ChannelSeries("f", ChannelKind.GENERIC, t,
                          np.array([60.05, 60.0, 59.95, 60.0, 60.05, 60.0]), np.ones(6, bool))
     return Dataset((mag, ang_ref, ang, freq))
 
@@ -596,7 +604,7 @@ def test_scale_round_trip_within_1e12():
         rec = back.channel(cid).values
         denom = np.maximum(np.abs(orig), 1.0)
         assert (np.abs(rec - orig) / denom).max() < 1e-12
-    # the magnitude and frequency channels pass through both ways untouched
+    # the non-angle channels pass through both ways untouched
     for cid in ("vm", "f"):
         assert np.array_equal(scaled.channel(cid).values, ds.channel(cid).values)
         assert np.array_equal(back.channel(cid).values, ds.channel(cid).values)

@@ -141,7 +141,7 @@ def test_impute_exact_recovery_noiseless():
     for i in range(rows.shape[0]):
         rel = np.linalg.norm(rv[i] - rows[i]) / np.linalg.norm(rows[i])
         assert rel < 1e-6
-    assert report.trimmed_tail == 0
+    assert set(report.to_dict()) == {"config", "kept_rank"}
     assert len(report.kept_rank) == 1
 
 
@@ -197,16 +197,29 @@ def test_impute_stuck_channel_leaves_other_channels_alone():
     assert np.abs(rec.values_matrix()[-1] - 60.0).max() <= 1e-12
 
 
-def test_impute_tail_passthrough():
-    # length = T + L + 3: one full window, one short window, 3-sample tail
-    cfg = RecoveryConfig(L=10, T=60)
+@pytest.mark.parametrize("overwrite", [True, False])
+@pytest.mark.parametrize("variant", ["page", "hankel"])
+def test_impute_tail_gets_a_full_window_ending_at_the_record_end(variant, overwrite):
+    # length = T + L + 3: one window at 0, then one over the last T samples
+    # that writes only the 13 samples the first left out
+    cfg = RecoveryConfig(L=10, T=60, variant=MatrixVariant(variant),
+                         overwrite_observed=overwrite)
     corpus = benchmark_corpus(n_channels=3, n_samples=60 + 10 + 3, seed=4)
-    rec, report = impute_offline(corpus.dataset, cfg)
-    assert report.trimmed_tail == 3
-    assert len(rec) == len(corpus.dataset)
+    degraded = degrade(corpus.dataset, DegradeSpec(drop_rate=0.3, seed=2))
+    assert not degraded.masks_matrix()[:, -13:].all()
+    rec, report = impute_offline(degraded, cfg)
+    assert len(rec) == len(degraded)
+    assert rec.masks_matrix().all()
+    assert np.isfinite(rec.values_matrix()).all()
     assert len(report.kept_rank) == 2
-    tail = corpus.dataset.values_matrix()[:, -3:]
-    assert np.array_equal(rec.values_matrix()[:, -3:], tail)
+    last = Dataset.from_arrays(
+        degraded.timestamps[-60:], degraded.values_matrix()[:, -60:],
+        degraded.masks_matrix()[:, -60:], degraded.ids,
+    )
+    alone, alone_report = impute_offline(last, cfg)
+    assert report.kept_rank[-1] == alone_report.kept_rank[0]
+    got, want = rec.values_matrix()[:, -13:], alone.values_matrix()[:, -13:]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_impute_rejects_short_dataset():
