@@ -6,12 +6,14 @@ undo the block normalization. Every window has length T: windows start at
 0, T, 2T, ..., and a remainder after the last of them is covered by one more
 window over the record's last T samples.
 
-Online: denoise the trailing window the same way, regress the last matrix
-row on the other rows (no intercept), then apply the coefficients to the
-rows shifted down by one sample. The last column of each channel block of
-that product is the channel's next-sample prediction. The regression runs in
-the normalized domain, which makes predictions equivariant to constant
-shifts of the data.
+Online: denoise the trailing window the same way, regress the last row of
+the estimate on the other rows (no intercept), then apply the coefficients
+to the rows shifted down by one sample. The last column of each channel
+block of that product is the channel's next-sample prediction. The
+regression has a closed form in the estimate's kept singular vectors (the
+linear recurrence formula of SSA forecasting), so it reads them off the
+threshold kernel and a window costs one SVD. It runs in the normalized
+domain, which makes predictions equivariant to constant shifts of the data.
 
 One array-level engine serves every caller: it takes a stack of B windows
 (B, N, W) and treats each on its own, so a window's result does not depend
@@ -33,7 +35,7 @@ from .errors import AllMissingChannel, ConfigError, NumericError, ShapeError
 from .matrices import MatrixVariant, antidiagonal_means, hankel_entries, page_entries
 # the engine calls osvt_batch; osvt_estimate stays bound here because
 # perfbench's tracer wraps it at this module's attribute
-from .svt import osvt_batch, osvt_estimate  # noqa: F401
+from .svt import OsvtBatch, osvt_batch, osvt_estimate  # noqa: F401
 
 __all__ = [
     "RecoveryConfig",
@@ -82,8 +84,10 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class ForecastModel:
-    """Least-squares coefficients expressing the last matrix row as a
-    combination of the first L-1 rows."""
+    """Minimum-norm least-squares coefficients expressing the last row of a
+    window's estimate as a combination of its first L-1 rows, and the
+    residual norm of that fit. Both are computed from the estimate's kept
+    singular vectors and values, without a second factorization."""
 
     beta: np.ndarray
     residual_norm: float
@@ -128,16 +132,16 @@ def _denoise(
     cfg: RecoveryConfig,
     ids: Sequence[str],
     starts: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[OsvtBatch, np.ndarray, np.ndarray]:
     """Fill, normalize, stack and threshold each (N, W) window of a stack.
 
     masks None means fully observed. starts[b] is the sample at which window
     b begins in the caller's record and ids the channel ids; both only name
     the culprit when a window channel has no observed sample or a non-finite
-    observed one. Returns the denoised stacked matrices (B, L, N*cols) in
-    the per-channel normalized domain, the per-channel scales mid and half
-    (B, N, 1) mapping that domain back (value = normalized * half + mid),
-    and the kept ranks (B,).
+    observed one. Returns the kernel's record of the stacked (B, L, N*cols)
+    matrices, whose estimate is in the per-channel normalized domain, and
+    the per-channel scales mid and half (B, N, 1) mapping that domain back
+    (value = normalized * half + mid).
     """
     if masks is None:
         filled = values
@@ -171,8 +175,7 @@ def _denoise(
     blocks = make(norm, cfg.L)  # (B, N, L, cols)
     # channel blocks side by side: row r of window b is blocks[b, :, r] flattened
     stacked = blocks.transpose(0, 2, 1, 3).reshape(len(norm), cfg.L, -1)
-    out = osvt_batch(stacked)
-    return out.estimate, mid, half, out.kept_rank
+    return osvt_batch(stacked), mid, half
 
 
 def _unstack(
@@ -192,18 +195,42 @@ def _unstack(
 _EPS = np.finfo(float).eps
 
 
-def _fit(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm least-squares coefficients (B, L-1) expressing the last
-    row of each (L, n) matrix through its first L-1 rows, and the residual
-    norms (B,). Singular values at or below lstsq's default cutoff,
-    eps * max(n, L-1) * s_max, count as zero."""
-    G, H = entries[:, :-1], entries[:, -1:]
-    U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    cutoff = _EPS * max(G.shape[1:]) * s[:, :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    beta = (U @ (inv[..., None] * (Vt @ H.swapaxes(1, 2))))[..., 0]
-    r = (beta[:, None, :] @ G - H)[:, 0]
-    return beta, np.sqrt((r * r).sum(axis=-1))  # np.linalg.norm's sum, minus its checks
+def _lrf(U: np.ndarray, s: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forecast coefficients (B, L-1) and residual norms (B,) of each
+    estimate D = U_k S_k V_k^T, read from its kept singular triples: U
+    (B, L, r) and s (B, r) as osvt_batch returns them, k = kept.
+
+    The coefficients are the minimum-norm least-squares fit of D's last row
+    through its first L-1 rows. V_k^T has orthonormal rows, so that fit
+    minimizes |(beta P - u) S_k| with P = U_k[:-1] and u = U_k[-1], and with
+    nu^2 = |u|^2 it has two closed forms:
+    - nu^2 < 1: beta = P u / (1 - nu^2), the linear recurrence formula of
+      SSA forecasting, with zero residual;
+    - nu^2 = 1, always when k = L and otherwise only when the last row is
+      decoupled from the others: beta = -P w / (u . w), w_i = u_i / s_i^2,
+      with residual 1 / sqrt(u . w).
+    For a square U, 1 - nu^2 is the sum of the squared dropped entries of
+    U's last row, which stays accurate when it is small; a tall U lacks
+    those columns, so there it is a subtraction. At or below L eps it counts
+    as zero; a recurrence there would have coefficients of (L eps)^(-1/2)
+    or more. A zero estimate (s_1 = 0) keeps no triple here, so u = 0 and
+    beta = 0.
+    """
+    L, r = U.shape[1:]
+    keep = (np.arange(r) < kept[:, None]) & (s > 0)
+    last = U[:, -1]
+    u = last * keep
+    if r == L:
+        dropped = last - u
+        gap = (dropped * dropped).sum(axis=-1)
+    else:
+        gap = 1.0 - (u * u).sum(axis=-1)
+    decoupled = gap <= L * _EPS
+    w = u / np.where(keep, s * s, 1.0)
+    den = np.where(decoupled, (u * w).sum(axis=-1), gap)
+    a = np.where(decoupled[:, None], -w, u)
+    beta = (U[:, :-1] @ a[..., None])[..., 0] / den[:, None]
+    return beta, np.where(decoupled, 1.0 / np.sqrt(den), 0.0)
 
 
 def _forecast(
@@ -243,13 +270,13 @@ def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
         start = min(done, n - cfg.T)
         stop = start + cfg.T
         w_values, w_masks = values[None, :, start:stop], masks[None, :, start:stop]
-        entries, mid, half, ranks = _denoise(w_values, w_masks, cfg, data.ids, (start,))
-        denoised = _unstack(entries, mid, half, cfg)[0]
+        osvt, mid, half = _denoise(w_values, w_masks, cfg, data.ids, (start,))
+        denoised = _unstack(osvt.estimate, mid, half, cfg)[0]
         if not cfg.overwrite_observed:
             obs = w_masks[0]
             denoised[obs] = w_values[0][obs]
         out[:, done:stop] = denoised[:, done - start:]
-        report.kept_rank.append(int(ranks[0]))
+        report.kept_rank.append(int(osvt.kept_rank[0]))
         report.step_seconds.append(time.perf_counter() - t0)
     return data.with_values(out, np.ones(out.shape, dtype=bool)), report
 
@@ -281,11 +308,11 @@ def predict_next(
     if len(window) != cfg.T:
         raise ShapeError(f"window length {len(window)} != configured T={cfg.T}")
     ids = window.ids
-    entries, mid, half, _ = _denoise(
+    osvt, mid, half = _denoise(
         window.values_matrix()[None], window.masks_matrix()[None], cfg, ids, (0,)
     )
-    beta, residual = _fit(entries)
-    preds = _forecast(entries, beta, mid, half)[0]
+    beta, residual = _lrf(osvt.U, osvt.singular_values, osvt.kept_rank)
+    preds = _forecast(osvt.estimate, beta, mid, half)[0]
     model = ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
     return dict(zip(ids, preds)), model
 
@@ -319,15 +346,16 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
         t0 = time.perf_counter()
         stop = min(j0 + chunk, steps)
         part, j = slice(j0, stop), np.arange(j0, stop)
-        entries, mid, half, ranks = _denoise(
+        osvt, mid, half = _denoise(
             windows[part],
             None if window_masks is None else window_masks[part],
             cfg, data.ids, j,
         )
-        preds[:, part] = _forecast(entries, _fit(entries)[0], mid, half).T
+        beta = _lrf(osvt.U, osvt.singular_values, osvt.kept_rank)[0]
+        preds[:, part] = _forecast(osvt.estimate, beta, mid, half).T
         elapsed = time.perf_counter() - t0
         report.step_seconds.extend([elapsed / len(j)] * len(j))
-        report.kept_rank.extend(ranks.tolist())
+        report.kept_rank.extend(osvt.kept_rank.tolist())
 
     preds = Dataset.from_arrays(
         data.timestamps[cfg.T:], preds, np.ones(preds.shape, dtype=bool),

@@ -16,7 +16,7 @@ the reconstruction back to the original range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,13 +65,18 @@ class OsvtOutcome:
 
 @dataclass(frozen=True)
 class OsvtBatch:
-    """Results of thresholding a stack of equally shaped matrices: each
-    field holds one entry per matrix along the leading axis and means what
-    the same OsvtOutcome field means; threshold is shared."""
+    """Results of thresholding a stack of equally shaped (m, n) matrices:
+    each field holds one entry per matrix along the leading axis and means
+    what the same OsvtOutcome field means; threshold is shared. U holds each
+    matrix's left singular vectors in the caller's orientation, one column
+    per singular value, so that estimate = U[:, :k] s[:k] V_k^T with
+    k = kept_rank: the forecast fit needs no second SVD. The right factors
+    are not kept."""
 
     estimate: np.ndarray  # (B, m, n)
     kept_rank: np.ndarray  # (B,)
     singular_values: np.ndarray  # (B, min(m, n))
+    U: np.ndarray  # (B, m, min(m, n))
     threshold: float
     fallback_rank1: np.ndarray  # (B,)
 
@@ -89,12 +94,12 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 3:
         raise NumericError(f"expected a (B, m, n) stack, got shape {Y.shape}")
-    m, n = Y.shape[1:]
-    if m > n:
-        out = osvt_batch(Y.swapaxes(1, 2))
-        return replace(out, estimate=out.estimate.swapaxes(1, 2))
-
-    threshold = optimal_threshold(m, n)
+    # a tall stack is thresholded as its transpose, whose right singular
+    # vectors are the caller's left ones
+    tall = Y.shape[1] > Y.shape[2]
+    if tall:
+        Y = Y.swapaxes(1, 2)
+    threshold = optimal_threshold(*Y.shape[1:])
     try:
         U, s, Vt = np.linalg.svd(Y, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -108,10 +113,13 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     for k in sorted(set(kept.tolist())):
         sel = kept == k
         estimate[sel] = (U[sel, :, :k] * s[sel, None, :k]) @ Vt[sel, :k]
+    if tall:
+        estimate, U = estimate.swapaxes(1, 2), Vt.swapaxes(1, 2)
     return OsvtBatch(
         estimate=estimate,
         kept_rank=kept,
         singular_values=s,
+        U=U,
         threshold=threshold,
         fallback_rank1=fallback,
     )

@@ -18,12 +18,14 @@ from pagerec import (
     degrade,
     impute_offline,
     locf_baseline,
+    locf_fill,
     mape,
     predict_next,
     predict_stream,
 )
 from pagerec.matrices import page_entries
-from pagerec.recovery import _chunk_steps, _fit
+from pagerec.recovery import _chunk_steps, _lrf
+from pagerec.svt import osvt_batch
 
 
 def lrf_oracle(n, coeffs, init):
@@ -98,9 +100,19 @@ def test_config_bounds():
 # ---------------------------------------------------------------------------
 
 def fit_one(m):
-    """_fit on one matrix: its coefficients (L-1,) and residual norm."""
-    beta, residual = _fit(m[None])
+    """_lrf on one matrix's exact SVD factors and its rank (at least one, as
+    the kernel keeps): its coefficients (L-1,) and residual norm."""
+    U, s, _ = np.linalg.svd(m, full_matrices=False)
+    k = max(np.linalg.matrix_rank(m), 1)
+    beta, residual = _lrf(U[None], s[None], np.array([k]))
     return beta[0], float(residual[0])
+
+
+def pinv_fit(m):
+    """Oracle: the minimum-norm least-squares fit of the last row through the
+    others, and its residual norm."""
+    beta = np.linalg.pinv(m[:-1].T) @ m[-1]
+    return beta, float(np.linalg.norm(beta @ m[:-1] - m[-1]))
 
 
 def test_forecast_constant_matrix_minimum_norm():
@@ -128,6 +140,51 @@ def test_forecast_l2_closed_form():
     g, h = m[0], m[1]
     beta, _ = fit_one(m)
     assert beta[0] == pytest.approx(np.dot(g, h) / np.dot(g, g))
+
+
+def test_forecast_decoupled_last_row_minimum_norm():
+    # rank 3 < L = 5, and the last row is orthogonal to the others and a
+    # singular direction of its own: |u| = 1, so nothing predicts it
+    rng = np.random.default_rng(5)
+    V = np.linalg.qr(rng.standard_normal((12, 3)))[0]
+    top = np.outer(rng.standard_normal(4), V[:, 0]) + np.outer(rng.standard_normal(4), V[:, 1])
+    m = np.vstack([top, 2.5 * V[:, 2]])
+    assert np.linalg.matrix_rank(m) == 3
+    beta, residual = fit_one(m)
+    beta_oracle, residual_oracle = pinv_fit(m)
+    assert np.allclose(beta, beta_oracle, atol=1e-12)
+    assert residual == pytest.approx(residual_oracle, rel=1e-12)
+    assert residual == pytest.approx(2.5, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_forecast_zero_estimate_has_zero_coefficients():
+    # a window of constant channels scales to the all-zero matrix; the
+    # kernel keeps one (zero) triple
+    m = np.zeros((5, 30))
+    beta, residual = fit_one(m)
+    assert not beta.any()
+    assert residual == 0.0
+    assert np.array_equal(beta, pinv_fit(m)[0])
+
+
+def test_forecast_nearly_decoupled_last_row():
+    # 1 - |u|^2 = 1e-8: the recurrence holds exactly, with |beta| ~ 1e4
+    rng = np.random.default_rng(9)
+    L, k, n = 5, 3, 30
+    x = np.concatenate([rng.standard_normal(k), rng.standard_normal(L - k)])
+    x[:k] *= np.sqrt(1 - 1e-8) / np.linalg.norm(x[:k])
+    x[k:] *= np.sqrt(1e-8) / np.linalg.norm(x[k:])
+    Q = np.linalg.qr(np.column_stack([x, rng.standard_normal((L, L - 1))]))[0]
+    U = np.roll(Q.T, -1, axis=0)  # orthogonal, with last row +-x
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    m = (U[:, :k] * [3.0, 2.0, 1.0]) @ V.T
+    beta, residual = fit_one(m)
+    beta_oracle, _ = pinv_fit(m)
+    assert np.abs(beta).max() > 1e3
+    # a 1 - |u|^2 found by subtraction would be off by ~eps/1e-8 relative
+    assert np.allclose(beta, beta_oracle, rtol=1e-9, atol=0)
+    assert residual == 0.0  # the recurrence reproduces the last row
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +314,26 @@ def test_predict_lrf_window_exact():
     for i, cid in enumerate(ds.ids):
         assert abs(preds[cid] - rows[i, 30]) < 1e-6
     assert len(model.beta) == 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_predict_next_tall_window_matches_lstsq_on_its_estimate(seed):
+    # one channel at L=10, T=60 stacks a 10 x 6 page matrix, which the
+    # kernel thresholds as its transpose
+    cfg = RecoveryConfig(L=10, T=60)
+    corpus = benchmark_corpus(n_channels=1, n_samples=60, seed=seed)
+    data = degrade(corpus.dataset, DegradeSpec(drop_rate=0.3, noise_rate=0.02, seed=seed),
+                   noise_base=corpus.steady_median)
+    preds, model = predict_next(data, cfg)
+    row = locf_fill(data.values_matrix()[0], data.masks_matrix()[0])
+    mid, half = 0.5 * (row.min() + row.max()), 0.5 * (row.max() - row.min())
+    D = osvt_batch(page_entries((row - mid) / half, cfg.L)[None]).estimate[0]
+    assert D.shape == (10, 6)
+    beta = np.linalg.lstsq(D[:-1].T, D[-1], rcond=None)[0]
+    assert np.allclose(model.beta, beta, rtol=1e-9, atol=1e-12)
+    residual = np.linalg.norm(beta @ D[:-1] - D[-1])
+    assert model.residual_norm == pytest.approx(residual, abs=1e-9)
+    assert preds["ch00"] == pytest.approx((beta @ D[1:, -1]) * half + mid, rel=1e-12)
 
 
 def test_predict_shift_invariance():

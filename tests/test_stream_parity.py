@@ -2,10 +2,11 @@
 
 step_loop is predict_stream as it ran before batching: one window at a time,
 built from the public pieces (locf_fill, page_entries/hankel_entries,
-osvt_estimate) with the forecast fitted by np.linalg.lstsq. The batched
-replay fits with its own minimum-norm solve (same cutoff as lstsq), so the
-two differ only where a regression is rank deficient and gelsd and gesdd
-round differently: 1e-8 bounds that, and kept ranks must match exactly.
+osvt_estimate) with the forecast fitted by np.linalg.lstsq on the estimate.
+The batched replay reads its forecast coefficients in closed form off the
+kept singular vectors of the threshold kernel's own SVD, so the two differ
+by rounding, which an ill-conditioned window amplifies: 1e-8 bounds that,
+and kept ranks must match exactly.
 """
 
 import numpy as np
@@ -72,7 +73,7 @@ def stream(drop, stuck=False):
     return data
 
 
-@pytest.mark.parametrize("drop", [0.0, 0.3])
+@pytest.mark.parametrize("drop", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
 def test_stream_matches_step_loop(variant, drop):
     cfg = RecoveryConfig(L=5, T=30, variant=variant)

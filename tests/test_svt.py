@@ -249,7 +249,7 @@ def test_batch_matrix_results_equal_single_matrix_results_bitwise(tall):
     for i in range(len(X)):
         alone = osvt_batch(X[i:i + 1])
         assert alone.threshold == out.threshold
-        for name in ("estimate", "kept_rank", "singular_values", "fallback_rank1"):
+        for name in ("estimate", "kept_rank", "singular_values", "U", "fallback_rank1"):
             a, b = getattr(alone, name)[0], getattr(out, name)[i]
             assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
             assert a.tobytes() == b.tobytes(), (i, name)
