@@ -206,13 +206,13 @@ def _cmd_rank(args) -> int:
     cfg = RecoveryConfig(L=args.L, T=args.T, variant=args.variant)
     out = _output_path(args, ".ranks.csv")
     data, _ = _load_input(args)
-    ranks = impute_offline(data, cfg)[1].kept_rank
+    report = impute_offline(data, cfg)[1]
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "start_sample", "rank"])
-        for i, r in enumerate(ranks):
-            writer.writerow([i, min(i * cfg.T, len(data) - cfg.T), r])
-    print(f"profiled {len(ranks)} windows -> {out}")
+        for i, row in enumerate(zip(report.start_sample, report.kept_rank)):
+            writer.writerow([i, *row])
+    print(f"profiled {len(report.kept_rank)} windows -> {out}")
     return 0
 
 

@@ -44,12 +44,12 @@ def page_entries(window: np.ndarray, L: int) -> np.ndarray:
 
 
 def hankel_entries(window: np.ndarray, L: int) -> np.ndarray:
-    """L x (T-L+1) array with entry (i, j) = window[i + j]. Leading axes of
-    window hold a stack of windows, giving a (..., L, T-L+1) stack."""
+    """L x (T-L+1) read-only view with entry (i, j) = window[i + j]. Leading
+    axes of window hold a stack of windows, giving a (..., L, T-L+1) stack."""
     w = _check_window(window, L)
     if w.shape[-1] < L:
         raise ShapeError(f"window length {w.shape[-1]} shorter than L={L}")
-    return sliding_window_view(w, L, axis=-1).swapaxes(-1, -2).copy()
+    return sliding_window_view(w, L, axis=-1).swapaxes(-1, -2)
 
 
 def antidiagonal_means(block: np.ndarray, length: int) -> np.ndarray:

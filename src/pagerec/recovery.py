@@ -17,14 +17,15 @@ domain, which makes predictions equivariant to constant shifts of the data.
 
 One array-level engine serves every caller: it takes a stack of B windows
 (B, N, W) and treats each on its own, so a window's result does not depend
-on the batch it came in. A stream replay knows every window in advance and
-feeds them in chunks; single windows go through it with B = 1.
+on the batch it came in. Impute and a stream replay feed it chunks of a
+record's windows through one driver, so both time their windows per chunk
+(amortised); predict_next feeds it one window, B = 1.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,15 +99,16 @@ class RecoveryReport:
     """Bookkeeping for one recovery run.
 
     kept_rank has one entry per processed window (offline) or per step
-    (online); step_seconds the matching wall times. A stream replay computes
-    its steps in chunks, so each stream step's time is its chunk's wall time
-    divided by the chunk's step count (amortised, not a single-step
-    latency; time predict_next for that). to_dict() holds the deterministic
-    part (config, kept_rank); the wall times stay out of it.
+    (online), start_sample the window's first sample in the record, and
+    step_seconds the matching wall times. Windows run in chunks, so each
+    time is its chunk's wall time divided by the chunk's window count
+    (amortised, not a single-window latency; time predict_next for that).
+    to_dict() holds the deterministic part (config, kept_rank).
     """
 
     config: dict
     kept_rank: list[int] = field(default_factory=list)
+    start_sample: list[int] = field(default_factory=list)
     step_seconds: list[float] = field(default_factory=list)
 
     @property
@@ -128,32 +130,29 @@ class RecoveryReport:
 
 def _denoise(
     values: np.ndarray,
-    masks: np.ndarray | None,
+    masks: np.ndarray,
     cfg: RecoveryConfig,
     ids: Sequence[str],
     starts: Sequence[int],
 ) -> tuple[OsvtBatch, np.ndarray, np.ndarray]:
     """Fill, normalize, stack and threshold each (N, W) window of a stack.
 
-    masks None means fully observed. starts[b] is the sample at which window
-    b begins in the caller's record and ids the channel ids; both only name
-    the culprit when a window channel has no observed sample or a non-finite
-    observed one. Returns the kernel's record of the stacked (B, L, N*cols)
-    matrices, whose estimate is in the per-channel normalized domain, and
-    the per-channel scales mid and half (B, N, 1) mapping that domain back
-    (value = normalized * half + mid).
+    starts[b] is the sample at which window b begins in the caller's record
+    and ids the channel ids; both only name the culprit when a window
+    channel has no observed sample or a non-finite observed one. Returns
+    the kernel's record of the stacked (B, L, N*cols) matrices, whose
+    estimate is in the per-channel normalized domain, and the per-channel
+    scales mid and half (B, N, 1) mapping that domain back (value =
+    normalized * half + mid).
     """
-    if masks is None:
-        filled = values
-    else:
-        try:
-            filled = locf_fill(values, masks)
-        except AllMissingChannel:
-            b, i = np.argwhere(~masks.any(axis=-1))[0]
-            raise AllMissingChannel(
-                f"channel {ids[i]!r} has no observed sample in the window "
-                f"starting at sample {starts[b]}"
-            ) from None
+    try:
+        filled = locf_fill(values, masks)
+    except AllMissingChannel:
+        b, i = np.argwhere(~masks.any(axis=-1))[0]
+        raise AllMissingChannel(
+            f"channel {ids[i]!r} has no observed sample in the window "
+            f"starting at sample {starts[b]}"
+        ) from None
     # the fill holds observed samples only, and a NaN or infinite one shows
     # in its row's lo or hi
     lo = filled.min(axis=-1, keepdims=True)
@@ -190,6 +189,45 @@ def _unstack(
     else:
         w = antidiagonal_means(blocks, cfg.L + blocks.shape[-1] - 1)
     return w * half + mid
+
+
+# Stacked-matrix cells (windows x L x columns) per engine call: enough
+# windows to spread each call's fixed cost, few enough that a chunk's arrays
+# stay some hundred kB. A window over the budget runs alone.
+_CHUNK_CELLS = 1 << 15
+
+
+def _chunk_steps(cfg: RecoveryConfig, n_channels: int) -> int:
+    """Windows per engine call under the _CHUNK_CELLS budget."""
+    cols = cfg.T // cfg.L if cfg.variant is MatrixVariant.PAGE else cfg.T - cfg.L + 1
+    return max(1, _CHUNK_CELLS // (cfg.L * n_channels * cols))
+
+
+def _windows(
+    data: Dataset, cfg: RecoveryConfig, starts: np.ndarray, report: RecoveryReport
+) -> Iterator[tuple[np.ndarray, OsvtBatch, np.ndarray, np.ndarray]]:
+    """Run the engine on the length-T windows of data that begin at starts,
+    in chunks under the _CHUNK_CELLS budget. Yields each chunk's starts and
+    _denoise's results for its windows. Once the caller is done with a
+    chunk, report gets its starts, kept ranks and wall time (the caller's
+    work included) divided by its window count.
+    """
+    # values[j] is the record's [:, j:j+T], a view; masks[j] likewise
+    values, masks = (sliding_window_view(a, cfg.T, axis=1).transpose(1, 0, 2)
+                     for a in (data.values_matrix(), data.masks_matrix()))
+    chunk = _chunk_steps(cfg, len(data.ids))
+    for b0 in range(0, len(starts), chunk):
+        t0 = time.perf_counter()
+        part = starts[b0:b0 + chunk]
+        # evenly spaced starts index as a slice, which takes views
+        step = part[1] - part[0] if len(part) > 1 else 1
+        at = slice(part[0], part[-1] + 1, step) if (np.diff(part) == step).all() else part
+        osvt, mid, half = _denoise(values[at], masks[at], cfg, data.ids, part)
+        yield part, osvt, mid, half
+        elapsed = time.perf_counter() - t0
+        report.start_sample.extend(part.tolist())
+        report.kept_rank.extend(osvt.kept_rank.tolist())
+        report.step_seconds.extend([elapsed / len(part)] * len(part))
 
 
 _EPS = np.finfo(float).eps
@@ -254,48 +292,30 @@ def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     remain after the last of them, one more window [n-T, n) runs and writes
     only the samples that no earlier window covered. Every sample gets an
     estimate, so the result is fully observed (observed samples are restored
-    when overwrite_observed is False). The report's kept_rank lists each
-    window's kept rank in that order.
+    when overwrite_observed is False). The report's kept_rank and
+    start_sample list each window's kept rank and first sample in that order.
     """
     n = len(data)
     if n < cfg.T:
         raise ShapeError(f"dataset length {n} is shorter than the window T={cfg.T}")
-    values = data.values_matrix()
-    masks = data.masks_matrix()
+    starts = np.arange(0, n, cfg.T)
+    starts[-1] = min(starts[-1], n - cfg.T)
 
-    out = values.copy()
+    out = np.empty((len(data.ids), n))
     report = RecoveryReport(config=cfg.echo())
-    for done in range(0, n, cfg.T):
-        t0 = time.perf_counter()
-        start = min(done, n - cfg.T)
-        stop = start + cfg.T
-        w_values, w_masks = values[None, :, start:stop], masks[None, :, start:stop]
-        osvt, mid, half = _denoise(w_values, w_masks, cfg, data.ids, (start,))
-        denoised = _unstack(osvt.estimate, mid, half, cfg)[0]
-        if not cfg.overwrite_observed:
-            obs = w_masks[0]
-            denoised[obs] = w_values[0][obs]
-        out[:, done:stop] = denoised[:, done - start:]
-        report.kept_rank.append(int(osvt.kept_rank[0]))
-        report.step_seconds.append(time.perf_counter() - t0)
+    written = 0
+    for part, osvt, mid, half in _windows(data, cfg, starts, report):
+        for start, window in zip(part, _unstack(osvt.estimate, mid, half, cfg)):
+            out[:, written:start + cfg.T] = window[:, written - start:]
+            written = start + cfg.T
+    if not cfg.overwrite_observed:
+        np.copyto(out, data.values_matrix(), where=data.masks_matrix())
     return data.with_values(out, np.ones(out.shape, dtype=bool)), report
 
 
 # ---------------------------------------------------------------------------
 # Online prediction
 # ---------------------------------------------------------------------------
-
-# Stacked-matrix cells (windows x L x columns) per engine call in a stream
-# replay: enough windows to spread each call's fixed cost, few enough that a
-# chunk's arrays stay some hundred kB.
-_CHUNK_CELLS = 1 << 15
-
-
-def _chunk_steps(cfg: RecoveryConfig, n_channels: int) -> int:
-    """Stream steps per engine call under the _CHUNK_CELLS budget."""
-    cols = cfg.T // cfg.L if cfg.variant is MatrixVariant.PAGE else cfg.T - cfg.L + 1
-    return max(1, _CHUNK_CELLS // (cfg.L * n_channels * cols))
-
 
 def predict_next(
     window: Dataset, cfg: RecoveryConfig
@@ -330,33 +350,12 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     steps = n - cfg.T
     if steps < 1:
         raise ShapeError(f"dataset length {n} must exceed the window T={cfg.T}")
-    values = data.values_matrix()
-    masks = data.masks_matrix()
-    # windows[j] is the record's [:, j:j+T], a view
-    windows = sliding_window_view(values, cfg.T, axis=1).transpose(1, 0, 2)
-    window_masks = None
-    if not masks.all():
-        window_masks = sliding_window_view(masks, cfg.T, axis=1).transpose(1, 0, 2)
-    N = values.shape[0]
-    chunk = _chunk_steps(cfg, N)
-
-    preds = np.empty((N, steps))
+    preds = np.empty((len(data.ids), steps))
     report = RecoveryReport(config=cfg.echo())
-    for j0 in range(0, steps, chunk):
-        t0 = time.perf_counter()
-        stop = min(j0 + chunk, steps)
-        part, j = slice(j0, stop), np.arange(j0, stop)
-        osvt, mid, half = _denoise(
-            windows[part],
-            None if window_masks is None else window_masks[part],
-            cfg, data.ids, j,
-        )
+    # step j's window starts at sample j
+    for j, osvt, mid, half in _windows(data, cfg, np.arange(steps), report):
         beta = _lrf(osvt.U, osvt.singular_values, osvt.kept_rank)[0]
-        preds[:, part] = _forecast(osvt.estimate, beta, mid, half).T
-        elapsed = time.perf_counter() - t0
-        report.step_seconds.extend([elapsed / len(j)] * len(j))
-        report.kept_rank.extend(osvt.kept_rank.tolist())
-
+        preds[:, j] = _forecast(osvt.estimate, beta, mid, half).T
     preds = Dataset.from_arrays(
         data.timestamps[cfg.T:], preds, np.ones(preds.shape, dtype=bool),
         data.ids, data.kinds, data.rate_fps,

@@ -277,6 +277,13 @@ def test_impute_tail_gets_a_full_window_ending_at_the_record_end(variant, overwr
     assert report.kept_rank[-1] == alone_report.kept_rank[0]
     got, want = rec.values_matrix()[:, -13:], alone.values_matrix()[:, -13:]
     assert got.tobytes() == want.tobytes()
+    # the tail window leaves the samples of the first window alone
+    first = Dataset.from_arrays(
+        degraded.timestamps[:60], degraded.values_matrix()[:, :60],
+        degraded.masks_matrix()[:, :60], degraded.ids,
+    )
+    got, want = rec.values_matrix()[:, :60], impute_offline(first, cfg)[0].values_matrix()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_impute_rejects_short_dataset():
@@ -369,10 +376,10 @@ def test_stream_outage_names_channel_and_window():
         predict_stream(data, cfg)
 
 
-def data_with_sample(value, channel=2, at=420):
+def data_with_sample(value, channel=2, at=420, n_samples=600):
     """A fully observed 3-channel record whose sample `at` of one channel is
     replaced by value, still marked observed."""
-    corpus = benchmark_corpus(n_channels=3, n_samples=600, seed=8)
+    corpus = benchmark_corpus(n_channels=3, n_samples=n_samples, seed=8)
     values = corpus.dataset.values_matrix().copy()
     values[channel, at] = value
     return corpus.dataset.with_values(values)
@@ -398,12 +405,16 @@ def test_stream_nonfinite_observed_sample_names_channel_and_window(bad):
 @pytest.mark.filterwarnings("error")
 @NONFINITE
 def test_impute_nonfinite_observed_sample_names_channel_and_window(bad):
-    with pytest.raises(
-        NumericError,
-        match=r"^channel 'ch02' has a non-finite observed sample in the window "
-        r"starting at sample 300$",
-    ):
-        impute_offline(data_with_sample(bad), RecoveryConfig(L=10, T=300))
+    # sample 420 of 600 lies in the window [300, 600); sample 620 of 650
+    # only in the tail window [350, 650)
+    for n, at, start in ((600, 420, 300), (650, 620, 350)):
+        with pytest.raises(
+            NumericError,
+            match=r"^channel 'ch02' has a non-finite observed sample in the "
+            rf"window starting at sample {start}$",
+        ):
+            impute_offline(data_with_sample(bad, at=at, n_samples=n),
+                           RecoveryConfig(L=10, T=300))
 
 
 @pytest.mark.filterwarnings("error")
@@ -444,6 +455,7 @@ def test_stream_alignment_and_metadata():
     assert np.array_equal(preds.timestamps, corpus.dataset.timestamps[30:])
     assert preds.ids == corpus.dataset.ids
     assert len(report.step_seconds) == 20
+    assert report.start_sample == list(range(20))
 
 
 def test_stream_requires_length_beyond_window():

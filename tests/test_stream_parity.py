@@ -99,18 +99,21 @@ def test_stream_with_stuck_channel_matches_step_loop(variant):
 
 @pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
 def test_predict_next_equals_stream_at_every_step(variant):
+    # the same engine on the same window: equal to the last bit, also on a
+    # fully observed stream
     cfg = RecoveryConfig(L=5, T=30, variant=variant)
-    data = stream(0.3)
-    preds = predict_stream(data, cfg)[0].values_matrix()
-    t, values, masks = data.timestamps, data.values_matrix(), data.masks_matrix()
-    for j in range(STEPS):
-        w = slice(j, j + cfg.T)
-        window = Dataset(
-            tuple(
-                ChannelSeries(c.channel_id, c.kind, t[w], values[i, w], masks[i, w])
-                for i, c in enumerate(data.channels)
-            ),
-            data.rate_fps,
-        )
-        out, _ = predict_next(window, cfg)
-        assert np.abs(np.array([out[c] for c in data.ids]) - preds[:, j]).max() <= 1e-12
+    for drop in (0.0, 0.3):
+        data = stream(drop)
+        preds = predict_stream(data, cfg)[0].values_matrix()
+        t, values, masks = data.timestamps, data.values_matrix(), data.masks_matrix()
+        for j in range(STEPS):
+            w = slice(j, j + cfg.T)
+            window = Dataset(
+                tuple(
+                    ChannelSeries(c.channel_id, c.kind, t[w], values[i, w], masks[i, w])
+                    for i, c in enumerate(data.channels)
+                ),
+                data.rate_fps,
+            )
+            out, _ = predict_next(window, cfg)
+            assert np.array_equal([out[c] for c in data.ids], preds[:, j])
