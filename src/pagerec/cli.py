@@ -20,6 +20,7 @@ import sys
 from .core import CsvSchema, ingest_csv, write_csv
 from .errors import ConfigError, PagerecError
 from .harness import (
+    IMPUTE_CFG,
     PREDICT_CFG,
     Scenario,
     benchmark_corpus,
@@ -89,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
 
     p = sub.add_parser("bench", help="scenario benchmark on a synthetic corpus")
-    common(p, L=10, T=240, with_input=False, default_output="bench.report.json")
+    common(p, L=IMPUTE_CFG.L, T=IMPUTE_CFG.T, with_input=False,
+           default_output="bench.report.json")
     p.add_argument("--variant", type=_variant_list, default=[MatrixVariant.PAGE])
     p.add_argument("--drop", type=_float_list, default=[0.1, 0.3, 0.5],
                    help="comma list of drop rates")

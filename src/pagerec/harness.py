@@ -225,7 +225,8 @@ def degrade(
 
     noise_base overrides the per-channel noise scale; by default it is the
     median absolute value of the channel's observed samples. A rate outside
-    its range, an unknown target channel or a negative seed is a
+    its range, an unknown target channel, a target channel missing from a
+    given noise_base (when noise is added) or a negative seed is a
     ConfigError.
     """
     _check_rates(spec.drop_rate, spec.noise_rate)
@@ -234,6 +235,10 @@ def degrade(
     unknown = targets - set(data.ids)
     if unknown:
         raise ConfigError(f"unknown target channels: {sorted(unknown)}")
+    if spec.noise_rate and noise_base is not None:
+        unscaled = [cid for cid in data.ids if cid in targets and cid not in noise_base]
+        if unscaled:
+            raise ConfigError(f"noise_base has no entry for channels {unscaled}")
 
     rng = np.random.default_rng(spec.seed)
     n = len(data)
@@ -350,6 +355,9 @@ def _per_channel_median(rows: list[dict[str, float]]) -> dict[str, float]:
 # the streaming window of the benchmark's predict task and of `pagerec
 # predict`'s defaults
 PREDICT_CFG = RecoveryConfig(L=5, T=30)
+# the impute window of the benchmark when none is given and of `pagerec
+# bench`'s defaults; it fits the default 1200-sample corpus
+IMPUTE_CFG = RecoveryConfig(L=10, T=240)
 
 
 def run_benchmark(
@@ -364,13 +372,13 @@ def run_benchmark(
 
     Per scenario and repetition the corpus is degraded with a derived seed,
     recovered, and scored per channel against the truth (median over
-    repetitions). The impute task runs impute_offline with impute_cfg, the
-    predict task predict_stream with PREDICT_CFG; both take the scenario's
-    variant. The LOCF fill of the degraded input and the one-step
-    persistence forecast serve as baselines. Scenario failures are isolated
-    into the result's error field; an empty grid, fewer than one repetition,
-    a rate outside its range or a negative master seed is a ConfigError
-    before anything runs.
+    repetitions). The impute task runs impute_offline with impute_cfg
+    (IMPUTE_CFG when None), the predict task predict_stream with
+    PREDICT_CFG; both take the scenario's variant. The LOCF fill of the
+    degraded input and the one-step persistence forecast serve as
+    baselines. Scenario failures are isolated into the result's error
+    field; an empty grid, fewer than one repetition, a rate outside its
+    range or a negative master seed is a ConfigError before anything runs.
     """
     tasks, scenarios = tuple(tasks), tuple(scenarios)
     unknown = set(tasks) - {"impute", "predict"}
@@ -401,7 +409,7 @@ def run_benchmark(
                 )
                 degraded = degrade(truth.dataset, dspec, noise_base=truth.steady_median)
                 if "impute" in tasks:
-                    cfg = replace(impute_cfg or RecoveryConfig(), variant=scenario.variant)
+                    cfg = replace(impute_cfg or IMPUTE_CFG, variant=scenario.variant)
                     recovered, _ = impute_offline(degraded, cfg)
                     rec_vals = recovered.values_matrix()
                     base_vals = locf_baseline(degraded).values_matrix()

@@ -12,8 +12,10 @@ to the rows shifted down by one sample. The last column of each channel
 block of that product is the channel's next-sample prediction. The
 regression has a closed form in the estimate's kept singular vectors (the
 linear recurrence formula of SSA forecasting), so it reads them off the
-threshold kernel and a window costs one SVD. It runs in the normalized
-domain, which makes predictions equivariant to constant shifts of the data.
+threshold kernel and a window costs one SVD. Of the estimate itself only
+the entries the prediction reads are built: rows 1..L-1 of each block's
+last column. It runs in the normalized domain, which makes predictions
+equivariant to constant shifts of the data.
 
 One array-level engine serves every caller: it takes a stack of B windows
 (B, N, W) and treats each on its own, so a window's result does not depend
@@ -55,7 +57,9 @@ class RecoveryConfig:
     Defaults suit offline imputation of long archives; streaming
     prediction wants a short window and a small L, for example
     harness.PREDICT_CFG. Every prediction learns its forecast
-    coefficients from its own window.
+    coefficients from its own window. L and T must be integers (numpy
+    integers too) and variant a MatrixVariant; anything else is a
+    ConfigError naming the value.
     """
 
     L: int = 10
@@ -64,6 +68,12 @@ class RecoveryConfig:
     overwrite_observed: bool = True
 
     def __post_init__(self):
+        for name in ("L", "T"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.variant, MatrixVariant):
+            raise ConfigError(f"variant must be a MatrixVariant, got {self.variant!r}")
         if self.L < 2:
             raise ConfigError(f"L must be at least 2, got {self.L}")
         if self.T < self.L:
@@ -141,7 +151,7 @@ def _denoise(
     and ids the channel ids; both only name the culprit when a window
     channel has no observed sample or a non-finite observed one. Returns
     the kernel's record of the stacked (B, L, N*cols) matrices, whose
-    estimate is in the per-channel normalized domain, and the per-channel
+    factors are in the per-channel normalized domain, and the per-channel
     scales mid and half (B, N, 1) mapping that domain back (value =
     normalized * half + mid).
     """
@@ -233,10 +243,11 @@ def _windows(
 _EPS = np.finfo(float).eps
 
 
-def _lrf(U: np.ndarray, s: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lrf(U: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forecast coefficients (B, L-1) and residual norms (B,) of each
-    estimate D = U_k S_k V_k^T, read from its kept singular triples: U
-    (B, L, r) and s (B, r) as osvt_batch returns them, k = kept.
+    estimate D = U_k S_k V_k^T, read from U (B, L, r) and the kept weights
+    (B, r) as osvt_batch returns them: the kept triples are those with a
+    positive weight, and S_k holds their weights.
 
     The coefficients are the minimum-norm least-squares fit of D's last row
     through its first L-1 rows. V_k^T has orthonormal rows, so that fit
@@ -251,11 +262,11 @@ def _lrf(U: np.ndarray, s: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np
     U's last row, which stays accurate when it is small; a tall U lacks
     those columns, so there it is a subtraction. At or below L eps it counts
     as zero; a recurrence there would have coefficients of (L eps)^(-1/2)
-    or more. A zero estimate (s_1 = 0) keeps no triple here, so u = 0 and
+    or more. A zero estimate (s_1 = 0) has no positive weight, so u = 0 and
     beta = 0.
     """
     L, r = U.shape[1:]
-    keep = (np.arange(r) < kept[:, None]) & (s > 0)
+    keep = weights > 0
     last = U[:, -1]
     u = last * keep
     if r == L:
@@ -264,7 +275,7 @@ def _lrf(U: np.ndarray, s: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np
     else:
         gap = 1.0 - (u * u).sum(axis=-1)
     decoupled = gap <= L * _EPS
-    w = u / np.where(keep, s * s, 1.0)
+    w = u / np.where(keep, weights * weights, 1.0)
     den = np.where(decoupled, (u * w).sum(axis=-1), gap)
     a = np.where(decoupled[:, None], -w, u)
     beta = (U[:, :-1] @ a[..., None])[..., 0] / den[:, None]
@@ -272,13 +283,18 @@ def _lrf(U: np.ndarray, s: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _forecast(
-    entries: np.ndarray, beta: np.ndarray, mid: np.ndarray, half: np.ndarray
-) -> np.ndarray:
-    """Next-sample predictions (B, N): each window's coefficients applied to
-    its rows shifted one sample forward, at the last column of each block."""
-    cols = entries.shape[-1] // mid.shape[1]
-    last = entries[:, 1:, cols - 1::cols]  # (B, L-1, N)
-    return (beta[:, None, :] @ last)[:, 0] * half[..., 0] + mid[..., 0]
+    osvt: OsvtBatch, mid: np.ndarray, half: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Next-sample predictions (B, N) of the windows _denoise returned, with
+    their forecast coefficients (B, L-1) and residual norms (B,) from _lrf.
+    Each window's coefficients apply to its rows shifted one sample forward
+    at the last column of each channel block; only those (L-1) x N entries
+    of the estimate are built."""
+    beta, residual = _lrf(osvt.U, osvt.weights)
+    cols = osvt.Vt.shape[-1] // mid.shape[1]
+    last = osvt.estimate(slice(1, None), slice(cols - 1, None, cols))  # (B, L-1, N)
+    preds = (beta[:, None, :] @ last)[:, 0] * half[..., 0] + mid[..., 0]
+    return preds, beta, residual
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +321,7 @@ def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     report = RecoveryReport(config=cfg.echo())
     written = 0
     for part, osvt, mid, half in _windows(data, cfg, starts, report):
-        for start, window in zip(part, _unstack(osvt.estimate, mid, half, cfg)):
+        for start, window in zip(part, _unstack(osvt.estimate(), mid, half, cfg)):
             out[:, written:start + cfg.T] = window[:, written - start:]
             written = start + cfg.T
     if not cfg.overwrite_observed:
@@ -331,10 +347,9 @@ def predict_next(
     osvt, mid, half = _denoise(
         window.values_matrix()[None], window.masks_matrix()[None], cfg, ids, (0,)
     )
-    beta, residual = _lrf(osvt.U, osvt.singular_values, osvt.kept_rank)
-    preds = _forecast(osvt.estimate, beta, mid, half)[0]
+    preds, beta, residual = _forecast(osvt, mid, half)
     model = ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
-    return dict(zip(ids, preds)), model
+    return dict(zip(ids, preds[0])), model
 
 
 def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, RecoveryReport]:
@@ -354,8 +369,7 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     report = RecoveryReport(config=cfg.echo())
     # step j's window starts at sample j
     for j, osvt, mid, half in _windows(data, cfg, np.arange(steps), report):
-        beta = _lrf(osvt.U, osvt.singular_values, osvt.kept_rank)[0]
-        preds[:, j] = _forecast(osvt.estimate, beta, mid, half).T
+        preds[:, j] = _forecast(osvt, mid, half)[0].T
     preds = Dataset.from_arrays(
         data.timestamps[cfg.T:], preds, np.ones(preds.shape, dtype=bool),
         data.ids, data.kinds, data.rate_fps,

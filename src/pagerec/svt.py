@@ -7,8 +7,11 @@ required; the full spectrum is reported so callers can audit what was kept.
 
 osvt_batch is the bare kernel: it thresholds a stack of equally shaped
 matrices in one batched SVD and expects the caller to have scaled them
-(the window engine scales each channel block on its own). osvt_estimate is
-the one-matrix estimator and the only place here that scales: it maps the
+(the window engine scales each channel block on its own). It reconstructs
+nothing. It hands back each matrix's singular factors and the kept
+weights, the spectrum with every value past the kept rank set to zero, so
+each reader builds only the entries it reads. osvt_estimate is the
+one-matrix estimator and the only place here that scales: it maps the
 whole matrix affinely onto [-1, 1], thresholds it with osvt_batch and maps
 the reconstruction back to the original range.
 """
@@ -67,18 +70,29 @@ class OsvtOutcome:
 class OsvtBatch:
     """Results of thresholding a stack of equally shaped (m, n) matrices:
     each field holds one entry per matrix along the leading axis and means
-    what the same OsvtOutcome field means; threshold is shared. U holds each
-    matrix's left singular vectors in the caller's orientation, one column
-    per singular value, so that estimate = U[:, :k] s[:k] V_k^T with
-    k = kept_rank: the forecast fit needs no second SVD. The right factors
-    are not kept."""
+    what the same OsvtOutcome field means; threshold is shared.
 
-    estimate: np.ndarray  # (B, m, n)
+    U and Vt hold each matrix's singular vectors in the caller's
+    orientation, one column of U and one row of Vt per singular value.
+    weights is singular_values with every value past kept_rank set to zero,
+    the one statement of the kept set: the estimate is U diag(weights) Vt,
+    and a reader that needs only some of its entries builds only those
+    through estimate(rows, columns). The forecast fit reads U and weights
+    and needs no second SVD.
+    """
+
     kept_rank: np.ndarray  # (B,)
-    singular_values: np.ndarray  # (B, min(m, n))
-    U: np.ndarray  # (B, m, min(m, n))
+    singular_values: np.ndarray  # (B, r), r = min(m, n)
+    weights: np.ndarray  # (B, r)
+    U: np.ndarray  # (B, m, r)
+    Vt: np.ndarray  # (B, r, n)
     threshold: float
     fallback_rank1: np.ndarray  # (B,)
+
+    def estimate(self, rows=slice(None), columns=slice(None)) -> np.ndarray:
+        """The thresholded matrices' entries at rows and columns (any numpy
+        index along that axis), shape (B, rows, columns)."""
+        return (self.U[:, rows] * self.weights[:, None, :]) @ self.Vt[..., columns]
 
 
 def osvt_batch(Y: np.ndarray) -> OsvtBatch:
@@ -86,10 +100,11 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
 
     Precondition: the caller has scaled every matrix, so that its entries
     are finite and lie in [-1, 1]; the cutoff is calibrated for that range,
-    and nothing here rescales or checks the entries. Each matrix's result
-    depends on that matrix alone, bit for bit, not on the others in the
-    stack: reconstructions are computed per kept rank from exactly the kept
-    singular triples.
+    and nothing here rescales or checks the entries. Each matrix keeps its
+    singular triples above the cutoff, or its top triple when none is
+    above; the result holds the factors and kept weights, not the
+    reconstruction. Each matrix's result depends on that matrix alone, bit
+    for bit, not on the others in the stack.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 3:
@@ -109,17 +124,15 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     kept = (s > threshold).sum(axis=1)
     fallback = kept == 0
     kept = np.maximum(kept, 1)
-    estimate = np.empty_like(Y)
-    for k in sorted(set(kept.tolist())):
-        sel = kept == k
-        estimate[sel] = (U[sel, :, :k] * s[sel, None, :k]) @ Vt[sel, :k]
+    weights = np.where(np.arange(s.shape[1]) < kept[:, None], s, 0.0)
     if tall:
-        estimate, U = estimate.swapaxes(1, 2), Vt.swapaxes(1, 2)
+        U, Vt = Vt.swapaxes(1, 2), U.swapaxes(1, 2)
     return OsvtBatch(
-        estimate=estimate,
         kept_rank=kept,
         singular_values=s,
+        weights=weights,
         U=U,
+        Vt=Vt,
         threshold=threshold,
         fallback_rank1=fallback,
     )
@@ -147,7 +160,7 @@ def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
     mid, half = (0.0, 1.0) if constant else (0.5 * (a + b), 0.5 * (b - a))
     out = osvt_batch(((X - mid) / half)[None])
     return OsvtOutcome(
-        estimate=X.copy() if constant else out.estimate[0] * half + mid,
+        estimate=X.copy() if constant else out.estimate()[0] * half + mid,
         kept_rank=int(out.kept_rank[0]),
         singular_values=out.singular_values[0],
         threshold=out.threshold,

@@ -161,6 +161,19 @@ def test_locf_baseline_names_channel_with_no_observed_sample():
     assert np.isfinite(filled.values_matrix()).all()
 
 
+def test_degrade_names_a_channel_missing_from_noise_base():
+    corpus = benchmark_corpus(n_channels=2, n_samples=40, seed=1)
+    with pytest.raises(ConfigError, match=r"^noise_base has no entry for channels \['ch00', 'ch01'\]$"):
+        degrade(corpus.dataset, DegradeSpec(noise_rate=0.1), noise_base={})
+    with pytest.raises(ConfigError, match=r"\['ch01'\]$"):
+        degrade(corpus.dataset, DegradeSpec(noise_rate=0.1), noise_base={"ch00": 1.0})
+    # a channel that gets no noise needs no entry
+    out = degrade(corpus.dataset, DegradeSpec(noise_rate=0.1, target_channels=("ch00",)),
+                  noise_base={"ch00": 1.0})
+    assert np.array_equal(out.values_matrix()[1], corpus.dataset.values_matrix()[1])
+    degrade(corpus.dataset, DegradeSpec(drop_rate=0.1), noise_base={})
+
+
 def test_degrade_validates_rates():
     corpus = benchmark_corpus(n_channels=2, n_samples=40, seed=1)
     with pytest.raises(ConfigError):
@@ -294,6 +307,12 @@ def test_benchmark_monotone_in_drop_rate():
     assert medians[0] <= medians[1] <= medians[2]
     for r in results:
         assert set(r.impute_mape) == set(truth.dataset.ids)
+
+
+def test_benchmark_default_impute_window_fits_the_default_corpus():
+    results = run_benchmark(benchmark_corpus(), [Scenario(0.1)], repetitions=1)
+    assert results[0].error is None
+    assert set(results[0].impute_mape) == set(benchmark_corpus().dataset.ids)
 
 
 def test_benchmark_isolates_scenario_failures():

@@ -1,5 +1,7 @@
 """Offline imputation, forecast regression and streaming prediction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,16 +97,37 @@ def test_config_bounds():
         RecoveryConfig(L=40, T=30)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    # a variant's name is not a variant: T=31 would pass as a hankel window
+    (dict(L=5, T=30, variant="page"), "variant must be a MatrixVariant, got 'page'"),
+    (dict(L=5, T=31, variant="page"), "variant must be a MatrixVariant, got 'page'"),
+    (dict(L=5, T=30, variant=None), "variant must be a MatrixVariant, got None"),
+    (dict(L=5.0, T=60), "L must be an integer, got 5.0"),
+    (dict(L=5, T=60.0), "T must be an integer, got 60.0"),
+    (dict(L="5", T=60), "L must be an integer, got '5'"),
+])
+def test_config_rejects_a_variant_or_window_of_the_wrong_type(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RecoveryConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = RecoveryConfig(L=np.int64(5), T=np.int32(30))
+    assert (cfg.L, cfg.T) == (5, 30)
+
+
 # ---------------------------------------------------------------------------
 # the engine's forecast fit
 # ---------------------------------------------------------------------------
 
 def fit_one(m):
-    """_lrf on one matrix's exact SVD factors and its rank (at least one, as
-    the kernel keeps): its coefficients (L-1,) and residual norm."""
+    """_lrf on one matrix's exact SVD factors, its spectrum weighted as the
+    kernel weights it at the matrix's rank (at least one, as the kernel
+    keeps): its coefficients (L-1,) and residual norm."""
     U, s, _ = np.linalg.svd(m, full_matrices=False)
     k = max(np.linalg.matrix_rank(m), 1)
-    beta, residual = _lrf(U[None], s[None], np.array([k]))
+    weights = np.where(np.arange(len(s)) < k, s, 0.0)
+    beta, residual = _lrf(U[None], weights[None])
     return beta[0], float(residual[0])
 
 
@@ -334,7 +357,7 @@ def test_predict_next_tall_window_matches_lstsq_on_its_estimate(seed):
     preds, model = predict_next(data, cfg)
     row = locf_fill(data.values_matrix()[0], data.masks_matrix()[0])
     mid, half = 0.5 * (row.min() + row.max()), 0.5 * (row.max() - row.min())
-    D = osvt_batch(page_entries((row - mid) / half, cfg.L)[None]).estimate[0]
+    D = osvt_batch(page_entries((row - mid) / half, cfg.L)[None]).estimate()[0]
     assert D.shape == (10, 6)
     beta = np.linalg.lstsq(D[:-1].T, D[-1], rcond=None)[0]
     assert np.allclose(model.beta, beta, rtol=1e-9, atol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from pagerec import NumericError, optimal_threshold, osvt_estimate
 from pagerec.svt import osvt_batch
-from pagerec.matrices import page_entries
+from pagerec.matrices import hankel_entries, page_entries
 
 
 def threshold_oracle(zeta_str: str) -> float:
@@ -245,14 +245,18 @@ def test_batch_matrix_results_equal_single_matrix_results_bitwise(tall):
     out = osvt_batch(X)
     assert out.kept_rank.tolist() == [1, 2, 3, 2, 1, 3, 1, 1]
     assert out.fallback_rank1.tolist() == [False] * 6 + [True, True]
-    assert not out.estimate[6].any()
+    estimate = out.estimate()
+    assert not estimate[6].any()
     for i in range(len(X)):
         alone = osvt_batch(X[i:i + 1])
         assert alone.threshold == out.threshold
-        for name in ("estimate", "kept_rank", "singular_values", "U", "fallback_rank1"):
+        for name in ("kept_rank", "singular_values", "weights", "U", "Vt", "fallback_rank1"):
             a, b = getattr(alone, name)[0], getattr(out, name)[i]
             assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
             assert a.tobytes() == b.tobytes(), (i, name)
+        a, b = alone.estimate()[0], estimate[i]
+        assert a.shape == b.shape == X.shape[1:], i
+        assert a.tobytes() == b.tobytes(), i
 
 
 @pytest.mark.parametrize("tall", [False, True])
@@ -270,7 +274,52 @@ def test_batch_thresholds_its_input_as_given(tall):
     assert np.allclose(out.singular_values[0], s, rtol=1e-13, atol=0)
     k = int((s > out.threshold).sum())
     assert k == out.kept_rank[0] == 2
-    assert np.allclose(out.estimate[0], (U[:, :k] * s[:k]) @ Vt[:k], rtol=0, atol=1e-14)
+    assert np.allclose(out.estimate()[0], (U[:, :k] * s[:k]) @ Vt[:k], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_batch_weights_are_the_spectrum_up_to_the_kept_rank(tall):
+    # the fallback (spikes) and all-zero matrices keep one triple too; the
+    # zero matrix's kept value is zero, so none of its weights is positive
+    X = mixed_stack()
+    if tall:
+        X = X.swapaxes(1, 2).copy()
+    out = osvt_batch(X)
+    for i, k in enumerate(out.kept_rank):
+        s, w = out.singular_values[i], out.weights[i]
+        assert np.array_equal(w[:k], s[:k]), i
+        assert not w[k:].any(), i
+    assert not out.weights[6].any()
+    assert (out.weights[7] > 0).tolist() == [True] + [False] * 4
+
+
+@pytest.mark.parametrize("variant", ["page", "hankel"])
+def test_batch_estimate_entries_equal_the_slice_of_the_whole_estimate(variant):
+    # a chunk of stream windows as the engine stacks them: 6 channels at
+    # L=5, T=30, blocks of cols columns side by side; the forecast reads
+    # rows 1.. of each block's last column
+    rng = np.random.default_rng(23)
+    L, T, N = 5, 30, 6
+    t = np.arange(T + 181) / 60.0
+    rows = np.sin(2 * np.pi * rng.uniform(2, 9, (N, 1)) * t + rng.uniform(0, 6, (N, 1)))
+    rows += 0.05 * rng.standard_normal(rows.shape)
+    windows = np.lib.stride_tricks.sliding_window_view(rows, T, axis=1).transpose(1, 0, 2)
+    make = page_entries if variant == "page" else hankel_entries
+    blocks = np.stack([np.stack([make(to_unit(w), L) for w in win]) for win in windows])
+    cols = blocks.shape[-1]
+    stacked = blocks.transpose(0, 2, 1, 3).reshape(len(blocks), L, N * cols)
+    out = osvt_batch(stacked)
+    whole = out.estimate()
+    for rows_at, columns_at in [
+        (slice(1, None), slice(cols - 1, None, cols)),
+        (slice(None), slice(cols - 1, None, cols)),
+        (slice(1, None), slice(None)),
+        (slice(2, 4), slice(3, 3 * cols)),
+    ]:
+        part = out.estimate(rows_at, columns_at)
+        expect = whole[:, rows_at, columns_at]
+        assert part.shape == expect.shape
+        assert part.tobytes() == np.ascontiguousarray(expect).tobytes(), (rows_at, columns_at)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
