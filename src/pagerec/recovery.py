@@ -12,10 +12,12 @@ to the rows shifted down by one sample. The last column of each channel
 block of that product is the channel's next-sample prediction. The
 regression has a closed form in the estimate's kept singular vectors (the
 linear recurrence formula of SSA forecasting), so it reads them off the
-threshold kernel and a window costs one SVD. Of the estimate itself only
-the entries the prediction reads are built: rows 1..L-1 of each block's
-last column. It runs in the normalized domain, which makes predictions
-equivariant to constant shifts of the data.
+threshold kernel and a window costs one thresholded SVD (on either of
+osvt_batch's routes, which give the same spectrum and left vectors to
+rounding). Of the estimate itself only the entries the prediction reads
+are built: rows 1..L-1 of each block's last column. It runs in the
+normalized domain, which makes predictions equivariant to constant shifts
+of the data.
 
 One array-level engine serves every caller: it takes a stack of B windows
 (B, N, W) and treats each on its own, so a window's result does not depend
@@ -58,8 +60,8 @@ class RecoveryConfig:
     prediction wants a short window and a small L, for example
     harness.PREDICT_CFG. Every prediction learns its forecast
     coefficients from its own window. L and T must be integers (numpy
-    integers too) and variant a MatrixVariant; anything else is a
-    ConfigError naming the value.
+    integers too), overwrite_observed a bool (numpy bools too) and variant
+    a MatrixVariant; anything else is a ConfigError naming the value.
     """
 
     L: int = 10
@@ -72,6 +74,10 @@ class RecoveryConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.overwrite_observed, (bool, np.bool_)):
+            raise ConfigError(
+                f"overwrite_observed must be a bool, got {self.overwrite_observed!r}"
+            )
         if not isinstance(self.variant, MatrixVariant):
             raise ConfigError(f"variant must be a MatrixVariant, got {self.variant!r}")
         if self.L < 2:
@@ -89,7 +95,7 @@ class RecoveryConfig:
             "L": self.L,
             "T": self.T,
             "variant": self.variant.value,
-            "overwrite_observed": self.overwrite_observed,
+            "overwrite_observed": bool(self.overwrite_observed),
         }
 
 
@@ -260,24 +266,33 @@ def _lrf(U: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       with residual 1 / sqrt(u . w).
     For a square U, 1 - nu^2 is the sum of the squared dropped entries of
     U's last row, which stays accurate when it is small; a tall U lacks
-    those columns, so there it is a subtraction. At or below L eps it counts
-    as zero; a recurrence there would have coefficients of (L eps)^(-1/2)
-    or more. A zero estimate (s_1 = 0) has no positive weight, so u = 0 and
-    beta = 0.
+    those columns, so there it is a subtraction. A square U's rows are
+    orthonormal, so P u = -U[:-1] d with d the dropped entries of its last
+    row. The recurrence reads that form: its terms are of the size of the
+    result, where those of P u are of order one and cancel down to it.
+    At or below L eps the gap counts as zero; a recurrence there would have
+    coefficients of (L eps)^(-1/2) or more. A zero estimate (s_1 = 0) has no
+    positive weight, so u = 0 and beta = -U[:-1] U[-1]^T, zero for the
+    identity U that LAPACK returns for a zero matrix.
+
+    U may come from either of osvt_batch's SVD routes (a direct SVD of the
+    stacked matrix, or one of its triangular factor when it is wide); both
+    give an L x L orthogonal U for a matrix of at least L columns.
     """
     L, r = U.shape[1:]
     keep = weights > 0
     last = U[:, -1]
     u = last * keep
     if r == L:
-        dropped = last - u
-        gap = (dropped * dropped).sum(axis=-1)
+        recurrence = u - last  # -d
+        gap = (recurrence * recurrence).sum(axis=-1)
     else:
+        recurrence = u
         gap = 1.0 - (u * u).sum(axis=-1)
     decoupled = gap <= L * _EPS
     w = u / np.where(keep, weights * weights, 1.0)
     den = np.where(decoupled, (u * w).sum(axis=-1), gap)
-    a = np.where(decoupled[:, None], -w, u)
+    a = np.where(decoupled[:, None], -w, recurrence)
     beta = (U[:, :-1] @ a[..., None])[..., 0] / den[:, None]
     return beta, np.where(decoupled, 1.0 / np.sqrt(den), 0.0)
 

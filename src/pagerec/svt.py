@@ -10,10 +10,25 @@ matrices in one batched SVD and expects the caller to have scaled them
 (the window engine scales each channel block on its own). It reconstructs
 nothing. It hands back each matrix's singular factors and the kept
 weights, the spectrum with every value past the kept rank set to zero, so
-each reader builds only the entries it reads. osvt_estimate is the
-one-matrix estimator and the only place here that scales: it maps the
-whole matrix affinely onto [-1, 1], thresholds it with osvt_batch and maps
-the reconstruction back to the original range.
+each reader builds only the entries it reads.
+
+The SVD takes one of two routes, chosen by shape alone, so a matrix takes
+the same route in any batch. An m x n stack (m <= n once oriented) with
+n < c m, c = _WIDE_ASPECT = 24, goes to LAPACK's SVD directly. A wider one
+first takes the m x m triangular factor R of Y^T = Q R, runs the SVD on
+R^T, which has Y's singular values and left vectors, and forms
+Vt = U^T Y / s; a row of Vt whose singular value is zero is zero. Inside
+LAPACK the direct SVD of a wide matrix also forms an n-column orthogonal
+factor, where the triangular route forms only R and gets Vt from one
+matrix product; it pays instead for a second LAPACK call, some 20 us of
+fixed numpy cost per call. In per-matrix timings (one BLAS thread) the
+triangular route was 1.4-4.6x cheaper in the engine's chunks from n = 8 m
+on, and with one matrix per call it broke even near n = 12 m for m = 10
+and near n = 48 m for m = 5; c is the geometric mean of those two.
+
+osvt_estimate is the one-matrix estimator and the only place here that
+scales: it maps the whole matrix affinely onto [-1, 1], thresholds it with
+osvt_batch and maps the reconstruction back to the original range.
 """
 
 from __future__ import annotations
@@ -73,12 +88,13 @@ class OsvtBatch:
     what the same OsvtOutcome field means; threshold is shared.
 
     U and Vt hold each matrix's singular vectors in the caller's
-    orientation, one column of U and one row of Vt per singular value.
-    weights is singular_values with every value past kept_rank set to zero,
-    the one statement of the kept set: the estimate is U diag(weights) Vt,
-    and a reader that needs only some of its entries builds only those
-    through estimate(rows, columns). The forecast fit reads U and weights
-    and needs no second SVD.
+    orientation, one column of U and one row of Vt per singular value; on
+    the triangular route (see the module docstring) the row of Vt of a zero
+    singular value is zero. weights is singular_values with every value
+    past kept_rank set to zero, the one statement of the kept set: the
+    estimate is U diag(weights) Vt, and a reader that needs only some of its
+    entries builds only those through estimate(rows, columns). The forecast
+    fit reads U and weights and needs no second SVD.
     """
 
     kept_rank: np.ndarray  # (B,)
@@ -93,6 +109,30 @@ class OsvtBatch:
         """The thresholded matrices' entries at rows and columns (any numpy
         index along that axis), shape (B, rows, columns)."""
         return (self.U[:, rows] * self.weights[:, None, :]) @ self.Vt[..., columns]
+
+
+# A stack at least this many times wider than high (n >= c m once oriented)
+# takes _triangular_svd, any other _direct_svd; the module docstring gives
+# the timings behind the value.
+_WIDE_ASPECT = 24
+
+
+def _direct_svd(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD factors U (B, m, m), s (B, m), Vt (B, m, n) of a (B, m, n)
+    stack with m <= n, by one LAPACK SVD of each matrix."""
+    return np.linalg.svd(Y, full_matrices=False)
+
+
+def _triangular_svd(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors _direct_svd returns, through each matrix's m x m
+    triangular factor: Y^T = Q R gives Y = R^T Q^T, so Y has the singular
+    values and left vectors of R^T, and Vt = U^T Y / s. A row of Vt whose
+    singular value is zero is zero."""
+    R = np.linalg.qr(Y.swapaxes(1, 2), mode="r")
+    U, s, _ = np.linalg.svd(R.swapaxes(1, 2))
+    # U / s first: m x m divisions instead of m x n; 1 / inf zeroes a row
+    Vt = (U / np.where(s > 0.0, s, np.inf)[:, None, :]).swapaxes(1, 2) @ Y
+    return U, s, Vt
 
 
 def osvt_batch(Y: np.ndarray) -> OsvtBatch:
@@ -115,8 +155,9 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     if tall:
         Y = Y.swapaxes(1, 2)
     threshold = optimal_threshold(*Y.shape[1:])
+    route = _triangular_svd if Y.shape[2] >= _WIDE_ASPECT * Y.shape[1] else _direct_svd
     try:
-        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+        U, s, Vt = route(Y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
 

@@ -1,5 +1,6 @@
 """Offline imputation, forecast regression and streaming prediction."""
 
+import json
 import re
 
 import numpy as np
@@ -114,6 +115,22 @@ def test_config_rejects_a_variant_or_window_of_the_wrong_type(kwargs, message):
 def test_config_accepts_numpy_integers():
     cfg = RecoveryConfig(L=np.int64(5), T=np.int32(30))
     assert (cfg.L, cfg.T) == (5, 30)
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, 0.0])
+def test_config_rejects_an_overwrite_flag_that_is_not_a_bool(flag):
+    # a truthy "false" would overwrite observed samples and be echoed into
+    # report.json as given
+    message = f"overwrite_observed must be a bool, got {flag!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RecoveryConfig(L=5, T=30, overwrite_observed=flag)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+def test_config_accepts_python_and_numpy_bools(flag):
+    cfg = RecoveryConfig(L=5, T=30, overwrite_observed=flag)
+    echoed = json.loads(json.dumps(cfg.echo()))["overwrite_observed"]
+    assert echoed is bool(flag)
 
 
 # ---------------------------------------------------------------------------

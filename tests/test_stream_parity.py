@@ -5,8 +5,9 @@ built from the public pieces (locf_fill, page_entries/hankel_entries,
 osvt_estimate) with the forecast fitted by np.linalg.lstsq on the estimate.
 The batched replay reads its forecast coefficients in closed form off the
 kept singular vectors of the threshold kernel's own SVD, so the two differ
-by rounding, which an ill-conditioned window amplifies: 1e-8 bounds that,
-and kept ranks must match exactly.
+by rounding, which an ill-conditioned window amplifies: 2e-9 bounds that on
+the degraded streams (the worst window, at 1 - |u|^2 = 2.5e-8, is 4.2e-10
+off), and kept ranks must match exactly.
 """
 
 import numpy as np
@@ -84,7 +85,7 @@ def test_stream_matches_step_loop(variant, drop):
     expect, expect_ranks = step_loop(data, cfg)
     got, report = predict_stream(data, cfg)
     assert report.kept_rank == expect_ranks
-    assert np.abs(got.values_matrix() - expect).max() <= 1e-8
+    assert np.abs(got.values_matrix() - expect).max() <= 2e-9
 
 
 @pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])

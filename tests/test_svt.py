@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from pagerec import NumericError, optimal_threshold, osvt_estimate
+from pagerec import svt
 from pagerec.svt import osvt_batch
 from pagerec.matrices import hankel_entries, page_entries
+from pagerec.recovery import _forecast
 
 
 def threshold_oracle(zeta_str: str) -> float:
@@ -219,27 +221,42 @@ def to_unit(X):
     return (X - 0.5 * (a + b)) / (0.5 * (b - a))
 
 
-def mixed_stack():
-    """Scaled 5 x 36 matrices that keep ranks 1, 2 and 3, the all-zero
-    matrix a window of constant channels scales to, and one whose spectrum
-    lies wholly under the cutoff; the last two fall back to rank 1."""
+def mixed_stack(cols=36):
+    """5 x cols matrices that keep ranks 1, 2 and 3, the all-zero matrix a
+    window of constant channels scales to, and one whose spectrum lies
+    wholly under the cutoff; the last two fall back to rank 1. The first
+    six are scaled into [-1, 1] without a shift: to_unit's shift adds a
+    rank-one term, which at 156 columns rises above the cutoff."""
     rng = np.random.default_rng(21)
     mats = []
     for rank in (1, 2, 3, 2, 1, 3):
         u = np.linalg.qr(rng.standard_normal((5, rank)))[0]
-        v = np.linalg.qr(rng.standard_normal((36, rank)))[0]
-        signal = (u * [1.0, 0.9, 0.8][:rank]) @ v.T
-        mats.append(to_unit(signal + 1e-4 * rng.standard_normal((5, 36))))
-    mats.append(np.zeros((5, 36)))
-    spikes = np.zeros((5, 36))
+        v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+        noisy = (u * [1.0, 0.9, 0.8][:rank]) @ v.T + 1e-4 * rng.standard_normal((5, cols))
+        mats.append(noisy / np.abs(noisy).max())
+    mats.append(np.zeros((5, cols)))
+    spikes = np.zeros((5, cols))
     spikes[0, 0], spikes[0, 1], spikes[2, 7] = 1.0, 0.5, -1.0
     mats.append(spikes)
     return np.array(mats)
 
 
-@pytest.mark.parametrize("tall", [False, True])
-def test_batch_matrix_results_equal_single_matrix_results_bitwise(tall):
-    X = mixed_stack()
+def routes(rows, narrow, wide):
+    """(cols, tall) cases for an osvt_batch test of rows x cols matrices:
+    narrow columns take the direct SVD (ids False, True), wide ones the
+    triangular route, each as given and transposed."""
+    assert narrow < svt._WIDE_ASPECT * rows <= wide
+    return [
+        pytest.param(narrow, False, id="False"),
+        pytest.param(narrow, True, id="True"),
+        pytest.param(wide, False, id="triangular-False"),
+        pytest.param(wide, True, id="triangular-True"),
+    ]
+
+
+@pytest.mark.parametrize("cols, tall", routes(5, 36, 156))
+def test_batch_matrix_results_equal_single_matrix_results_bitwise(cols, tall):
+    X = mixed_stack(cols)
     if tall:
         X = X.swapaxes(1, 2).copy()
     out = osvt_batch(X)
@@ -259,13 +276,13 @@ def test_batch_matrix_results_equal_single_matrix_results_bitwise(tall):
         assert a.tobytes() == b.tobytes(), i
 
 
-@pytest.mark.parametrize("tall", [False, True])
-def test_batch_thresholds_its_input_as_given(tall):
+@pytest.mark.parametrize("cols, tall", routes(6, 40, 240))
+def test_batch_thresholds_its_input_as_given(cols, tall):
     # entries strictly inside (-1, 1): the kernel must not stretch them
     rng = np.random.default_rng(22)
     u = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-    v = np.linalg.qr(rng.standard_normal((40, 2)))[0]
-    Y = (u * [4.0, 2.5]) @ v.T + 0.01 * rng.standard_normal((6, 40))
+    v = np.linalg.qr(rng.standard_normal((cols, 2)))[0]
+    Y = (u * [4.0, 2.5]) @ v.T + 0.01 * rng.standard_normal((6, cols))
     Y *= 0.9 / np.abs(Y).max()
     if tall:
         Y = Y.T.copy()
@@ -277,11 +294,11 @@ def test_batch_thresholds_its_input_as_given(tall):
     assert np.allclose(out.estimate()[0], (U[:, :k] * s[:k]) @ Vt[:k], rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("tall", [False, True])
-def test_batch_weights_are_the_spectrum_up_to_the_kept_rank(tall):
+@pytest.mark.parametrize("cols, tall", routes(5, 36, 156))
+def test_batch_weights_are_the_spectrum_up_to_the_kept_rank(cols, tall):
     # the fallback (spikes) and all-zero matrices keep one triple too; the
     # zero matrix's kept value is zero, so none of its weights is positive
-    X = mixed_stack()
+    X = mixed_stack(cols)
     if tall:
         X = X.swapaxes(1, 2).copy()
     out = osvt_batch(X)
@@ -292,6 +309,31 @@ def test_batch_weights_are_the_spectrum_up_to_the_kept_rank(tall):
     assert not out.weights[6].any()
     assert (out.weights[7] > 0).tolist() == [True] + [False] * 4
 
+
+@pytest.mark.parametrize("cols", [36, 156])
+def test_both_routes_agree_on_the_same_stacks(cols, monkeypatch):
+    # the gate forced each way runs _direct_svd and then _triangular_svd on
+    # the same stacks; 6 channel blocks of cols / 6 columns for the forecast
+    X = mixed_stack(cols)
+    mid, half = np.zeros((len(X), 6, 1)), np.ones((len(X), 6, 1))
+    results = []
+    for gate in (math.inf, 0.0):
+        monkeypatch.setattr(svt, "_WIDE_ASPECT", gate)
+        out = osvt_batch(X)
+        results.append((out, _forecast(out, mid, half)))
+    (direct, (d_preds, d_beta, d_res)), (tri, (t_preds, t_beta, t_res)) = results
+    assert direct.kept_rank.tolist() == tri.kept_rank.tolist() == [1, 2, 3, 2, 1, 3, 1, 1]
+    s = direct.singular_values
+    assert np.abs(tri.singular_values - s).max() <= 1e-13 * s.max()
+    for a, b in ((direct.estimate(), tri.estimate()), (d_preds, t_preds),
+                 (d_beta, t_beta), (d_res, t_res)):
+        assert np.isfinite(b).all()
+        assert np.abs(a - b).max() <= 1e-12
+    # the zero matrix: one kept triple of weight zero, a zero estimate and
+    # zero right vectors on the triangular route, where Vt = U^T Y / s
+    assert tri.kept_rank[6] == 1 and tri.weights[6, 0] == 0.0
+    assert not tri.Vt[6].any() and not tri.estimate()[6].any()
+    assert not t_beta[6].any()
 
 @pytest.mark.parametrize("variant", ["page", "hankel"])
 def test_batch_estimate_entries_equal_the_slice_of_the_whole_estimate(variant):
