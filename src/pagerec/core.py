@@ -14,6 +14,7 @@ import csv
 import enum
 import io
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -128,10 +129,10 @@ class Dataset:
         )
         # after _store has checked the first time base, so that a non-finite
         # shared one is reported as such, not as unshared (NaN != NaN)
-        shared = (np.array([c.timestamps for c in chans], dtype=float)
-                  == self.timestamps).all(axis=1)
-        if not shared.all():
-            raise ShapeError(f"channel {chans[shared.argmin()].channel_id!r} "
+        times = np.array([c.timestamps for c in chans], dtype=float)
+        if not (times == self.timestamps).all():
+            bad = (times != self.timestamps).any(axis=1).argmax()
+            raise ShapeError(f"channel {chans[bad].channel_id!r} "
                              "does not share the common time base")
 
     @classmethod
@@ -416,13 +417,22 @@ def locf_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Array-level LOCF along the last axis: masked-out entries take the last
     observed value, leading gaps take the first observed value. Extra
     leading axes are filled row by row, as a stack of windows."""
-    if not mask.any(axis=-1).all():
+    W = values.shape[-1]
+    if not W:
+        raise AllMissingChannel("cannot fill a channel with no observed sample")
+    # the (rows, W) views; a stack of windows that is not contiguous is copied
+    rows = math.prod(values.shape[:-1])
+    v, m = values.reshape(rows, W), mask.reshape(rows, W)
+    # argmax gives a row's first observed index, or 0 for a row with none
+    row = np.arange(rows)[:, None]
+    first = m.argmax(axis=-1)[:, None]
+    if not m[row, first].all():
         raise AllMissingChannel("cannot fill a channel with no observed sample")
     # a gap takes the latest observed index before it, a leading gap the
     # first observed index
-    first = mask.argmax(axis=-1)[..., None]
-    idx = np.where(mask, np.arange(values.shape[-1]), first)
-    return np.take_along_axis(values, np.maximum.accumulate(idx, axis=-1), axis=-1)
+    idx = np.where(m, np.arange(W), first)
+    np.maximum.accumulate(idx, axis=-1, out=idx)
+    return v[row, idx].reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------

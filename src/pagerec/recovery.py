@@ -119,7 +119,8 @@ class RecoveryReport:
     step_seconds the matching wall times. Windows run in chunks, so each
     time is its chunk's wall time divided by the chunk's window count
     (amortised, not a single-window latency; time predict_next for that).
-    to_dict() holds the deterministic part (config, kept_rank).
+    to_dict() holds the deterministic part (config, kept_rank,
+    start_sample).
     """
 
     config: dict
@@ -137,6 +138,7 @@ class RecoveryReport:
         return {
             "config": dict(self.config),
             "kept_rank": list(self.kept_rank),
+            "start_sample": list(self.start_sample),
         }
 
 
@@ -169,22 +171,27 @@ def _denoise(
             f"channel {ids[i]!r} has no observed sample in the window "
             f"starting at sample {starts[b]}"
         ) from None
-    # the fill holds observed samples only, and a NaN or infinite one shows
-    # in its row's lo or hi
-    lo = filled.min(axis=-1, keepdims=True)
-    hi = filled.max(axis=-1, keepdims=True)
-    finite = np.isfinite(lo) & np.isfinite(hi)
+    # each row maps onto [-1, 1] on its own, so the stack needs no second
+    # scale. The row's min and max are halved first: mid and half then stay
+    # finite for any finite row (0.5 (hi - lo) overflows at hi = -lo =
+    # 1e308), and away from subnormals they equal 0.5 (lo + hi) and
+    # 0.5 (hi - lo) bit for bit
+    lo = 0.5 * filled.min(axis=-1, keepdims=True)
+    hi = 0.5 * filled.max(axis=-1, keepdims=True)
+    mid = lo + hi
+    # the fill holds observed samples only, and a NaN or infinite one makes
+    # its row's mid NaN or infinite
+    finite = np.isfinite(mid)
     if not finite.all():
         b, i, _ = np.argwhere(~finite)[0]
         raise NumericError(
             f"channel {ids[i]!r} has a non-finite observed sample in the "
             f"window starting at sample {starts[b]}"
         )
-    # each row maps onto [-1, 1] on its own, so the stack needs no second
-    # scale; a constant row is centred on its value and maps to zeros
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    half[lo == hi] = 1.0
+    # a constant row maps to zeros; one whose half-range rounds to zero
+    # (samples 0 and 5e-324) keeps its subnormal offsets from mid
+    half = hi - lo
+    half[half == 0.0] = 1.0
     norm = (filled - mid) / half
     make = page_entries if cfg.variant is MatrixVariant.PAGE else hankel_entries
     blocks = make(norm, cfg.L)  # (B, N, L, cols)
@@ -290,6 +297,8 @@ def _lrf(U: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         recurrence = u
         gap = 1.0 - (u * u).sum(axis=-1)
     decoupled = gap <= L * _EPS
+    if not decoupled.any():
+        return (U[:, :-1] @ recurrence[..., None])[..., 0] / gap[:, None], np.zeros(len(gap))
     w = u / np.where(keep, weights * weights, 1.0)
     den = np.where(decoupled, (u * w).sum(axis=-1), gap)
     a = np.where(decoupled[:, None], -w, recurrence)

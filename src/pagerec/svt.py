@@ -68,8 +68,9 @@ class OsvtOutcome:
     estimate has the input's shape; singular_values is the full spectrum of
     the scaled matrix; kept_rank counts the values above threshold (at least
     one: an empty kept set falls back to the top singular triple, flagged by
-    fallback_rank1). constant_input marks the degenerate a == b case where
-    the input is returned unchanged.
+    fallback_rank1). constant_input marks the degenerate case where the
+    input is returned unchanged: a == b, or a half-range (b - a) / 2 that
+    rounds to zero, as for entries 0 and 5e-324.
     """
 
     estimate: np.ndarray
@@ -183,8 +184,9 @@ def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
     """Denoise X by optimal hard thresholding of its scaled spectrum.
 
     X is mapped affinely onto [-1, 1], min to -1 and max to 1, thresholded
-    by osvt_batch and mapped back. A constant matrix is returned unchanged,
-    flagged by constant_input; a NaN or infinite entry raises NumericError.
+    by osvt_batch and mapped back. Any finite range is accepted, up to
+    entries of +-1.8e308. A constant matrix is returned unchanged, flagged
+    by constant_input; a NaN or infinite entry raises NumericError.
     Wide or tall inputs are both accepted; internally the estimation runs on
     the orientation with rows <= columns and transposes back, so the result
     is transpose-consistent.
@@ -197,8 +199,10 @@ def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
     a, b = float(X.min()), float(X.max())
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericError("matrix has non-finite entries")
-    constant = a == b
-    mid, half = (0.0, 1.0) if constant else (0.5 * (a + b), 0.5 * (b - a))
+    # halves first, so that mid and half stay finite for any finite a and b
+    half = 0.5 * b - 0.5 * a
+    constant = half == 0.0
+    mid, half = (0.0, 1.0) if constant else (0.5 * a + 0.5 * b, half)
     out = osvt_batch(((X - mid) / half)[None])
     return OsvtOutcome(
         estimate=X.copy() if constant else out.estimate()[0] * half + mid,

@@ -148,7 +148,7 @@ def test_impute_predict_rank_deterministic_across_runs(tmp_path, sample_csv):
             if command != "rank":
                 paths.append(tmp_path / (out.name + ".report.json"))
                 report = json.loads(paths[-1].read_text())
-                assert set(report) == {"config", "kept_rank"}
+                assert set(report) == {"config", "kept_rank", "start_sample"}
             artifacts.append([p.read_bytes() for p in paths])
         assert artifacts[0] == artifacts[1], command
 
@@ -169,6 +169,30 @@ def test_rank_lists_the_kept_ranks_of_impute_windows(tmp_path, sample_csv, varia
     starts = [0, 50, 70]
     assert rows[1:] == [[str(i), str(s), str(r)]
                         for i, (s, r) in enumerate(zip(starts, report.kept_rank))]
+
+
+@pytest.mark.parametrize("command, flags, starts", [
+    # 120 samples with T=50: windows at 0 and 50, and one over the last 50
+    ("impute", ["--L", "10", "--T", "50"], [0, 50, 70]),
+    ("impute", ["--L", "10", "--T", "50", "--variant", "hankel"], [0, 50, 70]),
+    # step j's window starts at sample j
+    ("predict", ["--L", "5", "--T", "30"], list(range(90))),
+])
+def test_report_lists_each_window_start_beside_its_rank(tmp_path, sample_csv,
+                                                        command, flags, starts):
+    out = tmp_path / "out.csv"
+    assert run([command, "--input", str(sample_csv), "--output", str(out), *flags]) == 0
+    report = json.loads((tmp_path / "out.csv.report.json").read_text())
+    assert report["start_sample"] == starts
+    assert len(report["kept_rank"]) == len(starts)
+    if command == "impute":
+        # the rank command's start_sample and rank columns are the report's
+        ranks = tmp_path / "ranks.csv"
+        assert run(["rank", "--input", str(sample_csv), "--output", str(ranks), *flags]) == 0
+        with open(ranks, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["start_sample"]) for r in rows] == report["start_sample"]
+        assert [int(r["rank"]) for r in rows] == report["kept_rank"]
 
 
 def test_impute_leaves_no_empty_cell_after_the_last_full_window(tmp_path):

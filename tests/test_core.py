@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pagerec import (
     AllMissingChannel,
@@ -130,8 +131,12 @@ def test_records_compare_by_identity():
 def test_dataset_requires_shared_timebase():
     a = make_series([1.0, 2.0], cid="a")
     b = ChannelSeries("b", ChannelKind.GENERIC, np.array([0.0, 2.0]), np.zeros(2), np.ones(2, bool))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="channel 'b' does not share"):
         Dataset((a, b))
+    # the first channel that differs is named
+    d = ChannelSeries("d", ChannelKind.GENERIC, np.array([0.0, 3.0]), np.zeros(2), np.ones(2, bool))
+    with pytest.raises(ShapeError, match="channel 'b' does not share"):
+        Dataset((a, make_series([3.0, 4.0], cid="c"), b, d))
 
 
 def test_dataset_duplicate_ids_rejected():
@@ -511,6 +516,74 @@ def test_fill_never_touches_observed():
         assert np.array_equal(out.values[mask], vals[mask])
         assert np.array_equal(out.mask, mask)
         assert np.isfinite(out.values).all()
+
+
+def locf_reference(values, mask):
+    """locf_fill through np.take_along_axis on the stack as it is given."""
+    first = mask.argmax(axis=-1)[..., None]
+    idx = np.where(mask, np.arange(values.shape[-1]), first)
+    return np.take_along_axis(values, np.maximum.accumulate(idx, axis=-1), axis=-1)
+
+
+def random_locf_case(rng, case):
+    """A seeded (values, mask) pair for locf_fill: 1-D, 2-D, a stack of one
+    window, a contiguous stack, or a non-contiguous chunk of a record's
+    sliding windows, the layout the window engine passes. Masks leave at
+    least one observation per row, and every fourth case exactly one."""
+    kind = case % 5
+    N, W = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+    if kind == 4:
+        n = W + int(rng.integers(1, 60))
+        record = rng.normal(0.0, 10.0, (N, n))
+        rmask = rng.random((N, n)) < rng.uniform(0.05, 1.0)
+        windows = (sliding_window_view(a, W, axis=1).transpose(1, 0, 2) for a in (record, rmask))
+        b0, step = int(rng.integers(0, n - W)), int(rng.integers(1, 4))
+        at = slice(b0, None, step)
+        values, mask = (w[at] for w in windows)
+        # a window without an observation gets one, in the record
+        for b, i in np.argwhere(~mask.any(axis=-1)):
+            rmask[i, b0 + b * step + int(rng.integers(0, W))] = True
+        return values, mask
+    shape = {0: (W,), 1: (N, W), 2: (1, N, W), 3: (int(rng.integers(2, 9)), N, W)}[kind]
+    values = rng.normal(0.0, 10.0, shape)
+    rows = values.reshape(-1, W)
+    if case % 4 == 0:
+        mask = np.zeros(rows.shape, bool)
+    else:
+        mask = rng.random(rows.shape) < rng.uniform(0.05, 1.0)
+    mask[np.arange(len(rows)), rng.integers(0, W, len(rows))] = True
+    mask = mask.reshape(shape)
+    values[~mask] = np.nan
+    return values, mask
+
+
+def test_locf_fill_equals_the_take_along_axis_gather_bitwise():
+    rng = np.random.default_rng(16)
+    kinds = set()
+    for case in range(600):
+        values, mask = random_locf_case(rng, case)
+        out = locf_fill(values, mask)
+        assert out.shape == values.shape
+        assert out.tobytes() == locf_reference(values, mask).tobytes(), case
+        assert np.isfinite(out).all()
+        kinds.add((values.ndim, values.flags.c_contiguous))
+        first = mask.argmax(axis=-1)
+        if (first > 0).any():
+            kinds.add("leading gap")
+        if (mask.sum(axis=-1) == 1).all():
+            kinds.add("one observation per row")
+    assert kinds >= {(1, True), (2, True), (3, True), (3, False),
+                     "leading gap", "one observation per row"}
+
+
+def test_locf_fill_on_a_stack_raises_for_a_row_without_observation():
+    values = np.ones((3, 2, 5))
+    mask = np.ones(values.shape, bool)
+    mask[1, 1] = False
+    with pytest.raises(AllMissingChannel):
+        locf_fill(values, mask)
+    with pytest.raises(AllMissingChannel):
+        locf_fill(np.empty((2, 0)), np.empty((2, 0), bool))
 
 
 # ---------------------------------------------------------------------------

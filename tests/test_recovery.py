@@ -227,6 +227,49 @@ def test_forecast_nearly_decoupled_last_row():
     assert residual == 0.0  # the recurrence reproduces the last row
 
 
+def lrf_factors(rng, L, r, kept):
+    """Random (L, r) orthonormal columns U and weights kept from the top:
+    the form of osvt_batch's U and weights. All r kept makes a square U's
+    last row decoupled (the recurrence's gap is zero)."""
+    U = np.linalg.qr(rng.standard_normal((L, r)))[0]
+    s = np.sort(rng.uniform(0.1, 5.0, r))[::-1]
+    return U, np.where(np.arange(r) < kept, s, 0.0)
+
+
+def test_lrf_batch_mixing_decoupled_and_coupled_windows_equals_each_alone():
+    rng = np.random.default_rng(21)
+    for L, r in ((5, 5), (6, 6), (5, 3)):
+        windows = [lrf_factors(rng, L, r, kept) for kept in rng.integers(1, r + 1, 12)]
+        if r < L:
+            # a tall U is decoupled when its last row is a unit vector
+            U, weights = windows[0]
+            U[:-1, -1] = 0.0
+            U[-1] = np.eye(r)[-1]
+            weights[:] = np.sort(rng.uniform(0.1, 5.0, r))[::-1]
+        U = np.stack([u for u, _ in windows])
+        weights = np.stack([w for _, w in windows])
+        beta, residual = _lrf(U, weights)
+        decoupled = residual > 0
+        assert decoupled.any() and not decoupled.all()
+        for b, (u, w) in enumerate(windows):
+            alone_beta, alone_residual = _lrf(u[None], w[None])
+            assert beta[b].tobytes() == alone_beta[0].tobytes()
+            assert residual[b].tobytes() == alone_residual[0].tobytes()
+
+
+def test_lrf_batch_without_decoupled_window_has_zero_residuals():
+    rng = np.random.default_rng(22)
+    windows = [lrf_factors(rng, 5, 5, kept) for kept in (1, 2, 3, 4, 2)]
+    beta, residual = _lrf(np.stack([u for u, _ in windows]),
+                          np.stack([w for _, w in windows]))
+    assert residual.shape == (5,) and residual.dtype == float
+    assert not residual.any()
+    # and the coefficients are each window's recurrence, beta = P u / (1 - |u|^2)
+    for b, (U, w) in enumerate(windows):
+        u = U[-1] * (w > 0)
+        assert np.allclose(beta[b], U[:-1] @ u / (1 - u @ u), rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # impute_offline
 # ---------------------------------------------------------------------------
@@ -238,8 +281,9 @@ def test_impute_exact_recovery_noiseless():
     for i in range(rows.shape[0]):
         rel = np.linalg.norm(rv[i] - rows[i]) / np.linalg.norm(rows[i])
         assert rel < 1e-6
-    assert set(report.to_dict()) == {"config", "kept_rank"}
+    assert set(report.to_dict()) == {"config", "kept_rank", "start_sample"}
     assert len(report.kept_rank) == 1
+    assert report.to_dict()["start_sample"] == [0]
 
 
 def test_impute_beats_locf_on_degraded_data():
@@ -472,6 +516,25 @@ def test_predict_next_nonfinite_observed_sample_names_channel(bad):
         r"starting at sample 0$",
     ):
         predict_next(window, cfg)
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, 5e-324)])
+def test_any_finite_value_range_gives_finite_output(low, high):
+    # channel 1 alternates between low and high: the half-range overflows
+    # as 0.5 (hi - lo) for the first pair and rounds to zero for the second;
+    # the suite turns numpy's overflow and divide warnings into errors
+    corpus = benchmark_corpus(n_channels=3, n_samples=240, seed=8)
+    values = corpus.dataset.values_matrix().copy()
+    values[1] = np.where(np.arange(240) % 2, high, low)
+    data = corpus.dataset.with_values(values)
+    imputed, _ = impute_offline(data, RecoveryConfig(L=10, T=120))
+    assert np.isfinite(imputed.values_matrix()).all()
+    cfg = RecoveryConfig(L=5, T=30)
+    preds, _ = predict_stream(data, cfg)
+    assert np.isfinite(preds.values_matrix()).all()
+    window = Dataset.from_arrays(data.timestamps[:cfg.T], data.values_matrix()[:, :cfg.T],
+                                 data.masks_matrix()[:, :cfg.T], data.ids)
+    assert np.isfinite(list(predict_next(window, cfg)[0].values())).all()
 
 
 def test_stream_constant():

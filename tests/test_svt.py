@@ -205,6 +205,16 @@ def test_estimate_idempotent_on_kept_subspace():
         assert rel < 1e-6
 
 
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, 5e-324)])
+def test_estimate_accepts_any_finite_range(low, high):
+    # 0.5 (high - low) overflows for the first and rounds to zero for the
+    # second; the suite turns the warnings either gives into errors
+    X = np.where(np.arange(40).reshape(4, 10) % 3 == 0, high, low)
+    out = osvt_estimate(X)
+    assert np.isfinite(out.estimate).all()
+    assert np.isfinite(out.singular_values).all()
+
+
 def test_estimate_rejects_nonfinite():
     with pytest.raises(NumericError):
         osvt_estimate(np.array([[1.0, np.inf], [0.0, 1.0]]))
