@@ -29,7 +29,6 @@ from .errors import (
 )
 from .harness import (
     ChannelSpec,
-    ConstantSignal,
     DegradeSpec,
     LinearRecurrence,
     Scenario,
@@ -44,7 +43,6 @@ from .harness import (
     locf_baseline,
     mape,
     persistence_baseline,
-    results_to_csv_rows,
     results_to_dict,
     run_benchmark,
 )

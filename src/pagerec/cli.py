@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: impute (recover an archive), predict (replay a stream of
-one-step-ahead forecasts), bench (scenario grid on a seeded synthetic
-corpus), rank (the kept rank of each of impute's windows).
+Subcommands: impute (recover an archive; its report lists each window's
+start and kept rank), predict (replay a stream of one-step-ahead
+forecasts), bench (scenario grid on a seeded synthetic corpus).
 
 Exit codes: 0 success, 1 data error, 2 usage error. Primary artifacts are
 deterministic for identical arguments, inputs and seeds; wall-clock timing
@@ -24,7 +24,6 @@ from .harness import (
     PREDICT_CFG,
     Scenario,
     benchmark_corpus,
-    results_to_csv_rows,
     results_to_dict,
     run_benchmark,
 )
@@ -100,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20, help="repetitions per scenario")
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
-    p = sub.add_parser("rank", help="kept rank of each imputation window")
-    common(p, L=10, T=600)
-    p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
-
     return parser
 
 
@@ -175,7 +170,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = RecoveryConfig(L=args.L, T=args.T)
+    # the impute window must suit each listed variant, and only those
+    cfgs = [RecoveryConfig(L=args.L, T=args.T, variant=v) for v in args.variant]
     corpus = benchmark_corpus(
         n_channels=_BENCH_CHANNELS, n_samples=_BENCH_SAMPLES, seed=args.seed
     )
@@ -187,16 +183,12 @@ def _cmd_bench(args) -> int:
     results = run_benchmark(
         corpus,
         scenarios,
-        impute_cfg=cfg,
+        impute_cfg=cfgs[0] if cfgs else None,
         repetitions=args.reps,
         master_seed=args.seed,
         tasks=("impute", "predict"),
     )
     _write_json(out, results_to_dict(results))
-    with open(out + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "channel", "metric", "value"])
-        writer.writerows(results_to_csv_rows(results))
     failures = [r for r in results if r.error]
     for r in failures:
         print(f"scenario {r.scenario.label()} failed: {r.error}", file=sys.stderr)
@@ -204,25 +196,10 @@ def _cmd_bench(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_rank(args) -> int:
-    cfg = RecoveryConfig(L=args.L, T=args.T, variant=args.variant)
-    out = _output_path(args, ".ranks.csv")
-    data, _ = _load_input(args)
-    report = impute_offline(data, cfg)[1]
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "start_sample", "rank"])
-        for i, row in enumerate(zip(report.start_sample, report.kept_rank)):
-            writer.writerow([i, *row])
-    print(f"profiled {len(report.kept_rank)} windows -> {out}")
-    return 0
-
-
 _COMMANDS = {
     "impute": _cmd_impute,
     "predict": _cmd_predict,
     "bench": _cmd_bench,
-    "rank": _cmd_rank,
 }
 
 

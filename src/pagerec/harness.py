@@ -22,7 +22,6 @@ from .matrices import MatrixVariant
 from .recovery import RecoveryConfig, impute_offline, predict_stream
 
 __all__ = [
-    "ConstantSignal",
     "SinusoidSum",
     "LinearRecurrence",
     "StepEvent",
@@ -38,21 +37,12 @@ __all__ = [
     "ScenarioResult",
     "run_benchmark",
     "results_to_dict",
-    "results_to_csv_rows",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Signal generators
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantSignal:
-    value: float
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        return np.full(len(t), self.value)
-
 
 @dataclass(frozen=True)
 class SinusoidSum:
@@ -118,7 +108,7 @@ class StepEvent:
 @dataclass(frozen=True)
 class ChannelSpec:
     channel_id: str
-    signal: ConstantSignal | SinusoidSum | LinearRecurrence
+    signal: SinusoidSum | LinearRecurrence
     kind: ChannelKind = ChannelKind.GENERIC
     events: tuple[StepEvent, ...] = ()
 
@@ -204,15 +194,13 @@ def benchmark_corpus(
 class DegradeSpec:
     """Simultaneous drops plus additive Gaussian noise.
 
-    Exactly round(drop_rate * n) timestamps are masked out on every target
-    channel (shared across channels). Noise with per-channel standard
-    deviation noise_rate * steady-median is added to the surviving samples
-    of target channels.
+    Exactly round(drop_rate * n) timestamps are masked out on every channel
+    (shared across channels). Noise with per-channel standard deviation
+    noise_rate * steady-median is added to the surviving samples.
     """
 
     drop_rate: float = 0.0
     noise_rate: float = 0.0
-    target_channels: tuple[str, ...] | None = None
     seed: int = 0
 
 
@@ -225,18 +213,13 @@ def degrade(
 
     noise_base overrides the per-channel noise scale; by default it is the
     median absolute value of the channel's observed samples. A rate outside
-    its range, an unknown target channel, a target channel missing from a
-    given noise_base (when noise is added) or a negative seed is a
-    ConfigError.
+    its range, a channel missing from a given noise_base (when noise is
+    added) or a negative seed is a ConfigError.
     """
     _check_rates(spec.drop_rate, spec.noise_rate)
     _check_seed(spec.seed)
-    targets = set(spec.target_channels) if spec.target_channels is not None else set(data.ids)
-    unknown = targets - set(data.ids)
-    if unknown:
-        raise ConfigError(f"unknown target channels: {sorted(unknown)}")
     if spec.noise_rate and noise_base is not None:
-        unscaled = [cid for cid in data.ids if cid in targets and cid not in noise_base]
+        unscaled = [cid for cid in data.ids if cid not in noise_base]
         if unscaled:
             raise ConfigError(f"noise_base has no entry for channels {unscaled}")
 
@@ -248,8 +231,6 @@ def degrade(
     values = data.values_matrix().copy()
     masks = data.masks_matrix().copy()
     for i, cid in enumerate(data.ids):
-        if cid not in targets:
-            continue
         vals, mask = values[i], masks[i]  # views: writing them writes the rows
         if spec.noise_rate:
             if noise_base is not None:
@@ -344,6 +325,11 @@ def _rep_seed(master_seed: int, scenario_index: int, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _per_channel_mape(ids, truth: np.ndarray, estimate: np.ndarray) -> dict[str, float]:
+    """MAPE of each channel's estimate row against its truth row."""
+    return {cid: mape(t, e) for cid, t, e in zip(ids, truth, estimate)}
+
+
 def _per_channel_median(rows: list[dict[str, float]]) -> dict[str, float]:
     if not rows:
         return {}
@@ -411,31 +397,16 @@ def run_benchmark(
                 if "impute" in tasks:
                     cfg = replace(impute_cfg or IMPUTE_CFG, variant=scenario.variant)
                     recovered, _ = impute_offline(degraded, cfg)
-                    rec_vals = recovered.values_matrix()
-                    base_vals = locf_baseline(degraded).values_matrix()
-                    imp_rows.append(
-                        {cid: mape(truth_vals[i], rec_vals[i]) for i, cid in enumerate(ids)}
-                    )
-                    base_rows.append(
-                        {cid: mape(truth_vals[i], base_vals[i]) for i, cid in enumerate(ids)}
-                    )
+                    baseline = locf_baseline(degraded)
+                    imp_rows.append(_per_channel_mape(ids, truth_vals, recovered.values_matrix()))
+                    base_rows.append(_per_channel_mape(ids, truth_vals, baseline.values_matrix()))
                 if "predict" in tasks:
                     cfg = replace(PREDICT_CFG, variant=scenario.variant)
                     preds, _ = predict_stream(degraded, cfg)
-                    pred_vals = preds.values_matrix()
-                    pers_vals = persistence_baseline(degraded, cfg.T)
-                    pred_rows.append(
-                        {
-                            cid: mape(truth_vals[i, cfg.T:], pred_vals[i])
-                            for i, cid in enumerate(ids)
-                        }
-                    )
-                    pers_rows.append(
-                        {
-                            cid: mape(truth_vals[i, cfg.T:], pers_vals[i])
-                            for i, cid in enumerate(ids)
-                        }
-                    )
+                    persistence = persistence_baseline(degraded, cfg.T)
+                    future = truth_vals[:, cfg.T:]
+                    pred_rows.append(_per_channel_mape(ids, future, preds.values_matrix()))
+                    pers_rows.append(_per_channel_mape(ids, future, persistence))
             result.impute_mape = _per_channel_median(imp_rows)
             result.baseline_mape = _per_channel_median(base_rows)
             result.predict_mape = _per_channel_median(pred_rows)
@@ -467,18 +438,3 @@ def results_to_dict(results: Sequence[ScenarioResult]) -> dict:
         for r in results
     ]}
 
-
-def results_to_csv_rows(results: Sequence[ScenarioResult]) -> list[tuple[str, str, str, float]]:
-    """Long-format rows (scenario, channel, metric, value) for plotting."""
-    rows = []
-    for r in results:
-        label = r.scenario.label()
-        for metric_name, metric in (
-            ("impute_mape", r.impute_mape),
-            ("baseline_mape", r.baseline_mape),
-            ("predict_mape", r.predict_mape),
-            ("persistence_mape", r.persistence_mape),
-        ):
-            for cid, value in metric.items():
-                rows.append((label, cid, metric_name, value))
-    return rows

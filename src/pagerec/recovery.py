@@ -92,8 +92,8 @@ class RecoveryConfig:
 
     def echo(self) -> dict:
         return {
-            "L": self.L,
-            "T": self.T,
+            "L": int(self.L),
+            "T": int(self.T),
             "variant": self.variant.value,
             "overwrite_observed": bool(self.overwrite_observed),
         }

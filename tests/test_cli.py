@@ -136,7 +136,6 @@ def test_impute_predict_rank_deterministic_across_runs(tmp_path, sample_csv):
         ("impute", ".csv", ["--L", "10", "--T", "50", "--variant", "hankel",
                             "--overwrite-observed", "false"]),
         ("predict", ".csv", ["--L", "5", "--T", "30"]),
-        ("rank", ".csv", ["--L", "10", "--T", "50"]),
     ]
     for k, (command, suffix, flags) in enumerate(runs):
         artifacts = []
@@ -144,31 +143,11 @@ def test_impute_predict_rank_deterministic_across_runs(tmp_path, sample_csv):
             out = tmp_path / f"{command}{k}{name}{suffix}"
             assert run([command, "--input", str(sample_csv), "--output", str(out),
                         *flags]) == 0
-            paths = [out]
-            if command != "rank":
-                paths.append(tmp_path / (out.name + ".report.json"))
-                report = json.loads(paths[-1].read_text())
-                assert set(report) == {"config", "kept_rank", "start_sample"}
+            paths = [out, tmp_path / (out.name + ".report.json")]
+            report = json.loads(paths[-1].read_text())
+            assert set(report) == {"config", "kept_rank", "start_sample"}
             artifacts.append([p.read_bytes() for p in paths])
         assert artifacts[0] == artifacts[1], command
-
-
-@pytest.mark.parametrize("variant", ["page", "hankel"])
-def test_rank_lists_the_kept_ranks_of_impute_windows(tmp_path, sample_csv, variant):
-    # 120 samples with T=50: windows at 0 and 50, and one over the last 50
-    # samples, starting at 70
-    out = tmp_path / "ranks.csv"
-    assert run(["rank", "--input", str(sample_csv), "--output", str(out),
-                "--L", "10", "--T", "50", "--variant", variant]) == 0
-    cfg = RecoveryConfig(L=10, T=50, variant=MatrixVariant(variant))
-    _, report = impute_offline(ingest_csv(sample_csv), cfg)
-    assert len(report.kept_rank) == 3
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["window", "start_sample", "rank"]
-    starts = [0, 50, 70]
-    assert rows[1:] == [[str(i), str(s), str(r)]
-                        for i, (s, r) in enumerate(zip(starts, report.kept_rank))]
 
 
 @pytest.mark.parametrize("command, flags, starts", [
@@ -185,14 +164,11 @@ def test_report_lists_each_window_start_beside_its_rank(tmp_path, sample_csv,
     report = json.loads((tmp_path / "out.csv.report.json").read_text())
     assert report["start_sample"] == starts
     assert len(report["kept_rank"]) == len(starts)
+    assert all(r >= 1 for r in report["kept_rank"])
     if command == "impute":
-        # the rank command's start_sample and rank columns are the report's
-        ranks = tmp_path / "ranks.csv"
-        assert run(["rank", "--input", str(sample_csv), "--output", str(ranks), *flags]) == 0
-        with open(ranks, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [int(r["start_sample"]) for r in rows] == report["start_sample"]
-        assert [int(r["rank"]) for r in rows] == report["kept_rank"]
+        # the kept ranks are impute_offline's on the same input and window
+        cfg = RecoveryConfig(L=10, T=50, variant=MatrixVariant(report["config"]["variant"]))
+        assert report["kept_rank"] == impute_offline(ingest_csv(sample_csv), cfg)[1].kept_rank
 
 
 def test_impute_leaves_no_empty_cell_after_the_last_full_window(tmp_path):
@@ -242,22 +218,9 @@ def test_predict_channel_subset(tmp_path, sample_csv):
     assert ingest_csv(out).ids == ("ch00", "ch01")
 
 
-def test_rank_profile_csv(tmp_path, sample_csv):
-    out = tmp_path / "ranks.csv"
-    code = run(["rank", "--input", str(sample_csv), "--output", str(out),
-                "--L", "10", "--T", "60"])
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "window,start_sample,rank"
-    assert len(lines) == 3  # two windows
-    ranks = [int(line.split(",")[2]) for line in lines[1:]]
-    assert all(r >= 1 for r in ranks)
-
-
 @pytest.mark.parametrize("command, flags", [
     ("impute", ["--L", "10", "--T", "120"]),
     ("predict", ["--L", "5", "--T", "30"]),
-    ("rank", ["--L", "10", "--T", "60"]),
 ])
 def test_single_variant_commands_take_one_variant(tmp_path, sample_csv, capsys, command, flags):
     # only bench takes a list of variants
@@ -280,9 +243,11 @@ def test_bench_deterministic_across_runs(tmp_path):
         code = run(["bench", "--output", str(out), "--drop", "0.1,0.3",
                     "--reps", "2", "--seed", "7", "--T", "240", "--L", "10"])
         assert code == 0
-        outs.append((out.read_bytes(), (tmp_path / f"{name}.json.csv").read_bytes()))
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    payload = json.loads(outs[0][0])
+    # the JSON report is bench's one artifact
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+    payload = json.loads(outs[0])
     assert len(payload["results"]) == 2
     for entry in payload["results"]:
         assert entry["error"] is None
@@ -316,7 +281,32 @@ def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message)
                 *flags])
     assert code == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
-    assert not out.exists() and not (tmp_path / "r.json.csv").exists()
+    assert not out.exists()
+
+
+def test_bench_checks_the_impute_window_against_the_listed_variants_only(tmp_path, capsys):
+    # T=240 is not divisible by L=7, which only the page variant requires
+    out = tmp_path / "r.json"
+    args = ["bench", "--output", str(out), "--reps", "1", "--drop", "0.1",
+            "--L", "7", "--T", "240"]
+    assert run([*args, "--variant", "hankel"]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert [r["scenario"]["variant"] for r in results] == ["hankel"]
+    assert results[0]["error"] is None
+    out.unlink()
+    assert run([*args, "--variant", "page,hankel"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: window length T=240 must be divisible by L=7 for the page variant\n"
+    )
+    assert not out.exists()
+
+
+def test_rank_is_not_a_command(tmp_path, sample_csv, capsys):
+    # impute's report lists each window's start and kept rank
+    out = tmp_path / "ranks.csv"
+    assert run(["rank", "--input", str(sample_csv), "--output", str(out), "--T", "60"]) == 2
+    assert "invalid choice: 'rank'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_rejects_channels(tmp_path, capsys):
@@ -326,4 +316,4 @@ def test_bench_rejects_channels(tmp_path, capsys):
                 "--channels", "ghost"])
     assert code == 2
     assert "unrecognized arguments: --channels ghost" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "r.json.csv").exists()
+    assert not out.exists()

@@ -7,7 +7,6 @@ from pagerec import (
     AllMissingChannel,
     ChannelSpec,
     ConfigError,
-    ConstantSignal,
     DegradeSpec,
     LinearRecurrence,
     MapeUndefined,
@@ -24,7 +23,6 @@ from pagerec import (
     impute_offline,
     locf_baseline,
     mape,
-    results_to_csv_rows,
     results_to_dict,
     run_benchmark,
     write_csv,
@@ -45,7 +43,7 @@ def lrf_oracle(n, coeffs, init):
 # ---------------------------------------------------------------------------
 
 def test_gen_constant():
-    spec = SyntheticSpec((ChannelSpec("c", ConstantSignal(1.0)),), 100)
+    spec = SyntheticSpec((ChannelSpec("c", SinusoidSum((), 1.0)),), 100)
     out = gen_synthetic(spec)
     assert np.array_equal(out.dataset.channel("c").values, np.ones(100))
     assert out.steady_median["c"] == 1.0
@@ -78,7 +76,7 @@ def test_gen_unstable_lrf_warns():
 
 
 def test_gen_step_event_applied_after_median():
-    gen = ConstantSignal(2.0)
+    gen = SinusoidSum((), 2.0)
     spec = SyntheticSpec(
         (ChannelSpec("c", gen, events=(StepEvent(at=50, delta=10.0),)),), 100
     )
@@ -139,20 +137,12 @@ def test_degrade_never_alters_truth():
     assert np.isnan(out.values_matrix()[~masks]).all()
 
 
-def test_degrade_target_channels_only():
-    corpus = benchmark_corpus(n_channels=3, n_samples=80, seed=4)
-    ids = corpus.dataset.ids
-    out = degrade(corpus.dataset,
-                  DegradeSpec(drop_rate=0.5, target_channels=(ids[0],), seed=7))
-    masks = out.masks_matrix()
-    assert (~masks[0]).sum() == 40
-    assert masks[1].all() and masks[2].all()
-
-
 def test_locf_baseline_names_channel_with_no_observed_sample():
     corpus = benchmark_corpus(n_channels=3, n_samples=40, seed=1)
-    out = degrade(corpus.dataset,
-                  DegradeSpec(drop_rate=1.0, target_channels=("ch01",), seed=2))
+    values = corpus.dataset.values_matrix().copy()
+    masks = corpus.dataset.masks_matrix().copy()
+    values[1], masks[1] = np.nan, False
+    out = corpus.dataset.with_values(values, masks)
     with pytest.raises(AllMissingChannel, match="^channel 'ch01' has no observed sample$"):
         locf_baseline(out)
     partial = degrade(corpus.dataset, DegradeSpec(drop_rate=0.5, seed=2))
@@ -167,10 +157,7 @@ def test_degrade_names_a_channel_missing_from_noise_base():
         degrade(corpus.dataset, DegradeSpec(noise_rate=0.1), noise_base={})
     with pytest.raises(ConfigError, match=r"\['ch01'\]$"):
         degrade(corpus.dataset, DegradeSpec(noise_rate=0.1), noise_base={"ch00": 1.0})
-    # a channel that gets no noise needs no entry
-    out = degrade(corpus.dataset, DegradeSpec(noise_rate=0.1, target_channels=("ch00",)),
-                  noise_base={"ch00": 1.0})
-    assert np.array_equal(out.values_matrix()[1], corpus.dataset.values_matrix()[1])
+    # without noise no entry is needed
     degrade(corpus.dataset, DegradeSpec(drop_rate=0.1), noise_base={})
 
 
@@ -180,8 +167,6 @@ def test_degrade_validates_rates():
         degrade(corpus.dataset, DegradeSpec(drop_rate=1.5))
     with pytest.raises(ConfigError):
         degrade(corpus.dataset, DegradeSpec(noise_rate=-0.1))
-    with pytest.raises(ConfigError):
-        degrade(corpus.dataset, DegradeSpec(target_channels=("nope",)))
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         degrade(corpus.dataset, DegradeSpec(seed=-1))
 
@@ -233,7 +218,7 @@ def kept_ranks(ds, cfg):
 
 def test_rank_constant_dataset():
     spec = SyntheticSpec(
-        tuple(ChannelSpec(f"c{i}", ConstantSignal(float(i + 1))) for i in range(3)), 240
+        tuple(ChannelSpec(f"c{i}", SinusoidSum((), float(i + 1))) for i in range(3)), 240
     )
     ds = gen_synthetic(spec).dataset
     assert kept_ranks(ds, RecoveryConfig(L=10, T=120)) == [1, 1]
@@ -278,7 +263,7 @@ def test_rank_rises_in_event_window():
 
 def test_benchmark_constant_corpus_zero_error():
     spec = SyntheticSpec(
-        tuple(ChannelSpec(f"c{i}", ConstantSignal(2.5)) for i in range(2)), 120
+        tuple(ChannelSpec(f"c{i}", SinusoidSum((), 2.5)) for i in range(2)), 120
     )
     truth = gen_synthetic(spec)
     results = run_benchmark(
@@ -356,11 +341,10 @@ def test_benchmark_report_serialization():
         "scenario", "repetitions", "seeds", "impute_mape", "baseline_mape",
         "predict_mape", "persistence_mape", "error",
     }
-    rows = results_to_csv_rows(results)
-    metrics = {r[2] for r in rows}
-    assert {"impute_mape", "baseline_mape", "predict_mape", "persistence_mape"} <= metrics
-    values = [r[3] for r in rows]
-    assert all(v >= 0.0 for v in values)
+    for metric in ("impute_mape", "baseline_mape", "predict_mape", "persistence_mape"):
+        values = payload["results"][0][metric]
+        assert set(values) == set(truth.dataset.ids)
+        assert all(v >= 0.0 for v in values.values())
 
 
 def test_benchmark_rejects_unknown_task():

@@ -117,6 +117,15 @@ def test_config_accepts_numpy_integers():
     assert (cfg.L, cfg.T) == (5, 30)
 
 
+def test_report_of_a_numpy_integer_config_saves_as_json():
+    # the echoed config holds plain ints, so report.json can be written
+    corpus = benchmark_corpus(n_channels=3, n_samples=240, seed=1)
+    report = impute_offline(corpus.dataset, RecoveryConfig(L=np.int64(10), T=np.int64(120)))[1]
+    assert type(report.config["L"]) is int and type(report.config["T"]) is int
+    config = json.loads(json.dumps(report.to_dict()))["config"]
+    assert (config["L"], config["T"]) == (10, 120)
+
+
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, 0.0])
 def test_config_rejects_an_overwrite_flag_that_is_not_a_bool(flag):
     # a truthy "false" would overwrite observed samples and be echoed into
