@@ -9,7 +9,6 @@ regression on the denoised matrix rows.
 from .core import (
     ChannelKind,
     ChannelSeries,
-    CsvSchema,
     Dataset,
     ScalingTransform,
     ingest_csv,

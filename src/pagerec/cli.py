@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 
-from .core import CsvSchema, ingest_csv, write_csv
+from .core import ingest_csv, write_csv
 from .errors import ConfigError, PagerecError
 from .harness import (
     IMPUTE_CFG,
@@ -29,9 +29,6 @@ from .harness import (
 )
 from .matrices import MatrixVariant
 from .recovery import RecoveryConfig, impute_offline, predict_stream
-
-_BENCH_CHANNELS = 6
-_BENCH_SAMPLES = 1200
 
 
 def _bool_flag(text: str) -> bool:
@@ -67,31 +64,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, L, T, with_input=True, default_output="derived from --input"):
+    def common(p, cfg, with_input=True):
         if with_input:
             p.add_argument("--input", required=True, help="input CSV path")
             p.add_argument("--channels", default=None,
                            help="comma list restricting the channels to process")
-        p.add_argument("--output", default=None,
-                       help=f"primary output path (default: {default_output})")
-        p.add_argument("--L", type=int, default=L, help="matrix rows (segment length)")
-        p.add_argument("--T", type=int, default=T, help="window length in samples")
+            p.add_argument("--output", default=None,
+                           help="primary output path (default: derived from --input)")
+        p.add_argument("--L", type=int, default=cfg.L, help="matrix rows (segment length)")
+        p.add_argument("--T", type=int, default=cfg.T, help="window length in samples")
 
     p = sub.add_parser("impute", help="denoise and fill a recorded archive")
-    common(p, L=10, T=54000)
-    p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
-    p.add_argument("--overwrite-observed", type=_bool_flag, default=True,
+    defaults = RecoveryConfig()
+    common(p, defaults)
+    p.add_argument("--variant", type=_variant, default=defaults.variant)
+    p.add_argument("--overwrite-observed", type=_bool_flag,
+                   default=defaults.overwrite_observed,
                    help="true replaces observed samples with their denoised "
                         "estimates, false restores them")
 
     p = sub.add_parser("predict", help="replay one-step-ahead predictions")
-    common(p, L=PREDICT_CFG.L, T=PREDICT_CFG.T)
-    p.add_argument("--variant", type=_variant, default=MatrixVariant.PAGE)
+    common(p, PREDICT_CFG)
+    p.add_argument("--variant", type=_variant, default=PREDICT_CFG.variant)
 
     p = sub.add_parser("bench", help="scenario benchmark on a synthetic corpus")
-    common(p, L=IMPUTE_CFG.L, T=IMPUTE_CFG.T, with_input=False,
-           default_output="bench.report.json")
-    p.add_argument("--variant", type=_variant_list, default=[MatrixVariant.PAGE])
+    common(p, IMPUTE_CFG, with_input=False)
+    p.add_argument("--output", default="bench.report.json", help="report path (default: %(default)s)")
+    p.add_argument("--variant", type=_variant_list, default=[IMPUTE_CFG.variant])
     p.add_argument("--drop", type=_float_list, default=[0.1, 0.3, 0.5],
                    help="comma list of drop rates")
     p.add_argument("--noise", type=_float_list, default=[0.0],
@@ -102,18 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_path(args, suffix: str) -> str:
-    if args.output:
-        return args.output
-    if getattr(args, "input", None):
-        return args.input + suffix
-    return "bench.report.json"
-
-
 def _load_input(args):
     """The input dataset, restricted to --channels, and the name of its
-    timestamp column (the first header cell, as CsvSchema() reads it)."""
-    data = ingest_csv(args.input, CsvSchema())
+    timestamp column (the first header cell, as ingest_csv reads it)."""
+    data = ingest_csv(args.input)
     with open(args.input, newline="") as fh:
         time_column = next(csv.reader([fh.readline()]))[0].strip()
     if args.channels is not None:
@@ -141,7 +132,7 @@ def _cmd_impute(args) -> int:
         L=args.L, T=args.T, variant=args.variant,
         overwrite_observed=args.overwrite_observed,
     )
-    out = _output_path(args, ".recovered.csv")
+    out = args.output or args.input + ".recovered.csv"
     data, time_column = _load_input(args)
     recovered, report = impute_offline(data, cfg)
     write_csv(recovered, out, time_column)
@@ -156,7 +147,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_predict(args) -> int:
     cfg = RecoveryConfig(L=args.L, T=args.T, variant=args.variant)
-    out = _output_path(args, ".predictions.csv")
+    out = args.output or args.input + ".predictions.csv"
     data, time_column = _load_input(args)
     preds, report = predict_stream(data, cfg)
     write_csv(preds, out, time_column)
@@ -170,29 +161,28 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    # the impute window must suit each listed variant, and only those
-    cfgs = [RecoveryConfig(L=args.L, T=args.T, variant=v) for v in args.variant]
-    corpus = benchmark_corpus(
-        n_channels=_BENCH_CHANNELS, n_samples=_BENCH_SAMPLES, seed=args.seed
-    )
+    # run_benchmark gives the impute window each scenario's variant and checks
+    # it against every one; the first listed variant only makes it a config
+    impute_cfg = (RecoveryConfig(L=args.L, T=args.T, variant=args.variant[0])
+                  if args.variant else None)
+    corpus = benchmark_corpus(seed=args.seed)
     scenarios = [
         Scenario(drop_rate=d, noise_rate=nz, variant=v)
         for d in args.drop for nz in args.noise for v in args.variant
     ]
-    out = _output_path(args, ".report.json")
     results = run_benchmark(
         corpus,
         scenarios,
-        impute_cfg=cfgs[0] if cfgs else None,
+        impute_cfg=impute_cfg,
         repetitions=args.reps,
         master_seed=args.seed,
         tasks=("impute", "predict"),
     )
-    _write_json(out, results_to_dict(results))
+    _write_json(args.output, results_to_dict(results))
     failures = [r for r in results if r.error]
     for r in failures:
         print(f"scenario {r.scenario.label()} failed: {r.error}", file=sys.stderr)
-    print(f"benchmarked {len(scenarios)} scenarios x {args.reps} reps -> {out}")
+    print(f"benchmarked {len(scenarios)} scenarios x {args.reps} reps -> {args.output}")
     return 1 if failures else 0
 
 

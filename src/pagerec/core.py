@@ -241,29 +241,17 @@ class Dataset:
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for CSV ingestion.
-
-    timestamp: name of the time column (None picks the first column).
-    kinds: per-column ChannelKind (unlisted columns default to GENERIC).
-    rate_fps: overrides the rate inferred from timestamp deltas.
-    """
-
-    timestamp: str | None = None
-    kinds: Mapping[str, ChannelKind] = field(default_factory=dict)
-    rate_fps: float | None = None
-
-
-def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
+def ingest_csv(path, kinds: Mapping[str, ChannelKind] | None = None) -> Dataset:
     """Read a comma-separated file into a Dataset.
 
-    One timestamp column, one column per channel, each named once in the
-    header by a non-empty name. A cell that is empty, whitespace-only or a
-    NaN literal (any case, surrounding spaces allowed) marks a missing
-    sample; a quoted numeric cell (``"1.5"``) is read as its number. Rows
-    must all have the header's width, and timestamps must be finite and
-    strictly increasing with a constant step.
+    The first column holds the timestamps, every other column one channel,
+    each named once in the header by a non-empty name. kinds maps channel
+    column names to their ChannelKind; an unlisted channel is GENERIC. A
+    cell that is empty, whitespace-only or a NaN literal (any case,
+    surrounding spaces allowed) marks a missing sample; a quoted numeric
+    cell (``"1.5"``) is read as its number. Rows must all have the header's
+    width, and timestamps must be finite and strictly increasing with a
+    constant step, from which the dataset's rate is derived.
 
     The data rows are parsed in blocks of ``_CSV_BLOCK_ROWS`` lines: the
     file's text is never held whole, only one block of it beside the parsed
@@ -271,6 +259,8 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
 
     Raises
     ------
+    ConfigError
+        A kinds key names no channel column (the timestamp column included).
     FormatError
         Empty or repeated header column name, ragged row or unparsable cell
         (each reported with its line number), fewer than two data rows, or a
@@ -278,7 +268,7 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
     AllMissingChannel
         Some channel has no observed sample at all.
     """
-    schema = schema or CsvSchema()
+    kinds = kinds or {}
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first:
@@ -286,9 +276,6 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
         header = [h.strip() for h in next(csv.reader([first]))]
         if not header:
             raise FormatError(f"{path}:1: empty header")
-        ts_col = schema.timestamp if schema.timestamp is not None else header[0]
-        if ts_col not in header:
-            raise FormatError(f"{path}: timestamp column {ts_col!r} not in header")
         seen = set()
         for j, name in enumerate(header, start=1):
             if not name:
@@ -298,12 +285,15 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
             seen.add(name)
         if len(header) < 2:
             raise FormatError(f"{path}: no channel columns besides the timestamp")
-        ts_idx = header.index(ts_col)
+        ids = tuple(header[1:])
+        unknown = sorted(set(kinds) - set(ids))
+        if unknown:
+            raise ConfigError(f"{path}: kinds name no channel column: {unknown}")
 
         blocks = []
         lineno = 2
         while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
-            blocks.append(_parse_block(lines, path, lineno, header, ts_idx))
+            blocks.append(_parse_block(lines, path, lineno, header))
             lineno += len(lines)
 
     if sum(len(b) for b in blocks) < 2:
@@ -311,25 +301,22 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Dataset:
     table = np.concatenate(blocks)
     del blocks  # freed before the columns are copied out of table
 
-    t = table[:, ts_idx].copy()
+    t = table[:, 0].copy()
     if not _uniform_steps(t):
         raise FormatError(f"{path}: timestamps are not finite and uniformly increasing")
-    rate = schema.rate_fps if schema.rate_fps else 1.0 / (t[1] - t[0])
-
-    ids = tuple(h for j, h in enumerate(header) if j != ts_idx)
-    values = table.T[[j for j in range(len(header)) if j != ts_idx]]
+    values = table.T[1:].copy()
     del table  # freed before the dataset copies values
     masks = ~np.isnan(values)
     unobserved = ~masks.any(axis=1)
     if unobserved.any():
         name = ids[unobserved.argmax()]
         raise AllMissingChannel(f"{path}: column {name!r} has no observed sample")
-    kinds = [schema.kinds.get(name, ChannelKind.GENERIC) for name in ids]
-    return Dataset.from_arrays(t, values, masks, ids, kinds, rate)
+    return Dataset.from_arrays(
+        t, values, masks, ids, [kinds.get(name, ChannelKind.GENERIC) for name in ids]
+    )
 
 
-def _parse_block(lines: list[str], path, lineno: int, header: list[str],
-                 ts_idx: int) -> np.ndarray:
+def _parse_block(lines: list[str], path, lineno: int, header: list[str]) -> np.ndarray:
     """One block of data lines, the first at line number lineno, as a
     (lines, columns) float array with NaN for a missing cell.
 
@@ -350,13 +337,12 @@ def _parse_block(lines: list[str], path, lineno: int, header: list[str],
         except ValueError:
             pass
     if (block is None or block.shape != (len(lines), len(header))
-            or np.isnan(block[:, ts_idx]).any()):
-        return _scan_block(lines, path, lineno, header, ts_idx)
+            or np.isnan(block[:, 0]).any()):
+        return _scan_block(lines, path, lineno, header)
     return block
 
 
-def _scan_block(lines: list[str], path, lineno: int, header: list[str],
-                ts_idx: int) -> np.ndarray:
+def _scan_block(lines: list[str], path, lineno: int, header: list[str]) -> np.ndarray:
     """The cell-by-cell reading of a block that defines the input rules:
     names the first ragged line or unparsable cell, and reads what the C
     parser does not (whitespace-only cells, digits grouped by underscores)."""
@@ -368,13 +354,13 @@ def _scan_block(lines: list[str], path, lineno: int, header: list[str],
             raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
         for j, cell in enumerate(row):
             token = cell.strip()
-            if j != ts_idx and token.lower() in _MISSING_TOKENS:
+            if j > 0 and token.lower() in _MISSING_TOKENS:  # column 0: timestamps
                 block[i, j] = np.nan
                 continue
             try:
                 block[i, j] = float(token)
             except ValueError:
-                if j == ts_idx:
+                if j == 0:
                     raise FormatError(f"{where}: bad timestamp {cell!r}") from None
                 raise FormatError(
                     f"{where}: bad value {cell!r} in column {header[j]!r}"

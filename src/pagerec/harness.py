@@ -154,36 +154,26 @@ def gen_synthetic(spec: SyntheticSpec) -> Synthetic:
 def benchmark_corpus(
     n_channels: int = 6,
     n_samples: int = 1200,
-    rate_fps: float = 60.0,
     mode_freqs: Sequence[float] = (1.3, 2.2, 3.1),
-    amp_range: tuple[float, float] = (0.8, 1.2),
-    offset_range: tuple[float, float] = (4.0, 7.0),
     seed: int = 0,
-    events: Mapping[str, tuple[StepEvent, ...]] | None = None,
 ) -> Synthetic:
-    """Correlated multichannel corpus: every channel mixes the same set of
-    sinusoidal modes with seeded weights, phases and offsets. A negative
-    seed is a ConfigError."""
+    """Correlated multichannel corpus at 60 samples per second: every
+    channel mixes the same set of sinusoidal modes with seeded weights
+    (magnitudes in [0.8, 1.2]), phases and offsets (magnitudes in [4, 7]).
+    A negative seed is a ConfigError."""
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, len(mode_freqs))
     specs = []
     for i in range(n_channels):
-        cid = f"ch{i:02d}"
-        weights = rng.uniform(*amp_range, len(mode_freqs)) * rng.choice([-1.0, 1.0], len(mode_freqs))
-        offset = rng.uniform(*offset_range) * rng.choice([-1.0, 1.0])
+        weights = rng.uniform(0.8, 1.2, len(mode_freqs)) * rng.choice([-1.0, 1.0], len(mode_freqs))
+        offset = rng.uniform(4.0, 7.0) * rng.choice([-1.0, 1.0])
         comps = tuple(
             (float(w), float(f), float(p))
             for w, f, p in zip(weights, mode_freqs, phases)
         )
-        specs.append(
-            ChannelSpec(
-                cid,
-                SinusoidSum(comps, offset),
-                events=tuple(events.get(cid, ())) if events else (),
-            )
-        )
-    return gen_synthetic(SyntheticSpec(tuple(specs), n_samples, rate_fps))
+        specs.append(ChannelSpec(f"ch{i:02d}", SinusoidSum(comps, offset)))
+    return gen_synthetic(SyntheticSpec(tuple(specs), n_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,8 @@ def run_benchmark(
     degraded input and the one-step persistence forecast serve as
     baselines. Scenario failures are isolated into the result's error
     field; an empty grid, fewer than one repetition, a rate outside its
-    range or a negative master seed is a ConfigError before anything runs.
+    range, a negative master seed or an impute window that does not suit
+    some scenario's variant is a ConfigError before anything runs.
     """
     tasks, scenarios = tuple(tasks), tuple(scenarios)
     unknown = set(tasks) - {"impute", "predict"}
@@ -377,6 +368,9 @@ def run_benchmark(
     _check_seed(master_seed)
     for scenario in scenarios:
         _check_rates(scenario.drop_rate, scenario.noise_rate)
+    # the impute window for each scenario's variant, checked before any runs
+    impute_cfgs = {sc.variant: replace(impute_cfg or IMPUTE_CFG, variant=sc.variant)
+                   for sc in scenarios if "impute" in tasks}
     truth_vals = truth.dataset.values_matrix()
     ids = truth.dataset.ids
     results: list[ScenarioResult] = []
@@ -395,8 +389,7 @@ def run_benchmark(
                 )
                 degraded = degrade(truth.dataset, dspec, noise_base=truth.steady_median)
                 if "impute" in tasks:
-                    cfg = replace(impute_cfg or IMPUTE_CFG, variant=scenario.variant)
-                    recovered, _ = impute_offline(degraded, cfg)
+                    recovered, _ = impute_offline(degraded, impute_cfgs[scenario.variant])
                     baseline = locf_baseline(degraded)
                     imp_rows.append(_per_channel_mape(ids, truth_vals, recovered.values_matrix()))
                     base_rows.append(_per_channel_mape(ids, truth_vals, baseline.values_matrix()))

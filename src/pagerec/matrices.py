@@ -52,16 +52,16 @@ def hankel_entries(window: np.ndarray, L: int) -> np.ndarray:
     return sliding_window_view(w, L, axis=-1).swapaxes(-1, -2)
 
 
-def antidiagonal_means(block: np.ndarray, length: int) -> np.ndarray:
-    """Average every entry (i, j) of a Hankel-layout block into sample i+j.
+def antidiagonal_means(block: np.ndarray) -> np.ndarray:
+    """Average every entry (i, j) of an L x cols Hankel-layout block into
+    sample i+j of a window of L + cols - 1 samples.
 
     Leading axes hold a stack of blocks, each averaged on its own. Rows are
     summed in order of i, so every sample adds its terms in the same order
     whatever the stack.
     """
     L, cols = block.shape[-2:]
-    if length != L + cols - 1:
-        raise ShapeError(f"block {block.shape} cannot reshape to length {length}")
+    length = L + cols - 1
     sums = np.zeros(block.shape[:-2] + (length,))
     counts = np.zeros(length)
     for i in range(L):

@@ -210,7 +210,7 @@ def _unstack(
     if cfg.variant is MatrixVariant.PAGE:
         w = blocks.swapaxes(-1, -2).reshape(B, N, -1)
     else:
-        w = antidiagonal_means(blocks, cfg.L + blocks.shape[-1] - 1)
+        w = antidiagonal_means(blocks)
     return w * half + mid
 
 

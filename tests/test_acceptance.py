@@ -158,8 +158,7 @@ def test_criterion_3_lrf_forecast():
 def test_criterion_4_drop_rate_trend():
     start = time.perf_counter()
     corpus = benchmark_corpus(
-        n_channels=30, n_samples=1200, mode_freqs=(1.3, 2.2, 3.1),
-        amp_range=(0.8, 1.2), offset_range=(4.0, 7.0), seed=11,
+        n_channels=30, n_samples=1200, mode_freqs=(1.3, 2.2, 3.1), seed=11,
     )
     drops = (0.1, 0.3, 0.5)
     results = run_benchmark(
@@ -192,10 +191,7 @@ def test_criterion_4_drop_rate_trend():
 
 def test_criterion_5_page_vs_short_hankel():
     start = time.perf_counter()
-    corpus = benchmark_corpus(
-        n_channels=3, n_samples=230, mode_freqs=(4.3, 7.1),
-        amp_range=(0.8, 1.2), offset_range=(4.0, 7.0), seed=21,
-    )
+    corpus = benchmark_corpus(n_channels=3, n_samples=230, mode_freqs=(4.3, 7.1), seed=21)
     truth = corpus.dataset.values_matrix()
     reps = 10
     medians = {}

@@ -11,7 +11,6 @@ from pagerec import (
     ChannelKind,
     ChannelSeries,
     ConfigError,
-    CsvSchema,
     Dataset,
     FormatError,
     ShapeError,
@@ -333,13 +332,6 @@ def test_ingest_empty_header_cell_names_file_and_position(tmp_path, header, colu
     assert msg == f"{p}:1: column {column} has an empty name"
 
 
-def test_ingest_timestamp_column_missing_from_header_rejected(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("t,v\n0,1\n1,2\n")
-    with pytest.raises(FormatError, match="timestamp column 'time' not in header"):
-        ingest_csv(p, CsvSchema(timestamp="time"))
-
-
 @pytest.mark.parametrize("text", ["t,v\n", "t,v\n0,1\n"])
 def test_ingest_header_only_or_single_row_rejected(tmp_path, text):
     p = tmp_path / "d.csv"
@@ -458,16 +450,29 @@ def test_write_csv_timestamp_column_named_like_a_channel(tmp_path):
 
 def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("va,time,f\n10,0,60.0\n11,1,60.1\n")
-    schema = CsvSchema(timestamp="time", kinds={"va": ChannelKind.VOLTAGE_ANGLE,
-                                                "f": ChannelKind.GENERIC})
-    ds = ingest_csv(p, schema)
+    p.write_text("time,va,f\n0,10,60.0\n1,11,60.1\n")
+    ds = ingest_csv(p, kinds={"va": ChannelKind.VOLTAGE_ANGLE, "f": ChannelKind.GENERIC})
     assert ds.ids == ("va", "f")
     assert list(ds.timestamps) == [0.0, 1.0]
     assert list(ds.channel("va").values) == [10.0, 11.0]
     assert list(ds.channel("f").values) == [60.0, 60.1]
     assert ds.channel("va").kind is ChannelKind.VOLTAGE_ANGLE
     assert ds.channel("f").kind is ChannelKind.GENERIC
+
+
+@pytest.mark.parametrize("kinds, keys", [
+    ({"vaa": ChannelKind.VOLTAGE_ANGLE}, ["vaa"]),
+    ({"time": ChannelKind.VOLTAGE_ANGLE}, ["time"]),
+    ({"va": ChannelKind.VOLTAGE_ANGLE, "x": ChannelKind.GENERIC, "time": ChannelKind.GENERIC},
+     ["time", "x"]),
+])
+def test_ingest_kinds_naming_no_channel_column_rejected(tmp_path, kinds, keys):
+    # the timestamp column is no channel, so it takes no kind either
+    p = tmp_path / "d.csv"
+    p.write_text("time,va,f\n0,10,60.0\n1,11,60.1\n")
+    with pytest.raises(ConfigError) as info:
+        ingest_csv(p, kinds=kinds)
+    assert str(info.value) == f"{p}: kinds name no channel column: {keys}"
 
 
 # ---------------------------------------------------------------------------

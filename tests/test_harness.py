@@ -27,6 +27,7 @@ from pagerec import (
     run_benchmark,
     write_csv,
 )
+from pagerec import harness
 
 
 def lrf_oracle(n, coeffs, init):
@@ -310,6 +311,24 @@ def test_benchmark_isolates_scenario_failures():
         tasks=("impute",),
     )
     assert results[0].error is not None and "ShapeError" in results[0].error
+
+
+def test_benchmark_checks_the_impute_window_before_any_repetition(monkeypatch):
+    # T=240 is not divisible by L=7, which the scenario's page variant requires
+    degraded = []
+    monkeypatch.setattr(harness, "degrade", lambda *args, **kw: degraded.append(args))
+    hankel_window = RecoveryConfig(L=7, T=240, variant=MatrixVariant.HANKEL)
+    with pytest.raises(ConfigError, match="T=240 must be divisible by L=7 for the page"):
+        run_benchmark(benchmark_corpus(), [Scenario(0.1)], impute_cfg=hankel_window)
+    assert degraded == []
+
+
+def test_benchmark_checks_the_impute_window_only_when_imputing():
+    # a predict-only run never uses the impute window
+    hankel_window = RecoveryConfig(L=7, T=240, variant=MatrixVariant.HANKEL)
+    results = run_benchmark(benchmark_corpus(), [Scenario(0.1)], impute_cfg=hankel_window,
+                            repetitions=1, tasks=("predict",))
+    assert results[0].error is None
 
 
 def test_benchmark_seed_derivation_deterministic():
