@@ -13,11 +13,10 @@ guarantee.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
-from .core import ingest_csv, write_csv
+from .core import ingest_csv, timestamp_column, write_csv
 from .errors import ConfigError, PagerecError
 from .harness import (
     IMPUTE_CFG,
@@ -103,10 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_input(args):
     """The input dataset, restricted to --channels, and the name of its
-    timestamp column (the first header cell, as ingest_csv reads it)."""
+    timestamp column."""
     data = ingest_csv(args.input)
-    with open(args.input, newline="") as fh:
-        time_column = next(csv.reader([fh.readline()]))[0].strip()
+    time_column = timestamp_column(args.input)
     if args.channels is not None:
         wanted = [c.strip() for c in args.channels.split(",") if c.strip()]
         if not wanted:

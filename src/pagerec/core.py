@@ -49,18 +49,27 @@ def _uniform_steps(t: np.ndarray) -> bool:
     """True when the (at least two) timestamps t are finite and increase by
     one constant step: the first step is positive and every step passes
     np.allclose's test against it (rtol 1e-9, atol 1e-12), written out
-    because np.allclose's own checks cost more than the test itself."""
+    because np.allclose's own checks cost more than the test itself.
+
+    Only the extreme steps are compared with the first step f: rounding is
+    monotone and fl(f - s) = -fl(s - f), so |s - f| <= tol holds for every
+    step s exactly when it holds for the largest and the smallest."""
+    # inf - inf would warn in the step differences below
     if not np.isfinite(t).all():
         return False
     steps = t[1:] - t[:-1]
     first = float(steps[0])
-    return first > 0 and bool((np.abs(steps - first) <= 1e-12 + 1e-9 * first).all())
+    tol = 1e-12 + 1e-9 * first
+    return (first > 0 and float(steps.max()) - first <= tol
+            and first - float(steps.min()) <= tol)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ChannelSeries:
-    """One measurement channel: a plain record. A :class:`Dataset` checks
-    and copies it when the dataset is built from it.
+    """One measurement channel: a plain, slotted record, compared and hashed
+    by identity. A :class:`Dataset` checks and copies it when the dataset is
+    built from it, so changing a record afterwards leaves the dataset as it
+    was.
 
     Parameters
     ----------
@@ -184,10 +193,10 @@ class Dataset:
             rate_fps = 1.0 / (t[1] - t[0]) if len(t) >= 2 else 1.0
         for a in (t, values, masks):
             a.setflags(write=False)
-        for name, value in (("timestamps", t), ("ids", ids), ("kinds", kinds),
-                            ("rate_fps", float(rate_fps)), ("_values", values),
-                            ("_masks", masks)):
-            object.__setattr__(self, name, value)
+        # one update of the instance dict: the frozen class's __setattr__
+        # refuses the fields
+        self.__dict__.update(timestamps=t, ids=ids, kinds=kinds, rate_fps=float(rate_fps),
+                             _values=values, _masks=masks)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -270,21 +279,7 @@ def ingest_csv(path, kinds: Mapping[str, ChannelKind] | None = None) -> Dataset:
     """
     kinds = kinds or {}
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first:
-            raise FormatError(f"{path}: empty file")
-        header = [h.strip() for h in next(csv.reader([first]))]
-        if not header:
-            raise FormatError(f"{path}:1: empty header")
-        seen = set()
-        for j, name in enumerate(header, start=1):
-            if not name:
-                raise FormatError(f"{path}:1: column {j} has an empty name")
-            if name in seen:
-                raise FormatError(f"{path}:1: column {name!r} appears more than once")
-            seen.add(name)
-        if len(header) < 2:
-            raise FormatError(f"{path}: no channel columns besides the timestamp")
+        header = _read_header(fh, path)
         ids = tuple(header[1:])
         unknown = sorted(set(kinds) - set(ids))
         if unknown:
@@ -314,6 +309,36 @@ def ingest_csv(path, kinds: Mapping[str, ChannelKind] | None = None) -> Dataset:
     return Dataset.from_arrays(
         t, values, masks, ids, [kinds.get(name, ChannelKind.GENERIC) for name in ids]
     )
+
+
+def timestamp_column(path) -> str:
+    """The name of the timestamp column of the CSV file at path, as
+    ingest_csv reads it: the first header cell, stripped. The header is
+    checked as ingest_csv checks it."""
+    with open(path, newline="") as fh:
+        return _read_header(fh, path)[0]
+
+
+def _read_header(fh, path) -> list[str]:
+    """The stripped column names of the header line fh is at: the timestamp
+    column first, then at least one channel, every name non-empty and
+    unique. Reads that one line."""
+    first = fh.readline()
+    if not first:
+        raise FormatError(f"{path}: empty file")
+    header = [h.strip() for h in next(csv.reader([first]))]
+    if not header:
+        raise FormatError(f"{path}:1: empty header")
+    seen = set()
+    for j, name in enumerate(header, start=1):
+        if not name:
+            raise FormatError(f"{path}:1: column {j} has an empty name")
+        if name in seen:
+            raise FormatError(f"{path}:1: column {name!r} appears more than once")
+        seen.add(name)
+    if len(header) < 2:
+        raise FormatError(f"{path}: no channel columns besides the timestamp")
+    return header
 
 
 def _parse_block(lines: list[str], path, lineno: int, header: list[str]) -> np.ndarray:

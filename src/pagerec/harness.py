@@ -117,7 +117,6 @@ class ChannelSpec:
 class SyntheticSpec:
     channels: tuple[ChannelSpec, ...]
     n_samples: int
-    rate_fps: float = 60.0
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,10 @@ class Synthetic:
 
 
 def gen_synthetic(spec: SyntheticSpec) -> Synthetic:
-    """Generate a fully observed ground-truth dataset from explicit
-    per-channel generators; step events are applied after the steady-state
-    medians are recorded."""
-    t = np.arange(spec.n_samples) / spec.rate_fps
+    """Generate a fully observed ground-truth dataset, sampled at 60 fps,
+    from explicit per-channel generators; step events are applied after the
+    steady-state medians are recorded."""
+    t = np.arange(spec.n_samples) / 60.0
     values = np.empty((len(spec.channels), spec.n_samples))
     medians = {}
     for row, ch in zip(values, spec.channels):
@@ -146,7 +145,6 @@ def gen_synthetic(spec: SyntheticSpec) -> Synthetic:
     dataset = Dataset.from_arrays(
         t, values, np.ones(values.shape, dtype=bool),
         [ch.channel_id for ch in spec.channels], [ch.kind for ch in spec.channels],
-        spec.rate_fps,
     )
     return Synthetic(dataset, medians)
 
@@ -244,6 +242,8 @@ def _check_rates(drop_rate: float, noise_rate: float) -> None:
         raise ConfigError(f"drop_rate must lie in [0, 1], got {drop_rate}")
     if not noise_rate >= 0.0:
         raise ConfigError(f"noise_rate must be non-negative, got {noise_rate}")
+    if noise_rate == np.inf:
+        raise ConfigError(f"noise_rate must be finite, got {noise_rate}")
 
 
 # ---------------------------------------------------------------------------

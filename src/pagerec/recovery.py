@@ -99,7 +99,7 @@ class RecoveryConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ForecastModel:
     """Minimum-norm least-squares coefficients expressing the last row of a
     window's estimate as a combination of its first L-1 rows, and the

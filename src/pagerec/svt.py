@@ -82,7 +82,7 @@ class OsvtOutcome:
     fallback_rank1: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OsvtBatch:
     """Results of thresholding a stack of equally shaped (m, n) matrices:
     each field holds one entry per matrix along the leading axis and means
@@ -162,11 +162,14 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
 
-    # s is sorted, so the kept set is a prefix of length kept_rank
-    kept = (s > threshold).sum(axis=1)
+    # s is sorted, so the values above the cutoff are a prefix of each row
+    above = s > threshold
+    weights = np.where(above, s, 0.0)
+    kept = above.sum(axis=1)
     fallback = kept == 0
-    kept = np.maximum(kept, 1)
-    weights = np.where(np.arange(s.shape[1]) < kept[:, None], s, 0.0)
+    if fallback.any():
+        weights[fallback, 0] = s[fallback, 0]
+        kept[fallback] = 1
     if tall:
         U, Vt = Vt.swapaxes(1, 2), U.swapaxes(1, 2)
     return OsvtBatch(

@@ -136,7 +136,7 @@ def test_criterion_3_lrf_forecast():
         ChannelSpec(f"c{i:02d}", LinearRecurrence((1.8, -0.81), (s, 0.9 * s)))
         for i, s in enumerate(scales)
     )
-    data = gen_synthetic(SyntheticSpec(specs, n, rate_fps=60.0)).dataset
+    data = gen_synthetic(SyntheticSpec(specs, n)).dataset
 
     truth = np.vstack([lrf_oracle(n, (1.8, -0.81), (s, 0.9 * s)) for s in scales])
     assert np.allclose(data.values_matrix(), truth, atol=1e-12)
@@ -294,7 +294,7 @@ def test_criterion_8_event_rank_rises():
                 events=(StepEvent(at=185, delta=delta),),
             )
         )
-    data = gen_synthetic(SyntheticSpec(tuple(specs), 360, rate_fps=60.0)).dataset
+    data = gen_synthetic(SyntheticSpec(tuple(specs), 360)).dataset
     details = []
     ok = True
     for variant in (MatrixVariant.PAGE, MatrixVariant.HANKEL):

@@ -274,6 +274,7 @@ def test_bench_variant_grid(tmp_path):
     (["--drop", "0.1,1.5"], "drop_rate must lie in [0, 1], got 1.5"),
     (["--noise", "-0.2"], "noise_rate must be non-negative, got -0.2"),
     (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--noise", "inf"], "noise_rate must be finite, got inf"),
 ])
 def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "r.json"

@@ -119,6 +119,23 @@ def test_records_handed_out_are_views_and_constructor_copies():
         a.values[0] = 9.0
 
 
+def test_reassigning_record_fields_leaves_the_dataset_unchanged():
+    rec = ChannelSeries("a", ChannelKind.GENERIC, np.arange(3.0), np.array([1.0, 2.0, 3.0]),
+                        np.ones(3, bool))
+    ds = Dataset((rec,))
+    rec.channel_id, rec.kind = "b", ChannelKind.VOLTAGE_ANGLE
+    rec.timestamps, rec.values, rec.mask = np.arange(3.0) + 5.0, np.zeros(3), np.zeros(3, bool)
+    handed_out = ds.channel("a")
+    handed_out.values, handed_out.mask = np.zeros(3), np.zeros(3, bool)
+    assert (ds.ids, ds.kinds) == (("a",), (ChannelKind.GENERIC,))
+    assert ds.timestamps.tolist() == [0.0, 1.0, 2.0]
+    assert ds.values_matrix().tolist() == [[1.0, 2.0, 3.0]]
+    assert ds.masks_matrix().all()
+    # slotted: a misspelt field is an error, not a new attribute
+    with pytest.raises(AttributeError):
+        rec.value = np.zeros(3)
+
+
 def test_records_compare_by_identity():
     # a record holds arrays, so field-wise equality and hashing are undefined
     ds = Dataset((make_series([1.0, 2.0], cid="a"),))

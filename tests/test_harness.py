@@ -60,7 +60,7 @@ def test_gen_lrf_matches_recursion_oracle():
 def test_gen_sinusoid_page_rank_two():
     # 0.5 Hz tone sampled at 60 fps: the L=6 Page matrix has numerical rank 2
     gen = SinusoidSum(((1.0, 0.5, 0.0),))
-    spec = SyntheticSpec((ChannelSpec("c", gen),), 600, rate_fps=60.0)
+    spec = SyntheticSpec((ChannelSpec("c", gen),), 600)
     vals = gen_synthetic(spec).dataset.channel("c").values
     m = vals.reshape(-1, 6).T
     s = np.linalg.svd(m, compute_uv=False)  # oracle spectrum
@@ -168,6 +168,8 @@ def test_degrade_validates_rates():
         degrade(corpus.dataset, DegradeSpec(drop_rate=1.5))
     with pytest.raises(ConfigError):
         degrade(corpus.dataset, DegradeSpec(noise_rate=-0.1))
+    with pytest.raises(ConfigError, match="noise_rate must be finite, got inf"):
+        degrade(corpus.dataset, DegradeSpec(noise_rate=np.inf))
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         degrade(corpus.dataset, DegradeSpec(seed=-1))
 
