@@ -27,18 +27,12 @@ from .errors import (
     ShapeError,
 )
 from .harness import (
-    ChannelSpec,
     DegradeSpec,
-    LinearRecurrence,
     Scenario,
     ScenarioResult,
-    SinusoidSum,
-    StepEvent,
     Synthetic,
-    SyntheticSpec,
     benchmark_corpus,
     degrade,
-    gen_synthetic,
     locf_baseline,
     mape,
     persistence_baseline,

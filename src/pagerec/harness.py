@@ -1,7 +1,8 @@
-"""Synthetic signals, degradation injection, error metrics and benchmarks.
+"""The benchmark corpus, degradation injection, error metrics and benchmarks.
 
-Benchmarks call only the public recovery entry points (impute_offline,
-predict_stream) and score their output against ground truth.
+The corpus is seeded ground truth: channels that mix a few shared
+sinusoidal modes. Benchmarks call only the public recovery entry points
+(impute_offline, predict_stream) and score their output against it.
 
 Everything here is deterministic under its seed: degradation derives all
 randomness from DegradeSpec.seed, and benchmark repetition seeds are derived
@@ -10,29 +11,24 @@ from one master seed, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ChannelKind, Dataset, locf_fill
+from .core import Dataset, locf_fill
 from .errors import AllMissingChannel, ConfigError, MapeUndefined, ShapeError
 from .matrices import MatrixVariant
 from .recovery import RecoveryConfig, impute_offline, predict_stream
 
 __all__ = [
-    "SinusoidSum",
-    "LinearRecurrence",
-    "StepEvent",
-    "ChannelSpec",
-    "SyntheticSpec",
     "Synthetic",
-    "gen_synthetic",
     "benchmark_corpus",
     "DegradeSpec",
     "degrade",
     "mape",
+    "locf_baseline",
+    "persistence_baseline",
     "Scenario",
     "ScenarioResult",
     "run_benchmark",
@@ -41,112 +37,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Signal generators
+# Ground truth
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SinusoidSum:
-    """Sum of sinusoids: offset + sum a*sin(2*pi*hz*t + phase), t in seconds."""
-
-    components: tuple[tuple[float, float, float], ...]  # (amplitude, hz, phase)
-    offset: float = 0.0
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        out = np.full(len(t), self.offset)
-        for amp, hz, phase in self.components:
-            out += amp * np.sin(2.0 * np.pi * hz * t + phase)
-        return out
-
-
-@dataclass(frozen=True)
-class LinearRecurrence:
-    """f(t) = sum_g coeffs[g-1] * f(t-g), seeded by init = (f(0), f(1), ...)."""
-
-    coeffs: tuple[float, ...]
-    init: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.init) != len(self.coeffs):
-            raise ConfigError(
-                f"need {len(self.coeffs)} initial values, got {len(self.init)}"
-            )
-
-    def spectral_radius(self) -> float:
-        g = len(self.coeffs)
-        companion = np.zeros((g, g))
-        companion[0] = self.coeffs
-        companion[1:, :-1] = np.eye(g - 1)
-        return float(np.abs(np.linalg.eigvals(companion)).max())
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        if self.spectral_radius() > 1.0 + 1e-12:
-            warnings.warn(
-                f"recurrence {self.coeffs} is unstable (spectral radius "
-                f"{self.spectral_radius():.3f}); generating anyway",
-                stacklevel=2,
-            )
-        n = len(t)
-        g = len(self.coeffs)
-        f = np.empty(n)
-        f[:min(g, n)] = self.init[:min(g, n)]
-        for i in range(g, n):
-            acc = 0.0
-            for k, a in enumerate(self.coeffs, start=1):
-                acc += a * f[i - k]
-            f[i] = acc
-        return f
-
-
-@dataclass(frozen=True)
-class StepEvent:
-    """Additive level shift from sample index `at` onward."""
-
-    at: int
-    delta: float
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    channel_id: str
-    signal: SinusoidSum | LinearRecurrence
-    kind: ChannelKind = ChannelKind.GENERIC
-    events: tuple[StepEvent, ...] = ()
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    channels: tuple[ChannelSpec, ...]
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class Synthetic:
-    """Ground-truth dataset plus the per-channel pre-event median magnitude
-    (the noise scale basis for degradation)."""
+    """Ground-truth dataset plus each channel's median magnitude (the noise
+    scale basis for degradation)."""
 
     dataset: Dataset
     steady_median: dict[str, float]
-
-
-def gen_synthetic(spec: SyntheticSpec) -> Synthetic:
-    """Generate a fully observed ground-truth dataset, sampled at 60 fps,
-    from explicit per-channel generators; step events are applied after the
-    steady-state medians are recorded."""
-    t = np.arange(spec.n_samples) / 60.0
-    values = np.empty((len(spec.channels), spec.n_samples))
-    medians = {}
-    for row, ch in zip(values, spec.channels):
-        row[:] = ch.signal.sample(t)
-        medians[ch.channel_id] = float(np.median(np.abs(row)))
-        for ev in ch.events:
-            if not 0 <= ev.at <= spec.n_samples:
-                raise ConfigError(f"event index {ev.at} outside [0, {spec.n_samples}]")
-            row[ev.at:] += ev.delta
-    dataset = Dataset.from_arrays(
-        t, values, np.ones(values.shape, dtype=bool),
-        [ch.channel_id for ch in spec.channels], [ch.kind for ch in spec.channels],
-    )
-    return Synthetic(dataset, medians)
 
 
 def benchmark_corpus(
@@ -155,23 +55,29 @@ def benchmark_corpus(
     mode_freqs: Sequence[float] = (1.3, 2.2, 3.1),
     seed: int = 0,
 ) -> Synthetic:
-    """Correlated multichannel corpus at 60 samples per second: every
-    channel mixes the same set of sinusoidal modes with seeded weights
-    (magnitudes in [0.8, 1.2]), phases and offsets (magnitudes in [4, 7]).
-    A negative seed is a ConfigError."""
+    """Correlated, fully observed multichannel corpus at 60 samples per
+    second: channel i is offset_i + sum_k w_ik sin(2 pi f_k t + phase_k), so
+    every channel mixes the same modes f_k, with seeded weights (magnitudes
+    in [0.8, 1.2]), phases and offsets (magnitudes in [4, 7]). A negative
+    seed is a ConfigError."""
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, len(mode_freqs))
-    specs = []
+    n_modes = len(mode_freqs)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    weights = np.empty((n_channels, n_modes))
+    offsets = np.empty((n_channels, 1))
     for i in range(n_channels):
-        weights = rng.uniform(0.8, 1.2, len(mode_freqs)) * rng.choice([-1.0, 1.0], len(mode_freqs))
-        offset = rng.uniform(4.0, 7.0) * rng.choice([-1.0, 1.0])
-        comps = tuple(
-            (float(w), float(f), float(p))
-            for w, f, p in zip(weights, mode_freqs, phases)
-        )
-        specs.append(ChannelSpec(f"ch{i:02d}", SinusoidSum(comps, offset)))
-    return gen_synthetic(SyntheticSpec(tuple(specs), n_samples))
+        weights[i] = rng.uniform(0.8, 1.2, n_modes) * rng.choice([-1.0, 1.0], n_modes)
+        offsets[i] = rng.uniform(4.0, 7.0) * rng.choice([-1.0, 1.0])
+    t = np.arange(n_samples) / 60.0
+    values = np.repeat(offsets, n_samples, axis=1)
+    # the modes are added in turn, each sine computed once for all channels
+    for hz, phase, w in zip(mode_freqs, phases, weights.T):
+        values += w[:, None] * np.sin(2.0 * np.pi * float(hz) * t + phase)
+    ids = [f"ch{i:02d}" for i in range(n_channels)]
+    medians = np.median(np.abs(values), axis=1, overwrite_input=True)
+    dataset = Dataset.from_arrays(t, values, np.ones(values.shape, dtype=bool), ids)
+    return Synthetic(dataset, dict(zip(ids, medians.tolist())))
 
 
 # ---------------------------------------------------------------------------

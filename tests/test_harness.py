@@ -1,25 +1,21 @@
-"""Synthetic generation, degradation, MAPE, kept ranks, benchmarks."""
+"""The benchmark corpus, degradation, MAPE, kept ranks, benchmarks."""
 
 import numpy as np
 import pytest
 
 from pagerec import (
     AllMissingChannel,
-    ChannelSpec,
     ConfigError,
+    Dataset,
     DegradeSpec,
-    LinearRecurrence,
     MapeUndefined,
     MatrixVariant,
     RecoveryConfig,
     Scenario,
     ShapeError,
-    SinusoidSum,
-    StepEvent,
-    SyntheticSpec,
+    Synthetic,
     benchmark_corpus,
     degrade,
-    gen_synthetic,
     impute_offline,
     locf_baseline,
     mape,
@@ -30,63 +26,50 @@ from pagerec import (
 from pagerec import harness
 
 
-def lrf_oracle(n, coeffs, init):
-    f = np.empty(n)
-    g = len(coeffs)
-    f[:g] = init
-    for t in range(g, n):
-        f[t] = sum(a * f[t - k] for k, a in enumerate(coeffs, start=1))
-    return f
+def observed(rows):
+    """Fully observed dataset of the (N, n) rows at 60 samples per second,
+    channels c0, c1, ..."""
+    t = np.arange(rows.shape[1]) / 60.0
+    return Dataset.from_arrays(t, rows, np.ones(rows.shape, dtype=bool),
+                               [f"c{i}" for i in range(len(rows))])
 
 
 # ---------------------------------------------------------------------------
-# gen_synthetic
+# benchmark_corpus
 # ---------------------------------------------------------------------------
 
-def test_gen_constant():
-    spec = SyntheticSpec((ChannelSpec("c", SinusoidSum((), 1.0)),), 100)
-    out = gen_synthetic(spec)
-    assert np.array_equal(out.dataset.channel("c").values, np.ones(100))
-    assert out.steady_median["c"] == 1.0
+def test_corpus_matches_a_channel_by_channel_loop():
+    # the draws in the corpus's order; each row starts at its offset and
+    # adds the modes in turn
+    freqs = (4.3, 7.1)
+    corpus = benchmark_corpus(n_channels=3, n_samples=50, mode_freqs=freqs, seed=13)
+    rng = np.random.default_rng(13)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 2)
+    t = np.arange(50) / 60.0
+    for row in corpus.dataset.values_matrix():
+        weights = rng.uniform(0.8, 1.2, 2) * rng.choice([-1.0, 1.0], 2)
+        expected = np.full(50, rng.uniform(4.0, 7.0) * rng.choice([-1.0, 1.0]))
+        for w, hz, phase in zip(weights, freqs, phases):
+            expected += w * np.sin(2.0 * np.pi * hz * t + phase)
+        assert np.array_equal(row, expected)
+    assert corpus.dataset.ids == ("ch00", "ch01", "ch02")
 
 
-def test_gen_lrf_matches_recursion_oracle():
-    gen = LinearRecurrence((1.8, -0.81), (1.0, 1.0))
-    spec = SyntheticSpec((ChannelSpec("c", gen),), 50)
-    vals = gen_synthetic(spec).dataset.channel("c").values
-    assert np.allclose(vals, lrf_oracle(50, (1.8, -0.81), (1.0, 1.0)), atol=1e-12)
-
-
-def test_gen_sinusoid_page_rank_two():
-    # 0.5 Hz tone sampled at 60 fps: the L=6 Page matrix has numerical rank 2
-    gen = SinusoidSum(((1.0, 0.5, 0.0),))
-    spec = SyntheticSpec((ChannelSpec("c", gen),), 600)
-    vals = gen_synthetic(spec).dataset.channel("c").values
-    m = vals.reshape(-1, 6).T
-    s = np.linalg.svd(m, compute_uv=False)  # oracle spectrum
-    assert s[1] > 1e-6 * s[0]
-    assert s[2] < 1e-8 * s[0]
-
-
-def test_gen_unstable_lrf_warns():
-    gen = LinearRecurrence((1.1,), (1.0,))
-    spec = SyntheticSpec((ChannelSpec("c", gen),), 30)
-    with pytest.warns(UserWarning, match="unstable"):
-        out = gen_synthetic(spec)
-    assert np.isfinite(out.dataset.channel("c").values).all()
-
-
-def test_gen_step_event_applied_after_median():
-    gen = SinusoidSum((), 2.0)
-    spec = SyntheticSpec(
-        (ChannelSpec("c", gen, events=(StepEvent(at=50, delta=10.0),)),), 100
-    )
-    out = gen_synthetic(spec)
-    vals = out.dataset.channel("c").values
-    assert np.array_equal(vals[:50], np.full(50, 2.0))
-    assert np.array_equal(vals[50:], np.full(50, 12.0))
-    # steady median ignores the event
-    assert out.steady_median["c"] == 2.0
+def test_corpus_steady_median_is_each_channels_median_magnitude():
+    for kw in (dict(), dict(n_channels=3, n_samples=245, seed=1),
+               dict(n_channels=4, n_samples=240, mode_freqs=(4.3, 7.1), seed=13)):
+        corpus = benchmark_corpus(**kw)
+        rows = corpus.dataset.values_matrix()
+        assert list(corpus.steady_median) == list(corpus.dataset.ids)
+        for cid, row in zip(corpus.dataset.ids, rows):
+            assert corpus.steady_median[cid] == np.median(np.abs(row))
+        # degrade's default noise scale is the same median of the observed
+        # samples, and the corpus is fully observed
+        spec = DegradeSpec(drop_rate=0.2, noise_rate=0.05, seed=3)
+        given = degrade(corpus.dataset, spec, noise_base=corpus.steady_median)
+        default = degrade(corpus.dataset, spec)
+        assert np.array_equal(given.values_matrix(), default.values_matrix(), equal_nan=True)
+        assert np.array_equal(given.masks_matrix(), default.masks_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -220,44 +203,15 @@ def kept_ranks(ds, cfg):
 
 
 def test_rank_constant_dataset():
-    spec = SyntheticSpec(
-        tuple(ChannelSpec(f"c{i}", SinusoidSum((), float(i + 1))) for i in range(3)), 240
-    )
-    ds = gen_synthetic(spec).dataset
+    ds = observed(np.repeat([[1.0], [2.0], [3.0]], 240, axis=1))
     assert kept_ranks(ds, RecoveryConfig(L=10, T=120)) == [1, 1]
 
 
 def test_rank_single_sinusoid():
-    gen = SinusoidSum(((1.0, 5.3, 0.4),))
-    spec = SyntheticSpec(tuple(ChannelSpec(f"c{i}", gen) for i in range(4)), 240)
-    ds = gen_synthetic(spec).dataset
+    t = np.arange(240) / 60.0
+    tone = np.sin(2.0 * np.pi * 5.3 * t + 0.4)
+    ds = observed(np.tile(tone, (4, 1)))
     assert kept_ranks(ds, RecoveryConfig(L=10, T=120)) == [2, 2]
-
-
-def _event_corpus(seed=5):
-    rng = np.random.default_rng(seed)
-    n, N = 360, 10
-    specs = []
-    for i in range(N):
-        amp = rng.uniform(2.0, 3.0) * rng.choice([-1.0, 1.0])
-        off = rng.uniform(4.0, 6.0) * rng.choice([-1.0, 1.0])
-        delta = rng.uniform(4.0, 6.0) * rng.choice([-1.0, 1.0])
-        specs.append(
-            ChannelSpec(
-                f"c{i:02d}",
-                SinusoidSum(((amp, 5.3, 0.7),), offset=off),
-                events=(StepEvent(at=185, delta=delta),),
-            )
-        )
-    return gen_synthetic(SyntheticSpec(tuple(specs), n)).dataset
-
-
-def test_rank_rises_in_event_window():
-    ds = _event_corpus()
-    for variant in (MatrixVariant.PAGE, MatrixVariant.HANKEL):
-        ranks = kept_ranks(ds, RecoveryConfig(L=10, T=120, variant=variant))
-        assert len(ranks) == 3
-        assert ranks[1] > ranks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +219,7 @@ def test_rank_rises_in_event_window():
 # ---------------------------------------------------------------------------
 
 def test_benchmark_constant_corpus_zero_error():
-    spec = SyntheticSpec(
-        tuple(ChannelSpec(f"c{i}", SinusoidSum((), 2.5)) for i in range(2)), 120
-    )
-    truth = gen_synthetic(spec)
+    truth = Synthetic(observed(np.full((2, 120), 2.5)), {"c0": 2.5, "c1": 2.5})
     results = run_benchmark(
         truth,
         [Scenario(drop_rate=0.0)],
