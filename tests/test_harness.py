@@ -72,6 +72,16 @@ def test_corpus_steady_median_is_each_channels_median_magnitude():
         assert np.array_equal(given.masks_matrix(), default.masks_matrix())
 
 
+def test_gen_sinusoid_page_rank_two():
+    # 0.5 Hz tone sampled at 60 fps: the L=6 Page matrix has numerical rank 2
+    t = np.arange(600) / 60.0
+    vals = np.sin(2.0 * np.pi * 0.5 * t)
+    m = vals.reshape(-1, 6).T
+    s = np.linalg.svd(m, compute_uv=False)  # oracle spectrum
+    assert s[1] > 1e-6 * s[0]
+    assert s[2] < 1e-8 * s[0]
+
+
 # ---------------------------------------------------------------------------
 # degrade
 # ---------------------------------------------------------------------------
@@ -212,6 +222,28 @@ def test_rank_single_sinusoid():
     tone = np.sin(2.0 * np.pi * 5.3 * t + 0.4)
     ds = observed(np.tile(tone, (4, 1)))
     assert kept_ranks(ds, RecoveryConfig(L=10, T=120)) == [2, 2]
+
+
+def _event_corpus(seed=5):
+    """Ten offset 5.3 Hz tones, each with a level shift from sample 185 on."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(360) / 60.0
+    rows = np.empty((10, 360))
+    for row in rows:
+        amp = rng.uniform(2.0, 3.0) * rng.choice([-1.0, 1.0])
+        off = rng.uniform(4.0, 6.0) * rng.choice([-1.0, 1.0])
+        delta = rng.uniform(4.0, 6.0) * rng.choice([-1.0, 1.0])
+        row[:] = off + amp * np.sin(2.0 * np.pi * 5.3 * t + 0.7)
+        row[185:] += delta
+    return observed(rows)
+
+
+def test_rank_rises_in_event_window():
+    ds = _event_corpus()
+    for variant in (MatrixVariant.PAGE, MatrixVariant.HANKEL):
+        ranks = kept_ranks(ds, RecoveryConfig(L=10, T=120, variant=variant))
+        assert len(ranks) == 3
+        assert ranks[1] > ranks[0]
 
 
 # ---------------------------------------------------------------------------

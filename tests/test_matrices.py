@@ -177,10 +177,3 @@ def test_lrf_page_matrix_low_rank():
         m = page_entries(f[:L * (240 // L)], L)
         s = np.linalg.svd(m, compute_uv=False)
         assert (s[G + 1:] < 1e-8 * s[0]).all()
-    # a 0.5 Hz tone at 60 fps obeys f(t) = 2 cos(w) f(t-1) - f(t-2): its
-    # L=6 Page matrix has numerical rank exactly two
-    t = np.arange(600) / 60.0
-    tone = np.sin(2.0 * np.pi * 0.5 * t)
-    s = np.linalg.svd(page_entries(tone, 6), compute_uv=False)
-    assert s[1] > 1e-6 * s[0]
-    assert s[2] < 1e-8 * s[0]
