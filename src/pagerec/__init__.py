@@ -10,11 +10,8 @@ from .core import (
     ChannelKind,
     ChannelSeries,
     Dataset,
-    ScalingTransform,
     ingest_csv,
     locf_fill,
-    scale_dataset,
-    unwrap_degrees,
     write_csv,
 )
 from .errors import (

@@ -1,4 +1,4 @@
-"""Time-series data model, CSV ingestion, gap filling and angle referencing.
+"""Time-series data model, CSV ingestion and gap filling.
 
 :class:`Dataset` is columnar: one time base of n samples and (N, n) arrays
 of values and observation masks, one row per channel, all read-only.
@@ -17,17 +17,11 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    AllMissingChannel,
-    ConfigError,
-    FormatError,
-    NumericError,
-    ShapeError,
-)
+from .errors import AllMissingChannel, ConfigError, FormatError, ShapeError
 
 _MISSING_TOKENS = {"", "nan"}
 
@@ -41,6 +35,8 @@ _EMPTY_BEFORE = re.compile(r",(?=[,\r\n]|\Z)")
 
 
 class ChannelKind(enum.Enum):
+    """A label carried with each channel; no computation reads it."""
+
     VOLTAGE_ANGLE = "voltage_angle"
     GENERIC = "generic"
 
@@ -76,8 +72,7 @@ class ChannelSeries:
     channel_id : str
         Opaque identifier, unique within a dataset.
     kind : ChannelKind
-        Physical interpretation; scale_dataset unwraps and references the
-        VOLTAGE_ANGLE channels and passes the others through.
+        A label carried with the channel; no computation reads it.
     timestamps : array of float
         Finite, strictly increasing, uniformly spaced sample times.
     values : array of float
@@ -103,7 +98,8 @@ class Dataset:
 
     timestamps holds the n sample times once; the channels' values and
     observation masks are (N, n) arrays whose row i belongs to channel
-    ids[i] of kind kinds[i]. All three arrays are read-only.
+    ids[i], labelled kinds[i] (a label that no computation reads). All
+    three arrays are read-only.
     ``Dataset(channels, rate_fps)`` builds one from ChannelSeries records,
     :meth:`from_arrays` from the arrays themselves; both copy their inputs
     and validate alike.
@@ -155,7 +151,8 @@ class Dataset:
         rate_fps: float = 0.0,
     ) -> "Dataset":
         """Dataset from its time base (n,), values and masks (N, n), channel
-        ids and kinds (GENERIC when omitted). The arrays are copied."""
+        ids and kind labels (GENERIC when omitted; no computation reads
+        them). The arrays are copied."""
         ids = tuple(ids)
         self = cls.__new__(cls)
         self._store(
@@ -250,17 +247,16 @@ class Dataset:
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
-def ingest_csv(path, kinds: Mapping[str, ChannelKind] | None = None) -> Dataset:
+def ingest_csv(path) -> Dataset:
     """Read a comma-separated file into a Dataset.
 
-    The first column holds the timestamps, every other column one channel,
-    each named once in the header by a non-empty name. kinds maps channel
-    column names to their ChannelKind; an unlisted channel is GENERIC. A
-    cell that is empty, whitespace-only or a NaN literal (any case,
-    surrounding spaces allowed) marks a missing sample; a quoted numeric
-    cell (``"1.5"``) is read as its number. Rows must all have the header's
-    width, and timestamps must be finite and strictly increasing with a
-    constant step, from which the dataset's rate is derived.
+    The first column holds the timestamps, every other column one GENERIC
+    channel, each named once in the header by a non-empty name. A cell that
+    is empty, whitespace-only or a NaN literal (any case, surrounding spaces
+    allowed) marks a missing sample; a quoted numeric cell (``"1.5"``) is
+    read as its number. Rows must all have the header's width, and
+    timestamps must be finite and strictly increasing with a constant step,
+    from which the dataset's rate is derived.
 
     The data rows are parsed in blocks of ``_CSV_BLOCK_ROWS`` lines: the
     file's text is never held whole, only one block of it beside the parsed
@@ -268,8 +264,6 @@ def ingest_csv(path, kinds: Mapping[str, ChannelKind] | None = None) -> Dataset:
 
     Raises
     ------
-    ConfigError
-        A kinds key names no channel column (the timestamp column included).
     FormatError
         Empty or repeated header column name, ragged row or unparsable cell
         (each reported with its line number), fewer than two data rows, or a
@@ -277,14 +271,9 @@ def ingest_csv(path, kinds: Mapping[str, ChannelKind] | None = None) -> Dataset:
     AllMissingChannel
         Some channel has no observed sample at all.
     """
-    kinds = kinds or {}
     with open(path, newline="") as fh:
         header = _read_header(fh, path)
         ids = tuple(header[1:])
-        unknown = sorted(set(kinds) - set(ids))
-        if unknown:
-            raise ConfigError(f"{path}: kinds name no channel column: {unknown}")
-
         blocks = []
         lineno = 2
         while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
@@ -306,9 +295,7 @@ def ingest_csv(path, kinds: Mapping[str, ChannelKind] | None = None) -> Dataset:
     if unobserved.any():
         name = ids[unobserved.argmax()]
         raise AllMissingChannel(f"{path}: column {name!r} has no observed sample")
-    return Dataset.from_arrays(
-        t, values, masks, ids, [kinds.get(name, ChannelKind.GENERIC) for name in ids]
-    )
+    return Dataset.from_arrays(t, values, masks, ids)
 
 
 def timestamp_column(path) -> str:
@@ -444,101 +431,3 @@ def locf_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     idx = np.where(m, np.arange(W), first)
     np.maximum.accumulate(idx, axis=-1, out=idx)
     return v[row, idx].reshape(values.shape)
-
-
-# ---------------------------------------------------------------------------
-# Angle unwrapping and referencing
-# ---------------------------------------------------------------------------
-
-def unwrap_degrees(values: np.ndarray) -> np.ndarray:
-    """Unwrap a degree-valued sequence so successive differences lie in
-    (-180, 180]; the output differs from the input by multiples of 360."""
-    v = np.asarray(values, dtype=float)
-    if len(v) < 2:
-        return v.copy()
-    d = np.diff(v)
-    # k = ceil((d - 180)/360) maps d - 360k into (-180, 180]
-    k = np.ceil((d - 180.0) / 360.0)
-    return v[0] + np.concatenate(([0.0], np.cumsum(d - 360.0 * k)))
-
-
-@dataclass(frozen=True)
-class ScalingTransform:
-    """Inverse bookkeeping produced by :func:`scale_dataset`: the reference
-    channel and its unwrapped series, which undoing the referencing needs."""
-
-    reference_channel: str | None
-    reference_values: np.ndarray | None
-
-    def invert(self, data: Dataset) -> Dataset:
-        """Map a scaled dataset back to physical units.
-
-        Angle channels come back unwrapped (referencing is undone, wrapping
-        is not reapplied); every other channel passes through.
-        """
-        values = data.values_matrix().copy()
-        for i, kind in enumerate(data.kinds):
-            if kind is ChannelKind.VOLTAGE_ANGLE:
-                if self.reference_values is None:
-                    raise ConfigError("no reference series recorded for angles")
-                values[i] = values[i] + self.reference_values
-        return data.with_values(values)
-
-
-def _pick_reference(data: Dataset, reference_channel: str | None) -> int | None:
-    """Row of the angle channel every angle channel is referenced to."""
-    if reference_channel is not None:
-        if reference_channel not in data.ids:
-            raise ConfigError(f"reference channel {reference_channel!r} not in dataset")
-        i = data.ids.index(reference_channel)
-        if data.kinds[i] is not ChannelKind.VOLTAGE_ANGLE:
-            raise ConfigError(
-                f"reference channel {reference_channel!r} is not an angle channel"
-            )
-        return i
-    angles = [i for i, kind in enumerate(data.kinds) if kind is ChannelKind.VOLTAGE_ANGLE]
-    if not angles:
-        return None
-    # fewest missing entries wins, first channel breaks ties
-    missing = (~data.masks_matrix()).sum(axis=1)
-    return min(angles, key=lambda i: (missing[i], i))
-
-
-def scale_dataset(
-    data: Dataset, reference_channel: str | None = None
-) -> tuple[Dataset, ScalingTransform]:
-    """Unwrap every angle channel and subtract the unwrapped reference angle
-    channel from it; other channels pass through unchanged. A per-channel
-    gain or offset needs no configuring: the window engine maps each channel
-    onto [-1, 1] in every window, so estimates follow such a map and kept
-    ranks do not change.
-
-    reference_channel None picks the angle channel with the fewest missing
-    entries. Fill gaps first: angle unwrapping propagates non-finite values.
-
-    Returns the scaled dataset and the transform that maps estimates back to
-    physical units.
-    """
-    values = data.values_matrix().copy()
-    ref = _pick_reference(data, reference_channel)
-    ref_unwrapped = None
-    if ref is not None:
-        if not np.isfinite(values[ref]).all():
-            raise NumericError(
-                f"reference channel {data.ids[ref]!r} has non-finite values; fill first"
-            )
-        ref_unwrapped = unwrap_degrees(values[ref])
-
-    for i, (cid, kind) in enumerate(zip(data.ids, data.kinds)):
-        if kind is ChannelKind.VOLTAGE_ANGLE:
-            if not np.isfinite(values[i]).all():
-                raise NumericError(
-                    f"angle channel {cid!r} has non-finite values; fill first"
-                )
-            values[i] = unwrap_degrees(values[i]) - ref_unwrapped
-
-    transform = ScalingTransform(
-        reference_channel=data.ids[ref] if ref is not None else None,
-        reference_values=ref_unwrapped,
-    )
-    return data.with_values(values), transform

@@ -59,8 +59,11 @@ def benchmark_corpus(
     second: channel i is offset_i + sum_k w_ik sin(2 pi f_k t + phase_k), so
     every channel mixes the same modes f_k, with seeded weights (magnitudes
     in [0.8, 1.2]), phases and offsets (magnitudes in [4, 7]). A negative
-    seed is a ConfigError."""
+    seed, and fewer than one channel or sample, is a ConfigError."""
     _check_seed(seed)
+    for name, size in (("n_channels", n_channels), ("n_samples", n_samples)):
+        if size < 1:
+            raise ConfigError(f"{name} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     n_modes = len(mode_freqs)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)

@@ -1,4 +1,4 @@
-"""Data model, CSV ingestion, gap filling, unwrapping and angle referencing."""
+"""Data model, CSV ingestion and gap filling."""
 
 import re
 
@@ -17,8 +17,6 @@ from pagerec import (
     ingest_csv,
     locf_baseline,
     locf_fill,
-    scale_dataset,
-    unwrap_degrees,
     write_csv,
 )
 from pagerec.core import _uniform_steps
@@ -30,20 +28,6 @@ def make_series(values, mask=None, cid="c0"):
     return ChannelSeries(
         cid, ChannelKind.GENERIC, np.arange(len(values), dtype=float), values, mask
     )
-
-
-def brute_force_unwrap(values):
-    """Independent oracle: adjust each successive difference into (-180, 180]
-    by whole turns, then accumulate."""
-    out = [values[0]]
-    for i in range(1, len(values)):
-        d = values[i] - values[i - 1]
-        while d > 180.0:
-            d -= 360.0
-        while d <= -180.0:
-            d += 360.0
-        out.append(out[-1] + d)
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -468,28 +452,13 @@ def test_write_csv_timestamp_column_named_like_a_channel(tmp_path):
 def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,va,f\n0,10,60.0\n1,11,60.1\n")
-    ds = ingest_csv(p, kinds={"va": ChannelKind.VOLTAGE_ANGLE, "f": ChannelKind.GENERIC})
+    ds = ingest_csv(p)
     assert ds.ids == ("va", "f")
     assert list(ds.timestamps) == [0.0, 1.0]
     assert list(ds.channel("va").values) == [10.0, 11.0]
     assert list(ds.channel("f").values) == [60.0, 60.1]
-    assert ds.channel("va").kind is ChannelKind.VOLTAGE_ANGLE
-    assert ds.channel("f").kind is ChannelKind.GENERIC
-
-
-@pytest.mark.parametrize("kinds, keys", [
-    ({"vaa": ChannelKind.VOLTAGE_ANGLE}, ["vaa"]),
-    ({"time": ChannelKind.VOLTAGE_ANGLE}, ["time"]),
-    ({"va": ChannelKind.VOLTAGE_ANGLE, "x": ChannelKind.GENERIC, "time": ChannelKind.GENERIC},
-     ["time", "x"]),
-])
-def test_ingest_kinds_naming_no_channel_column_rejected(tmp_path, kinds, keys):
-    # the timestamp column is no channel, so it takes no kind either
-    p = tmp_path / "d.csv"
-    p.write_text("time,va,f\n0,10,60.0\n1,11,60.1\n")
-    with pytest.raises(ConfigError) as info:
-        ingest_csv(p, kinds=kinds)
-    assert str(info.value) == f"{p}: kinds name no channel column: {keys}"
+    # every channel column is read as GENERIC
+    assert ds.kinds == (ChannelKind.GENERIC, ChannelKind.GENERIC)
 
 
 # ---------------------------------------------------------------------------
@@ -606,100 +575,3 @@ def test_locf_fill_on_a_stack_raises_for_a_row_without_observation():
         locf_fill(values, mask)
     with pytest.raises(AllMissingChannel):
         locf_fill(np.empty((2, 0)), np.empty((2, 0), bool))
-
-
-# ---------------------------------------------------------------------------
-# unwrap_degrees
-# ---------------------------------------------------------------------------
-
-def test_unwrap_single_crossing():
-    assert list(unwrap_degrees([179.0, -179.0])) == [179.0, 181.0]
-
-
-def test_unwrap_monotone_ramp_unchanged():
-    vals = np.linspace(-170.0, 170.0, 20)
-    assert np.allclose(unwrap_degrees(vals), vals)
-
-
-def test_unwrap_double_jump_matches_oracle():
-    # oracle (and numpy's reference unwrap) both give [170, 190, 150]
-    vals = [170.0, -170.0, 150.0]
-    expected = brute_force_unwrap(vals)
-    assert np.allclose(expected, [170.0, 190.0, 150.0])
-    assert np.allclose(np.unwrap(vals, period=360), expected)
-    assert np.allclose(unwrap_degrees(vals), expected)
-
-
-def test_unwrap_matches_oracle_randomized():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        true_angle = np.cumsum(rng.uniform(-179.0, 179.0, 30))
-        wrapped = (true_angle + 180.0) % 360.0 - 180.0
-        out = unwrap_degrees(wrapped)
-        assert np.allclose(out, brute_force_unwrap(wrapped), atol=1e-9)
-        # output differs from input by exact multiples of 360
-        k = (out - wrapped) / 360.0
-        assert np.allclose(k, np.round(k), atol=1e-9)
-        d = np.diff(out)
-        assert ((d > -180.0 - 1e-9) & (d <= 180.0 + 1e-9)).all()
-
-
-# ---------------------------------------------------------------------------
-# scale_dataset
-# ---------------------------------------------------------------------------
-
-def _pmu_dataset():
-    t = np.arange(6, dtype=float)
-    mag = ChannelSeries("vm", ChannelKind.GENERIC, t,
-                        np.full(6, 345.0), np.ones(6, bool))
-    ang_ref = ChannelSeries("ref", ChannelKind.VOLTAGE_ANGLE, t,
-                            np.array([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]), np.ones(6, bool))
-    ang = ChannelSeries("va", ChannelKind.VOLTAGE_ANGLE, t,
-                        np.array([5.0, 15.0, 25.0, 35.0, 45.0, 55.0]), np.ones(6, bool))
-    freq = ChannelSeries("f", ChannelKind.GENERIC, t,
-                         np.array([60.05, 60.0, 59.95, 60.0, 60.05, 60.0]), np.ones(6, bool))
-    return Dataset((mag, ang_ref, ang, freq))
-
-
-def test_scale_reference_channel_become_zero():
-    ds = _pmu_dataset()
-    scaled, _ = scale_dataset(ds, reference_channel="ref")
-    assert np.allclose(scaled.channel("ref").values, 0.0)
-    assert np.allclose(scaled.channel("va").values, 5.0)
-
-
-def test_scale_bad_reference_rejected():
-    ds = _pmu_dataset()
-    with pytest.raises(ConfigError):
-        scale_dataset(ds, reference_channel="f")
-    with pytest.raises(ConfigError):
-        scale_dataset(ds, reference_channel="nope")
-
-
-def test_scale_default_reference_fewest_missing():
-    t = np.arange(4, dtype=float)
-    a = ChannelSeries("a", ChannelKind.VOLTAGE_ANGLE, t,
-                      np.array([1.0, np.nan, 3.0, 4.0]),
-                      np.array([True, False, True, True]))
-    b = ChannelSeries("b", ChannelKind.VOLTAGE_ANGLE, t,
-                      np.array([2.0, 3.0, 4.0, 5.0]), np.ones(4, bool))
-    filled_a = ChannelSeries("a", a.kind, t, locf_fill(a.values, a.mask), a.mask)
-    ds = Dataset((filled_a, b))
-    scaled, transform = scale_dataset(ds)
-    assert transform.reference_channel == "b"
-    assert np.allclose(scaled.channel("b").values, 0.0)
-
-
-def test_scale_round_trip_within_1e12():
-    ds = _pmu_dataset()
-    scaled, transform = scale_dataset(ds, reference_channel="ref")
-    back = transform.invert(scaled)
-    for cid in ds.ids:
-        orig = ds.channel(cid).values
-        rec = back.channel(cid).values
-        denom = np.maximum(np.abs(orig), 1.0)
-        assert (np.abs(rec - orig) / denom).max() < 1e-12
-    # the non-angle channels pass through both ways untouched
-    for cid in ("vm", "f"):
-        assert np.array_equal(scaled.channel(cid).values, ds.channel(cid).values)
-        assert np.array_equal(back.channel(cid).values, ds.channel(cid).values)

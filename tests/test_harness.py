@@ -72,6 +72,18 @@ def test_corpus_steady_median_is_each_channels_median_magnitude():
         assert np.array_equal(given.masks_matrix(), default.masks_matrix())
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(n_samples=0), "n_samples must be at least 1, got 0"),
+    (dict(n_samples=-5), "n_samples must be at least 1, got -5"),
+    (dict(n_channels=0), "n_channels must be at least 1, got 0"),
+    (dict(n_channels=-2), "n_channels must be at least 1, got -2"),
+    (dict(seed=-1), "seed must be non-negative, got -1"),
+])
+def test_corpus_rejects_an_empty_or_negative_size_or_seed(kw, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        benchmark_corpus(**kw)
+
+
 def test_gen_sinusoid_page_rank_two():
     # 0.5 Hz tone sampled at 60 fps: the L=6 Page matrix has numerical rank 2
     t = np.arange(600) / 60.0

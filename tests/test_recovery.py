@@ -613,3 +613,27 @@ def test_recovery_ignores_per_channel_gain_and_offset(recover, cfg, n, variant, 
     expect = a * base.values_matrix() + b
     span = expect.max(axis=1) - expect.min(axis=1)
     assert (np.abs(out.values_matrix() - expect).max(axis=1) <= 1e-8 * span).all()
+
+
+@pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
+@pytest.mark.parametrize("recover, cfg", [
+    (impute_offline, dict(L=10, T=240)),
+    (predict_stream, dict(L=5, T=30)),
+], ids=["impute", "stream"])
+def test_recovery_is_equivariant_under_channel_order(recover, cfg, variant):
+    # permuting the channels permutes the channel blocks of every stacked
+    # matrix, its columns, which leaves the singular values and the kept
+    # rank alone: the recovery of each channel does not depend on its place
+    config = RecoveryConfig(variant=variant, **cfg)
+    for seed in (11, 12, 13, 14):
+        corpus = benchmark_corpus(n_channels=4, n_samples=480, seed=seed)
+        data = degrade(corpus.dataset, DegradeSpec(drop_rate=0.3, noise_rate=0.02, seed=seed),
+                       noise_base=corpus.steady_median)
+        perm = np.random.default_rng(seed).permutation(4)
+        assert (perm != np.arange(4)).any()
+        base, base_report = recover(data, config)
+        out, report = recover(data.select([data.ids[i] for i in perm]), config)
+        assert report.kept_rank == base_report.kept_rank
+        assert out.ids == tuple(base.ids[i] for i in perm)
+        expect = base.values_matrix()[perm]
+        assert (np.abs(out.values_matrix() - expect) <= 1e-9 * np.abs(expect)).all()
