@@ -253,10 +253,13 @@ def ingest_csv(path) -> Dataset:
     The first column holds the timestamps, every other column one GENERIC
     channel, each named once in the header by a non-empty name. A cell that
     is empty, whitespace-only or a NaN literal (any case, surrounding spaces
-    allowed) marks a missing sample; a quoted numeric cell (``"1.5"``) is
-    read as its number. Rows must all have the header's width, and
-    timestamps must be finite and strictly increasing with a constant step,
-    from which the dataset's rate is derived.
+    allowed) marks a missing sample, and so does every other cell that reads
+    to a non-finite number (``inf``, ``-inf``): a missing sample is filled
+    like any gap, where an observed one would stop every window holding it.
+    A quoted numeric cell (``"1.5"``) is read as its number. Rows must all
+    have the header's width, and timestamps must be finite and strictly
+    increasing with a constant step, from which the dataset's rate is
+    derived.
 
     The data rows are parsed in blocks of ``_CSV_BLOCK_ROWS`` lines: the
     file's text is never held whole, only one block of it beside the parsed
@@ -269,7 +272,7 @@ def ingest_csv(path) -> Dataset:
         (each reported with its line number), fewer than two data rows, or a
         non-finite or non-uniform time column.
     AllMissingChannel
-        Some channel has no observed sample at all.
+        Some channel has no observed (finite) sample at all.
     """
     with open(path, newline="") as fh:
         header = _read_header(fh, path)
@@ -290,7 +293,7 @@ def ingest_csv(path) -> Dataset:
         raise FormatError(f"{path}: timestamps are not finite and uniformly increasing")
     values = table.T[1:].copy()
     del table  # freed before the dataset copies values
-    masks = ~np.isnan(values)
+    masks = np.isfinite(values)
     unobserved = ~masks.any(axis=1)
     if unobserved.any():
         name = ids[unobserved.argmax()]

@@ -19,11 +19,14 @@ are built: rows 1..L-1 of each block's last column. It runs in the
 normalized domain, which makes predictions equivariant to constant shifts
 of the data.
 
-One array-level engine serves every caller: it takes a stack of B windows
-(B, N, W) and treats each on its own, so a window's result does not depend
-on the batch it came in. Impute and a stream replay feed it chunks of a
-record's windows through one driver, so both time their windows per chunk
-(amortised); predict_next feeds it one window, B = 1.
+One array-level engine serves every caller: it takes a stack of B filled
+windows (B, N, W) and treats each on its own, so a window's result does not
+depend on the batch it came in. Impute and a stream replay feed it chunks
+of a record's windows through one driver, so both time their windows per
+chunk (amortised). The driver LOCF-fills the record once and slices each
+window from that fill, refilling a window's leading gap so that it holds
+what locf_fill gives that window alone; predict_next fills its one window
+itself, B = 1.
 """
 
 from __future__ import annotations
@@ -146,31 +149,34 @@ class RecoveryReport:
 # Window engine: a stack of B windows of N channels, shape (B, N, W)
 # ---------------------------------------------------------------------------
 
+def _no_sample(
+    observed: np.ndarray, ids: Sequence[str], starts: Sequence[int]
+) -> AllMissingChannel:
+    """The error for the first window channel, in window order and then
+    channel order, that observed (B, N) marks as holding no sample."""
+    b, i = np.argwhere(~observed)[0]
+    return AllMissingChannel(
+        f"channel {ids[i]!r} has no observed sample in the window "
+        f"starting at sample {starts[b]}"
+    )
+
+
 def _denoise(
-    values: np.ndarray,
-    masks: np.ndarray,
+    filled: np.ndarray,
     cfg: RecoveryConfig,
     ids: Sequence[str],
     starts: Sequence[int],
 ) -> tuple[OsvtBatch, np.ndarray, np.ndarray]:
-    """Fill, normalize, stack and threshold each (N, W) window of a stack.
+    """Normalize, stack and threshold each LOCF-filled (N, W) window of a
+    stack.
 
     starts[b] is the sample at which window b begins in the caller's record
     and ids the channel ids; both only name the culprit when a window
-    channel has no observed sample or a non-finite observed one. Returns
-    the kernel's record of the stacked (B, L, N*cols) matrices, whose
-    factors are in the per-channel normalized domain, and the per-channel
-    scales mid and half (B, N, 1) mapping that domain back (value =
-    normalized * half + mid).
+    channel has a non-finite observed sample. Returns the kernel's record of
+    the stacked (B, L, N*cols) matrices, whose factors are in the
+    per-channel normalized domain, and the per-channel scales mid and half
+    (B, N, 1) mapping that domain back (value = normalized * half + mid).
     """
-    try:
-        filled = locf_fill(values, masks)
-    except AllMissingChannel:
-        b, i = np.argwhere(~masks.any(axis=-1))[0]
-        raise AllMissingChannel(
-            f"channel {ids[i]!r} has no observed sample in the window "
-            f"starting at sample {starts[b]}"
-        ) from None
     # each row maps onto [-1, 1] on its own, so the stack needs no second
     # scale. The row's min and max are halved first: mid and half then stay
     # finite for any finite row (0.5 (hi - lo) overflows at hi = -lo =
@@ -234,10 +240,27 @@ def _windows(
     _denoise's results for its windows. Once the caller is done with a
     chunk, report gets its starts, kept ranks and wall time (the caller's
     work included) divided by its window count.
+
+    The record is LOCF-filled once, and each chunk slices its windows from
+    that fill. A window that begins inside a gap after an earlier
+    observation finds that observation in its leading gap; the gap is
+    refilled with the window's first observation, as locf_fill fills a lone
+    window, so every window holds the same samples as its own fill would.
     """
-    # values[j] is the record's [:, j:j+T], a view; masks[j] likewise
-    values, masks = (sliding_window_view(a, cfg.T, axis=1).transpose(1, 0, 2)
-                     for a in (data.values_matrix(), data.masks_matrix()))
+    values, masks = data.values_matrix(), data.masks_matrix()
+    T = cfg.T
+    try:
+        filled = locf_fill(values, masks)
+    except AllMissingChannel:
+        # a channel with no observed sample misses from the first window too
+        window = masks[None, :, starts[0]:starts[0] + T]
+        raise _no_sample(window.any(axis=-1), data.ids, starts[:1]) from None
+    # before a channel's first observation the fill holds that observation,
+    # as a window's own fill would
+    first_seen = masks.argmax(axis=-1)[:, None]
+    # windows[j] is filled[:, j:j+T], a view; mask_windows[j] likewise
+    windows, mask_windows = (sliding_window_view(a, T, axis=1).transpose(1, 0, 2)
+                             for a in (filled, masks))
     chunk = _chunk_steps(cfg, len(data.ids))
     for b0 in range(0, len(starts), chunk):
         t0 = time.perf_counter()
@@ -245,7 +268,20 @@ def _windows(
         # evenly spaced starts index as a slice, which takes views
         step = part[1] - part[0] if len(part) > 1 else 1
         at = slice(part[0], part[-1] + 1, step) if (np.diff(part) == step).all() else part
-        osvt, mid, half = _denoise(values[at], masks[at], cfg, data.ids, part)
+        # each window channel's first observed sample, 0 when it has none
+        mask_at = mask_windows[at]
+        first = mask_at.argmax(axis=-1)[..., None]
+        observed = np.take_along_axis(mask_at, first, axis=-1)[..., 0]
+        if not observed.all():
+            raise _no_sample(observed, data.ids, part)
+        filled_at = windows[at]
+        # a window that begins in a gap after an observation holds that
+        # earlier observation up to its own first one, which replaces it
+        if ((first_seen < part) & ~masks[:, part]).any():
+            filled_at = filled_at.copy()
+            np.copyto(filled_at, np.take_along_axis(filled_at, first, axis=-1),
+                      where=np.arange(T) < first)
+        osvt, mid, half = _denoise(filled_at, cfg, data.ids, part)
         yield part, osvt, mid, half
         elapsed = time.perf_counter() - t0
         report.start_sample.extend(part.tolist())
@@ -368,9 +404,12 @@ def predict_next(
     if len(window) != cfg.T:
         raise ShapeError(f"window length {len(window)} != configured T={cfg.T}")
     ids = window.ids
-    osvt, mid, half = _denoise(
-        window.values_matrix()[None], window.masks_matrix()[None], cfg, ids, (0,)
-    )
+    values, masks = window.values_matrix(), window.masks_matrix()
+    try:
+        filled = locf_fill(values, masks)
+    except AllMissingChannel:
+        raise _no_sample(masks.any(axis=-1)[None], ids, (0,)) from None
+    osvt, mid, half = _denoise(filled[None], cfg, ids, (0,))
     preds, beta, residual = _forecast(osvt, mid, half)
     model = ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
     return dict(zip(ids, preds[0])), model

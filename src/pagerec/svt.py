@@ -14,17 +14,34 @@ each reader builds only the entries it reads.
 
 The SVD takes one of two routes, chosen by shape alone, so a matrix takes
 the same route in any batch. An m x n stack (m <= n once oriented) with
-n < c m, c = _WIDE_ASPECT = 24, goes to LAPACK's SVD directly. A wider one
-first takes the m x m triangular factor R of Y^T = Q R, runs the SVD on
-R^T, which has Y's singular values and left vectors, and forms
-Vt = U^T Y / s; a row of Vt whose singular value is zero is zero. Inside
-LAPACK the direct SVD of a wide matrix also forms an n-column orthogonal
-factor, where the triangular route forms only R and gets Vt from one
-matrix product; it pays instead for a second LAPACK call, some 20 us of
-fixed numpy cost per call. In per-matrix timings (one BLAS thread) the
-triangular route was 1.4-4.6x cheaper in the engine's chunks from n = 8 m
-on, and with one matrix per call it broke even near n = 12 m for m = 10
-and near n = 48 m for m = 5; c is the geometric mean of those two.
+n < c m, c = _WIDE_ASPECT = 24, goes to LAPACK's SVD directly, handed each
+matrix's n x m transpose: LAPACK factors that tall orientation 1.1-2.1x
+faster than the wide one on these shapes, and the factors come back
+swapped, as views. A wider one first takes the m x m triangular factor R
+of Y^T = Q R, runs the SVD on R^T, which has Y's singular values and left
+vectors, and forms Vt = U^T Y / s; a row of Vt whose singular value is
+zero is zero. That route forms no n-row orthogonal factor, but pays for a
+second LAPACK call, some 15-20 us of fixed numpy cost per call.
+
+Per-matrix time in us (median of 15 interleaved rounds, one BLAS thread,
+2-CPU x86-64 VM, numpy 2.4 with OpenBLAS), with one matrix per call and
+in the window engine's chunks (B under its cell budget; the archive's
+10 x 64800 matrix runs alone):
+
+    shape      n/m    B=1 direct  triangular   chunk B  direct  triangular
+    5 x 36       7.2     16.0       33.2         182      7.7      8.0
+    10 x 144    14.4     55.9       75.3          22     35.9     34.5
+    5 x 156     31.2     25.5       42.4          42     18.9     15.9
+    10 x 64800  6480    12223       5337           1    12223     5337
+
+In chunks, where a replay spends its time, the triangular route ties with
+the direct one near n = 10-14 m and is 1.2-1.3x cheaper from n = 19 m on;
+with one matrix per call the direct route was cheaper at every aspect
+measured up to n = 31 m. The gate stays at 24: it sends every shape above
+to the route that is cheapest in its chunks or within 5% of it, and any
+c in (14.4, 31.2) routes them the same. A gate on the batch size too
+would give predict_next and predict_stream different routes and end their
+bitwise equality.
 
 osvt_estimate is the one-matrix estimator and the only place here that
 scales: it maps the whole matrix affinely onto [-1, 1], thresholds it with
@@ -113,15 +130,20 @@ class OsvtBatch:
 
 
 # A stack at least this many times wider than high (n >= c m once oriented)
-# takes _triangular_svd, any other _direct_svd; the module docstring gives
-# the timings behind the value.
+# takes _triangular_svd, any other _direct_svd. In the engine's chunks the
+# routes tie near n = 10-14 m and the triangular one leads from 19 m on; one
+# matrix per call favours the direct route up to 31 m at least. The module
+# docstring has the table.
 _WIDE_ASPECT = 24
 
 
 def _direct_svd(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD factors U (B, m, m), s (B, m), Vt (B, m, n) of a (B, m, n)
-    stack with m <= n, by one LAPACK SVD of each matrix."""
-    return np.linalg.svd(Y, full_matrices=False)
+    stack with m <= n, by one LAPACK SVD of each matrix's (n, m) transpose:
+    LAPACK factors the tall orientation faster, and Y^T = V S U^T gives the
+    caller's factors as views."""
+    V, s, Ut = np.linalg.svd(Y.swapaxes(1, 2), full_matrices=False)
+    return Ut.swapaxes(1, 2), s, V.swapaxes(1, 2)
 
 
 def _triangular_svd(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

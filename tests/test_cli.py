@@ -185,6 +185,32 @@ def test_impute_leaves_no_empty_cell_after_the_last_full_window(tmp_path):
     assert all(cell.strip() for row in rows for cell in row)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_nonfinite_cell_runs_like_an_empty_one(tmp_path, bad):
+    # one infinite cell of ch01 in a 3x480 CSV, inside the impute window at
+    # 240 and the predict windows from 270 on: both commands write the same
+    # bytes as for the same CSV with that cell left empty
+    corpus = benchmark_corpus(n_channels=3, n_samples=480, seed=1)
+    degraded = degrade(corpus.dataset, DegradeSpec(drop_rate=0.2, seed=1))
+    values, masks = degraded.values_matrix().copy(), degraded.masks_matrix().copy()
+    at = 299 + int(masks[1, 299:].argmax())
+    assert masks[1, at] and at < 300 + 30
+    values[1, at] = bad
+    written = {}
+    for name in ("bad", "empty"):
+        src = tmp_path / f"{name}.csv"
+        write_csv(degraded.with_values(values, masks), src)
+        masks[1, at] = False
+        written[name] = []
+        for command, flags in (("impute", ["--T", "120"]), ("predict", [])):
+            out = tmp_path / f"{name}.{command}.csv"
+            assert run([command, "--input", str(src), "--output", str(out), *flags]) == 0
+            written[name] += [out.read_bytes(),
+                              (tmp_path / (out.name + ".report.json")).read_bytes()]
+    assert "inf" in (tmp_path / "bad.csv").read_text()
+    assert written["bad"] == written["empty"]
+
+
 def test_input_file_never_mutated(tmp_path, sample_csv):
     before = sample_csv.read_bytes()
     run(["impute", "--input", str(sample_csv),

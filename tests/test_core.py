@@ -370,6 +370,18 @@ def test_ingest_all_missing_channel_rejected(tmp_path):
         ingest_csv(p)
 
 
+def test_ingest_nonfinite_cell_is_missing(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("t,v\n0,inf\n1,2.0\n2,-inf\n3, INF \n4,-Infinity\n5,6.0\n")
+    v = ingest_csv(p).channel("v")
+    assert list(v.mask) == [False, True, False, False, False, True]
+    assert list(v.values[v.mask]) == [2.0, 6.0]
+    # a column of infinite cells has no observed sample
+    p.write_text("t,v,w\n0,inf,1\n1,-inf,2\n")
+    with pytest.raises(AllMissingChannel, match="column 'v' has no observed sample"):
+        ingest_csv(p)
+
+
 def test_ingest_ragged_row_names_line(tmp_path):
     p = tmp_path / "d.csv"
     cases = [

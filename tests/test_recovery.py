@@ -469,6 +469,49 @@ def test_stream_outage_names_channel_and_window():
         predict_stream(data, cfg)
 
 
+def masked_corpus(n_samples, drop):
+    """A fully observed 3-channel record, then masks[where] = False for each
+    (channel, samples) pair of drop."""
+    corpus = benchmark_corpus(n_channels=3, n_samples=n_samples, seed=8)
+    masks = corpus.dataset.masks_matrix().copy()
+    for channel, samples in drop:
+        masks[channel, samples] = False
+    return corpus.dataset.with_values(corpus.dataset.values_matrix(), masks)
+
+
+def test_channel_observed_only_before_a_window_names_that_window():
+    # ch02 observes nothing from sample 520 on: the first stream window
+    # without it starts at 520, after the first chunk; of impute's windows at
+    # 0, 100, ..., 500 and the tail window [550, 650), the tail is the first
+    data = masked_corpus(650, [(2, slice(520, None))])
+    stream_cfg, impute_cfg = RecoveryConfig(L=5, T=30), RecoveryConfig(L=10, T=100)
+    assert _chunk_steps(stream_cfg, 3) < 520
+    for run, cfg, start in ((predict_stream, stream_cfg, 520),
+                            (impute_offline, impute_cfg, 550)):
+        with pytest.raises(
+            AllMissingChannel,
+            match=rf"^channel 'ch02' has no observed sample in the window starting at sample {start}$",
+        ):
+            run(data, cfg)
+
+
+@pytest.mark.parametrize("drop, channel", [
+    # ch01 observes nothing at all
+    ([(1, slice(None))], "ch01"),
+    # ch00 observes nothing in the first window either, and comes first
+    ([(1, slice(None)), (0, slice(0, 100))], "ch00"),
+])
+def test_channel_never_observed_names_the_first_window(drop, channel):
+    data = masked_corpus(600, drop)
+    for run, cfg in ((predict_stream, RecoveryConfig(L=5, T=30)),
+                     (impute_offline, RecoveryConfig(L=10, T=100))):
+        with pytest.raises(
+            AllMissingChannel,
+            match=rf"^channel '{channel}' has no observed sample in the window starting at sample 0$",
+        ):
+            run(data, cfg)
+
+
 def data_with_sample(value, channel=2, at=420, n_samples=600):
     """A fully observed 3-channel record whose sample `at` of one channel is
     replaced by value, still marked observed."""

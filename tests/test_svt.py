@@ -345,6 +345,30 @@ def test_both_routes_agree_on_the_same_stacks(cols, monkeypatch):
     assert not tri.Vt[6].any() and not tri.estimate()[6].any()
     assert not t_beta[6].any()
 
+@pytest.mark.parametrize("L, T", [(5, 30), (10, 240)])
+def test_direct_svd_returns_factors_in_the_callers_orientation(L, T):
+    # the engine's wide page stacks of 6 channel blocks: 5 x 36 for a stream
+    # window, 10 x 144 for the benchmark's impute window; LAPACK factors
+    # their transposes, and the factors come back swapped
+    rng = np.random.default_rng(31)
+    B, N = 7, 6
+    t = np.arange(T) / 60.0
+    rows = np.sin(2 * np.pi * rng.uniform(2, 9, (B, N, 1)) * t + rng.uniform(0, 6, (B, N, 1)))
+    rows += 0.05 * rng.standard_normal(rows.shape)
+    lo, hi = rows.min(axis=-1, keepdims=True), rows.max(axis=-1, keepdims=True)
+    blocks = page_entries((rows - 0.5 * (lo + hi)) / (0.5 * (hi - lo)), L)
+    Y = blocks.transpose(0, 2, 1, 3).reshape(B, L, -1)
+    m, n = Y.shape[1:]
+    assert m < n < svt._WIDE_ASPECT * m
+    U, s, Vt = svt._direct_svd(Y)
+    assert U.shape == (B, m, m) and s.shape == (B, m) and Vt.shape == (B, m, n)
+    assert np.abs((U * s[:, None, :]) @ Vt - Y).max() <= 1e-13
+    eye = np.eye(m)
+    assert np.abs(U.swapaxes(1, 2) @ U - eye).max() <= 1e-13
+    assert np.abs(U @ U.swapaxes(1, 2) - eye).max() <= 1e-13
+    assert np.abs(Vt @ Vt.swapaxes(1, 2) - eye).max() <= 1e-13
+
+
 @pytest.mark.parametrize("variant", ["page", "hankel"])
 def test_batch_estimate_entries_equal_the_slice_of_the_whole_estimate(variant):
     # a chunk of stream windows as the engine stacks them: 6 channels at
