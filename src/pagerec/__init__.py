@@ -45,6 +45,6 @@ from .recovery import (
     predict_next,
     predict_stream,
 )
-from .svt import OsvtOutcome, optimal_threshold, osvt_estimate
+from .svt import optimal_threshold
 
 __version__ = "0.1.0"

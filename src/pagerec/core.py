@@ -10,6 +10,7 @@ of the stacked matrices built downstream.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import io
@@ -248,7 +249,7 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def ingest_csv(path) -> Dataset:
-    """Read a comma-separated file into a Dataset.
+    """Read a comma-separated UTF-8 file into a Dataset, dropping a BOM.
 
     The first column holds the timestamps, every other column one GENERIC
     channel, each named once in the header by a non-empty name. A cell that
@@ -268,13 +269,13 @@ def ingest_csv(path) -> Dataset:
     Raises
     ------
     FormatError
-        Empty or repeated header column name, ragged row or unparsable cell
-        (each reported with its line number), fewer than two data rows, or a
-        non-finite or non-uniform time column.
+        A byte that is not UTF-8, empty or repeated header column name,
+        ragged row or unparsable cell (each reported with its line number),
+        fewer than two data rows, or a non-finite or non-uniform time column.
     AllMissingChannel
         Some channel has no observed (finite) sample at all.
     """
-    with open(path, newline="") as fh:
+    with _reading(path) as fh:
         header = _read_header(fh, path)
         ids = tuple(header[1:])
         blocks = []
@@ -305,8 +306,20 @@ def timestamp_column(path) -> str:
     """The name of the timestamp column of the CSV file at path, as
     ingest_csv reads it: the first header cell, stripped. The header is
     checked as ingest_csv checks it."""
-    with open(path, newline="") as fh:
+    with _reading(path) as fh:
         return _read_header(fh, path)[0]
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """The CSV file at path, open as UTF-8 text, a leading byte-order mark
+    dropped. A byte that does not decode is a FormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end].hex(" ")
+        raise FormatError(f"{path}: not UTF-8 text (byte {bad}: {exc.reason})") from None
 
 
 def _read_header(fh, path) -> list[str]:
@@ -384,7 +397,7 @@ def _scan_block(lines: list[str], path, lineno: int, header: list[str]) -> np.nd
 
 
 def write_csv(dataset: Dataset, path, timestamp_column: str = "t") -> None:
-    """Serialize a Dataset back to the ingestion schema (empty cell = missing).
+    """Serialize a Dataset as UTF-8 in the ingestion schema (empty cell = missing).
 
     Every sample is written as the repr of its float, and every row ends in
     \\r\\n, as the csv module writes it. Rows are formatted in blocks of
@@ -396,7 +409,7 @@ def write_csv(dataset: Dataset, path, timestamp_column: str = "t") -> None:
             f"timestamp column {timestamp_column!r} is also the name of a channel"
         )
     t, values, masks = dataset.timestamps, dataset.values_matrix(), dataset.masks_matrix()
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow([timestamp_column, *dataset.ids])
         for lo in range(0, len(dataset), _CSV_BLOCK_ROWS):
             hi = lo + _CSV_BLOCK_ROWS

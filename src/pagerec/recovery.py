@@ -41,9 +41,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import Dataset, locf_fill
 from .errors import AllMissingChannel, ConfigError, NumericError, ShapeError
 from .matrices import MatrixVariant, antidiagonal_means, hankel_entries, page_entries
-# the engine calls osvt_batch; osvt_estimate stays bound here because
-# perfbench's tracer wraps it at this module's attribute
-from .svt import OsvtBatch, osvt_batch, osvt_estimate  # noqa: F401
+from .svt import OsvtBatch, osvt_batch
+
+# perfbench's tracer and its tests read this attribute; ROADMAP item 8 removes it
+osvt_estimate = None
 
 __all__ = [
     "RecoveryConfig",

@@ -42,10 +42,6 @@ to the route that is cheapest in its chunks or within 5% of it, and any
 c in (14.4, 31.2) routes them the same. A gate on the batch size too
 would give predict_next and predict_stream different routes and end their
 bitwise equality.
-
-osvt_estimate is the one-matrix estimator and the only place here that
-scales: it maps the whole matrix affinely onto [-1, 1], thresholds it with
-osvt_batch and maps the reconstruction back to the original range.
 """
 
 from __future__ import annotations
@@ -59,10 +55,8 @@ from .errors import NumericError
 
 __all__ = [
     "OsvtBatch",
-    "OsvtOutcome",
     "optimal_threshold",
     "osvt_batch",
-    "osvt_estimate",
 ]
 
 
@@ -78,41 +72,22 @@ def optimal_threshold(m: int, n: int) -> float:
     return math.sqrt(2.0 * (z + 1.0) + 8.0 * z / ((z + 1.0) + math.sqrt(z * z + 14.0 * z + 1.0)))
 
 
-@dataclass(frozen=True)
-class OsvtOutcome:
-    """Result of one thresholded estimation.
-
-    estimate has the input's shape; singular_values is the full spectrum of
-    the scaled matrix; kept_rank counts the values above threshold (at least
-    one: an empty kept set falls back to the top singular triple, flagged by
-    fallback_rank1). constant_input marks the degenerate case where the
-    input is returned unchanged: a == b, or a half-range (b - a) / 2 that
-    rounds to zero, as for entries 0 and 5e-324.
-    """
-
-    estimate: np.ndarray
-    kept_rank: int
-    singular_values: np.ndarray
-    threshold: float
-    scale_bounds: tuple[float, float]
-    constant_input: bool = False
-    fallback_rank1: bool = False
-
-
 @dataclass(slots=True)
 class OsvtBatch:
     """Results of thresholding a stack of equally shaped (m, n) matrices:
-    each field holds one entry per matrix along the leading axis and means
-    what the same OsvtOutcome field means; threshold is shared.
-
-    U and Vt hold each matrix's singular vectors in the caller's
-    orientation, one column of U and one row of Vt per singular value; on
-    the triangular route (see the module docstring) the row of Vt of a zero
-    singular value is zero. weights is singular_values with every value
-    past kept_rank set to zero, the one statement of the kept set: the
-    estimate is U diag(weights) Vt, and a reader that needs only some of its
-    entries builds only those through estimate(rows, columns). The forecast
-    fit reads U and weights and needs no second SVD.
+    one entry per matrix along the leading axis of each field but the
+    shared cutoff, threshold. singular_values is each matrix's full
+    spectrum, in descending order, and kept_rank counts the values above
+    the cutoff, or is 1 where none is and fallback_rank1 flags that the
+    top triple was kept anyway. U and Vt hold each matrix's singular
+    vectors in the caller's orientation, one column of U and one row of Vt
+    per singular value; on the triangular route (see the module docstring)
+    the row of Vt of a zero singular value is zero. weights is
+    singular_values with every value past kept_rank set to zero, the one
+    statement of the kept set: the estimate is U diag(weights) Vt, and a
+    reader that needs only some of its entries builds only those through
+    estimate(rows, columns). The forecast fit reads U and weights and needs
+    no second SVD.
     """
 
     kept_rank: np.ndarray  # (B,)
@@ -130,10 +105,7 @@ class OsvtBatch:
 
 
 # A stack at least this many times wider than high (n >= c m once oriented)
-# takes _triangular_svd, any other _direct_svd. In the engine's chunks the
-# routes tie near n = 10-14 m and the triangular one leads from 19 m on; one
-# matrix per call favours the direct route up to 31 m at least. The module
-# docstring has the table.
+# takes _triangular_svd, any other _direct_svd; the module docstring says why.
 _WIDE_ASPECT = 24
 
 
@@ -202,39 +174,4 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
         Vt=Vt,
         threshold=threshold,
         fallback_rank1=fallback,
-    )
-
-
-def osvt_estimate(X: np.ndarray) -> OsvtOutcome:
-    """Denoise X by optimal hard thresholding of its scaled spectrum.
-
-    X is mapped affinely onto [-1, 1], min to -1 and max to 1, thresholded
-    by osvt_batch and mapped back. Any finite range is accepted, up to
-    entries of +-1.8e308. A constant matrix is returned unchanged, flagged
-    by constant_input; a NaN or infinite entry raises NumericError.
-    Wide or tall inputs are both accepted; internally the estimation runs on
-    the orientation with rows <= columns and transposes back, so the result
-    is transpose-consistent.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise NumericError(f"expected a 2-D matrix, got shape {X.shape}")
-    # a NaN entry makes the min and max NaN and an infinite one makes one of
-    # them infinite, so the bounds alone show non-finite input
-    a, b = float(X.min()), float(X.max())
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NumericError("matrix has non-finite entries")
-    # halves first, so that mid and half stay finite for any finite a and b
-    half = 0.5 * b - 0.5 * a
-    constant = half == 0.0
-    mid, half = (0.0, 1.0) if constant else (0.5 * a + 0.5 * b, half)
-    out = osvt_batch(((X - mid) / half)[None])
-    return OsvtOutcome(
-        estimate=X.copy() if constant else out.estimate()[0] * half + mid,
-        kept_rank=int(out.kept_rank[0]),
-        singular_values=out.singular_values[0],
-        threshold=out.threshold,
-        scale_bounds=(a, b),
-        constant_input=constant,
-        fallback_rank1=bool(out.fallback_rank1[0]) and not constant,
     )

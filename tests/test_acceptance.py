@@ -25,13 +25,13 @@ from pagerec import (
     locf_fill,
     mape,
     optimal_threshold,
-    osvt_estimate,
     predict_next,
     predict_stream,
     run_benchmark,
 )
 from pagerec.matrices import hankel_entries, page_entries
 from pagerec.recovery import _unstack
+from pagerec.svt import osvt_batch
 
 
 def report(criterion, ok, detail):
@@ -309,6 +309,16 @@ def _round_trip(w, L, variant):
     return _unstack(make(w, L)[None], scale, scale + 1.0, cfg)[0, 0]
 
 
+def _unit_estimate(X):
+    """The thresholded estimate of the matrix X and its kept rank: X mapped
+    affinely onto [-1, 1], min to -1 and max to 1, thresholded by osvt_batch
+    and mapped back."""
+    lo, hi = 0.5 * X.min(), 0.5 * X.max()
+    mid, half = lo + hi, hi - lo
+    out = osvt_batch(((X - mid) / half)[None])
+    return out.estimate()[0] * half + mid, int(out.kept_rank[0])
+
+
 def test_criterion_9_property_suites():
     cases = 100
     failures = []
@@ -316,7 +326,7 @@ def test_criterion_9_property_suites():
     rng = np.random.default_rng(101)
     for _ in range(cases):
         X = rng.normal(0, rng.uniform(0.5, 3), (int(rng.integers(2, 7)), int(rng.integers(2, 10))))
-        if np.abs(osvt_estimate(X).estimate - osvt_estimate(X.T).estimate.T).max() >= 1e-9:
+        if np.abs(_unit_estimate(X)[0] - _unit_estimate(X.T)[0].T).max() >= 1e-9:
             failures.append("osvt transpose consistency")
             break
 
@@ -324,8 +334,8 @@ def test_criterion_9_property_suites():
     for _ in range(cases):
         X = _tone_matrix(rng) * rng.uniform(0.5, 2.0)
         c = rng.uniform(-40, 40)
-        a, b = osvt_estimate(X), osvt_estimate(X + c)
-        if b.kept_rank != a.kept_rank or np.abs(b.estimate - a.estimate - c).max() >= 1e-9:
+        (a, a_rank), (b, b_rank) = _unit_estimate(X), _unit_estimate(X + c)
+        if b_rank != a_rank or np.abs(b - a - c).max() >= 1e-9:
             failures.append("osvt shift equivariance")
             break
 

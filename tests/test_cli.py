@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,6 +212,40 @@ def test_nonfinite_cell_runs_like_an_empty_one(tmp_path, bad):
                               (tmp_path / (out.name + ".report.json")).read_bytes()]
     assert "inf" in (tmp_path / "bad.csv").read_text()
     assert written["bad"] == written["empty"]
+
+
+@pytest.mark.parametrize("command", ["impute", "predict"])
+@pytest.mark.parametrize("data", [b"t,v\xb5,w\n", b"t,v,w\n0,1,\xb5\n"], ids=["header", "row"])
+def test_byte_not_utf8_is_data_error_naming_the_file(tmp_path, capsys, command, data):
+    # a Latin-1 micro sign in a header cell or a data cell of a legacy export
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(data + b"".join(b"%d,1,2\n" % i for i in range(1, 40)))
+    code = run([command, "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                "--T", "30"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: not UTF-8 text") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_utf8_input_runs_under_an_ascii_locale(tmp_path):
+    # the CSV is read as UTF-8 and written as UTF-8 whatever the locale's
+    # codec, and a spreadsheet's byte-order mark is not part of the
+    # timestamp column's name
+    corpus = benchmark_corpus(n_channels=2, n_samples=120, seed=5).dataset
+    data = Dataset.from_arrays(corpus.timestamps, corpus.values_matrix(),
+                               corpus.masks_matrix(), ["\u0398a", "f"])
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_csv(data, src)
+    src.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from pagerec.cli import main; main()",
+         "impute", "--input", str(src), "--output", str(out), "--T", "120"],
+        env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes().split(b"\r\n")[0] == "t,\u0398a,f".encode("utf-8")
 
 
 def test_input_file_never_mutated(tmp_path, sample_csv):

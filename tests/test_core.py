@@ -19,7 +19,7 @@ from pagerec import (
     locf_fill,
     write_csv,
 )
-from pagerec.core import _uniform_steps
+from pagerec.core import _uniform_steps, timestamp_column
 
 
 def make_series(values, mask=None, cid="c0"):
@@ -471,6 +471,39 @@ def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
     assert list(ds.channel("f").values) == [60.0, 60.1]
     # every channel column is read as GENERIC
     assert ds.kinds == (ChannelKind.GENERIC, ChannelKind.GENERIC)
+
+
+@pytest.mark.parametrize("in_header", [True, False], ids=["header", "row"])
+def test_ingest_byte_not_utf8_names_file(tmp_path, in_header):
+    # a Latin-1 micro sign (0xb5) in a header cell or in a data cell
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"t,v\xb5\n0,1\n1,2\n" if in_header else b"t,v\n0,1\n1,2\xb5\n")
+    match = f"^{re.escape(str(p))}: not UTF-8 text \\(byte b5: "
+    with pytest.raises(FormatError, match=match):
+        ingest_csv(p)
+    if in_header:
+        with pytest.raises(FormatError, match=match):
+            timestamp_column(p)
+
+
+def test_ingest_drops_a_byte_order_mark(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes("\ufefft,v\n0,1\n1,2\n".encode("utf-8"))
+    assert timestamp_column(p) == "t"
+    ds = ingest_csv(p)
+    assert ds.ids == ("v",) and list(ds.timestamps) == [0.0, 1.0]
+
+
+def test_csv_non_ascii_ids_round_trip_byte_exactly(tmp_path):
+    ds = Dataset.from_arrays(np.arange(3) / 60.0, [[1.0, 2.0, 3.0], [0.5, 0.25, 0.0]],
+                             np.ones((2, 3), dtype=bool), ["\u0398a", "\u00b5V"])
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(ds, a, timestamp_column="\u03c4")
+    assert a.read_bytes().split(b"\r\n")[0] == "\u03c4,\u0398a,\u00b5V".encode("utf-8")
+    back = ingest_csv(a)
+    assert back.ids == ds.ids and timestamp_column(a) == "\u03c4"
+    write_csv(back, b, timestamp_column=timestamp_column(a))
+    assert a.read_bytes() == b.read_bytes()
 
 
 # ---------------------------------------------------------------------------

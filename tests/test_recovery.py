@@ -16,6 +16,7 @@ from pagerec import (
     MatrixVariant,
     NumericError,
     RecoveryConfig,
+    Scenario,
     ShapeError,
     benchmark_corpus,
     degrade,
@@ -25,7 +26,10 @@ from pagerec import (
     mape,
     predict_next,
     predict_stream,
+    results_to_dict,
+    run_benchmark,
 )
+from pagerec import recovery
 from pagerec.matrices import page_entries
 from pagerec.recovery import _chunk_steps, _lrf
 from pagerec.svt import osvt_batch
@@ -680,3 +684,36 @@ def test_recovery_is_equivariant_under_channel_order(recover, cfg, variant):
         assert out.ids == tuple(base.ids[i] for i in perm)
         expect = base.values_matrix()[perm]
         assert (np.abs(out.values_matrix() - expect) <= 1e-9 * np.abs(expect)).all()
+
+
+@pytest.mark.parametrize("cells", [1 << 10, 1 << 17])
+def test_chunk_budget_cannot_change_an_artifact(cells, monkeypatch):
+    # a window's result depends on that window alone, so the budget that
+    # groups windows into engine calls moves no bit of a recovery or a
+    # benchmark report; 1 << 10 runs most windows alone, 1 << 17 puts every
+    # impute window of a record in one call
+    scenarios = [Scenario(drop_rate=d, variant=v)
+                 for d in (0.1, 0.5) for v in (MatrixVariant.PAGE, MatrixVariant.HANKEL)]
+    corpus = benchmark_corpus(n_samples=1250, seed=3)
+    data = degrade(corpus.dataset, DegradeSpec(drop_rate=0.3, noise_rate=0.02, seed=3),
+                   noise_base=corpus.steady_median)
+    configs = [(recover, RecoveryConfig(L=L, T=T, variant=v))
+               for recover, L, T in ((impute_offline, 10, 240), (predict_stream, 5, 30))
+               for v in (MatrixVariant.PAGE, MatrixVariant.HANKEL)]
+
+    def artifacts():
+        report = run_benchmark(benchmark_corpus(seed=3), scenarios, repetitions=2,
+                               master_seed=3, tasks=("impute", "predict"))
+        out = [json.dumps(results_to_dict(report), indent=2, sort_keys=True)]
+        for recover, cfg in configs:
+            got, run = recover(data, cfg)
+            out += [got.values_matrix().tobytes(), run.to_dict()]
+        return out
+
+    def chunks():
+        return [_chunk_steps(cfg, 6) for _, cfg in configs]
+
+    default, default_chunks = artifacts(), chunks()
+    monkeypatch.setattr(recovery, "_CHUNK_CELLS", cells)
+    assert all(a != b for a, b in zip(chunks(), default_chunks))
+    assert artifacts() == default

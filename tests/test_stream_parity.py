@@ -1,8 +1,9 @@
 """Batched stream replay against the per-step loop it replaced.
 
 step_loop is predict_stream as it ran before batching: one window at a time,
-built from the public pieces (locf_fill, page_entries/hankel_entries,
-osvt_estimate) with the forecast fitted by np.linalg.lstsq on the estimate.
+built from the public pieces (locf_fill, page_entries/hankel_entries, and
+osvt_batch on the stacked matrix scaled onto [-1, 1] as a whole, see
+threshold_whole) with the forecast fitted by np.linalg.lstsq on the estimate.
 The batched replay reads its forecast coefficients in closed form off the
 kept singular vectors of the threshold kernel's own SVD, so the two differ
 by rounding, which an ill-conditioned window amplifies: 2e-9 bounds that on
@@ -22,12 +23,26 @@ from pagerec import (
     benchmark_corpus,
     degrade,
     locf_fill,
-    osvt_estimate,
     predict_next,
     predict_stream,
 )
 from pagerec.matrices import hankel_entries, page_entries
 from pagerec.recovery import _chunk_steps
+from pagerec.svt import osvt_batch
+
+
+def threshold_whole(X):
+    """The thresholded estimate of the matrix X and its kept rank: X mapped
+    affinely onto [-1, 1] as a whole (the halves of its min and max
+    combined), thresholded by osvt_batch and mapped back. A constant X is
+    its own estimate, of rank 1."""
+    a, b = X.min(), X.max()
+    half = 0.5 * b - 0.5 * a
+    if half == 0.0:
+        return X.copy(), 1
+    mid = 0.5 * a + 0.5 * b
+    out = osvt_batch(((X - mid) / half)[None])
+    return out.estimate()[0] * half + mid, int(out.kept_rank[0])
 
 
 def step_loop(data, cfg):
@@ -47,14 +62,13 @@ def step_loop(data, cfg):
             mid, half = (0.5 * (lo + hi), 0.5 * (hi - lo)) if hi > lo else (lo, 1.0)
             blocks.append(make((row - mid) / half, cfg.L))
             scales.append((mid, half))
-        outcome = osvt_estimate(np.hstack(blocks))
-        D = outcome.estimate
+        D, rank = threshold_whole(np.hstack(blocks))
         beta = np.linalg.lstsq(D[:-1].T, D[-1], rcond=None)[0]
         shifted = beta @ D[1:]
         cols = blocks[0].shape[1]
         for i, (mid, half) in enumerate(scales):
             preds[i, j] = shifted[(i + 1) * cols - 1] * half + mid
-        ranks.append(outcome.kept_rank)
+        ranks.append(rank)
     return preds, ranks
 
 

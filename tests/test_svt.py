@@ -6,7 +6,14 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from pagerec import NumericError, optimal_threshold, osvt_estimate
+from pagerec import (
+    Dataset,
+    MatrixVariant,
+    NumericError,
+    RecoveryConfig,
+    optimal_threshold,
+    predict_next,
+)
 from pagerec import svt
 from pagerec.svt import osvt_batch
 from pagerec.matrices import hankel_entries, page_entries
@@ -22,35 +29,57 @@ def threshold_oracle(zeta_str: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the estimator's scaling into [-1, 1]: its bounds, and the spectrum it
-# thresholds against that of the scaled matrix computed here
+# scaling into [-1, 1] as the window engine scales a channel block, and the
+# spectrum osvt_batch reports for the scaled matrix
 # ---------------------------------------------------------------------------
+
+def unit_scale(X):
+    """mid and half such that (X - mid) / half maps X affinely onto [-1, 1],
+    min to -1 and max to 1, with the window engine's arithmetic: the halves
+    of min and max are combined, so both stay finite for any finite X, and
+    a half-range of zero (a constant X, or entries 0 and 5e-324) keeps half
+    = 1, so a constant X maps to zeros."""
+    lo, hi = 0.5 * X.min(), 0.5 * X.max()
+    half = hi - lo
+    return lo + hi, half if half else 1.0
+
+
+def to_unit(X):
+    """X mapped onto [-1, 1] by unit_scale."""
+    mid, half = unit_scale(X)
+    return (X - mid) / half
+
+
+def unit_estimate(X):
+    """The thresholded estimate of the matrix X in X's units, and osvt_batch's
+    record of it: X scaled by unit_scale, thresholded and mapped back."""
+    mid, half = unit_scale(X)
+    out = osvt_batch(((X - mid) / half)[None])
+    return out.estimate()[0] * half + mid, out
+
 
 def test_scale_symmetric_range():
     X = np.array([[-2.0, 0.0], [1.0, 2.0]])
-    out = osvt_estimate(X)
-    assert out.scale_bounds == (-2.0, 2.0)
-    assert np.allclose(out.singular_values, np.linalg.svd(X / 2.0, compute_uv=False))
+    assert unit_scale(X) == (0.0, 2.0)
+    out = osvt_batch(to_unit(X)[None])
+    assert np.allclose(out.singular_values[0], np.linalg.svd(X / 2.0, compute_uv=False))
 
 
 def test_scale_endpoints_map_to_unit():
-    out = osvt_estimate(np.array([[0.0, 10.0]]))
-    assert np.allclose(out.singular_values, np.linalg.svd([[-1.0, 1.0]], compute_uv=False))
-    assert out.scale_bounds == (0.0, 10.0)
+    Y = to_unit(np.array([[0.0, 10.0]]))
+    assert Y.tolist() == [[-1.0, 1.0]]
+    out = osvt_batch(Y[None])
+    assert np.allclose(out.singular_values[0], np.linalg.svd([[-1.0, 1.0]], compute_uv=False))
 
 
 def test_scale_constant_matrix_flagged_by_bounds():
+    # a constant matrix scales to the zero matrix, whose spectrum is zero:
+    # nothing lies above the cutoff, so it keeps its top triple, of weight zero
     X = np.full((3, 4), 5.0)
-    out = osvt_estimate(X)
-    a, b = out.scale_bounds
-    assert a == b == 5.0
-    assert out.constant_input
-    assert np.array_equal(out.estimate, X)
-
-
-def test_scale_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        osvt_estimate(np.array([[1.0, np.nan]]))
+    assert unit_scale(X) == (5.0, 1.0)
+    out = osvt_batch(to_unit(X)[None])
+    assert out.fallback_rank1[0] and out.kept_rank[0] == 1
+    assert not out.singular_values.any() and not out.weights.any()
 
 
 def test_scale_range_always_unit():
@@ -60,14 +89,12 @@ def test_scale_range_always_unit():
                        (int(rng.integers(1, 8)), int(rng.integers(1, 8))))
         if X.min() == X.max():
             continue
-        out = osvt_estimate(X)
-        a, b = out.scale_bounds
-        assert (a, b) == (X.min(), X.max())
-        Y = (X - 0.5 * (a + b)) / (0.5 * (b - a))
+        Y = to_unit(X)
         assert Y.min() >= -1.0 - 1e-12 and Y.max() <= 1.0 + 1e-12
         assert math.isclose(Y.min(), -1.0) and math.isclose(Y.max(), 1.0)
         s = np.linalg.svd(Y, compute_uv=False)
-        assert np.allclose(out.singular_values, s, rtol=1e-12, atol=1e-12)
+        out = osvt_batch(Y[None])
+        assert np.allclose(out.singular_values[0], s, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +127,7 @@ def test_threshold_rejects_tall():
 
 
 # ---------------------------------------------------------------------------
-# osvt_estimate
+# the thresholded estimate of one matrix, scaled by unit_scale
 # ---------------------------------------------------------------------------
 
 def symmetric_tone_page(n=200, L=5, phase=0.3):
@@ -116,9 +143,9 @@ def test_estimate_recovers_clean_tone():
     s = np.linalg.svd(X / np.abs(X).max(), compute_uv=False)  # oracle spectrum
     assert s[1] > 1e-3 * s[0]
     assert s[2] < 1e-8 * s[0]
-    out = osvt_estimate(X)
-    assert out.kept_rank in (2, 3, 4)
-    rel = np.linalg.norm(out.estimate - X) / np.linalg.norm(X)
+    estimate, out = unit_estimate(X)
+    assert out.kept_rank[0] in (2, 3, 4)
+    rel = np.linalg.norm(estimate - X) / np.linalg.norm(X)
     assert rel < 1e-6
 
 
@@ -128,27 +155,27 @@ def test_estimate_rank_one_exact():
     X = np.outer(u, v)  # entries span [-2, 2] symmetrically, so no shift term
     s = np.linalg.svd(X / 2.0, compute_uv=False)
     assert s[0] > optimal_threshold(4, 12) and s[1] < 1e-12
-    out = osvt_estimate(X)
-    assert out.kept_rank == 1
-    assert np.abs(out.estimate - X).max() < 1e-9
-    assert not out.fallback_rank1
+    estimate, out = unit_estimate(X)
+    assert out.kept_rank[0] == 1
+    assert np.abs(estimate - X).max() < 1e-9
+    assert not out.fallback_rank1[0]
 
 
 def test_estimate_constant_matrix_unchanged():
     X = np.full((4, 9), 2.5)
-    out = osvt_estimate(X)
-    assert out.constant_input
-    assert out.kept_rank == 1
-    assert np.array_equal(out.estimate, X)
+    estimate, out = unit_estimate(X)
+    assert out.fallback_rank1[0]
+    assert out.kept_rank[0] == 1
+    assert np.array_equal(estimate, X)
 
 
 def test_estimate_empty_keep_set_falls_back_to_top_triple():
     rng = np.random.default_rng(5)
     X = rng.normal(0.0, 1.0, (6, 8))  # pure noise: scaled spectrum sits under the cutoff
-    out = osvt_estimate(X)
-    if out.fallback_rank1:
-        assert out.kept_rank == 1
-        assert (out.singular_values > out.threshold).sum() == 0
+    _, out = unit_estimate(X)
+    if out.fallback_rank1[0]:
+        assert out.kept_rank[0] == 1
+        assert (out.singular_values[0] > out.threshold).sum() == 0
 
 
 def test_estimate_outcome_invariants():
@@ -156,17 +183,17 @@ def test_estimate_outcome_invariants():
     for _ in range(100):
         X = rng.normal(rng.uniform(-3, 3), rng.uniform(0.1, 5),
                        (int(rng.integers(2, 7)), int(rng.integers(2, 12))))
-        out = osvt_estimate(X)
+        estimate, out = unit_estimate(X)
         m, n = X.shape
-        assert out.estimate.shape == X.shape
-        assert np.isfinite(out.estimate).all()
-        assert 1 <= out.kept_rank <= min(m, n)
-        expected_kept = int((out.singular_values > out.threshold).sum())
-        if not out.fallback_rank1 and not out.constant_input:
-            assert out.kept_rank == expected_kept
-        if out.kept_rank == min(m, n):
-            a, b = out.scale_bounds
-            assert out.estimate.min() >= a - 1e-9 and out.estimate.max() <= b + 1e-9
+        kept = out.kept_rank[0]
+        assert estimate.shape == X.shape
+        assert np.isfinite(estimate).all()
+        assert 1 <= kept <= min(m, n)
+        expected_kept = int((out.singular_values[0] > out.threshold).sum())
+        if not out.fallback_rank1[0]:
+            assert kept == expected_kept
+        if kept == min(m, n):
+            assert estimate.min() >= X.min() - 1e-9 and estimate.max() <= X.max() + 1e-9
 
 
 def test_estimate_transpose_consistency():
@@ -174,8 +201,8 @@ def test_estimate_transpose_consistency():
     for _ in range(100):
         X = rng.normal(0, rng.uniform(0.5, 3),
                        (int(rng.integers(2, 7)), int(rng.integers(2, 10))))
-        a = osvt_estimate(X).estimate
-        b = osvt_estimate(X.T).estimate.T
+        a = unit_estimate(X)[0]
+        b = unit_estimate(X.T)[0].T
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -186,12 +213,10 @@ def test_estimate_shift_equivariance():
         w = np.sin(2 * np.pi * rng.uniform(2, 9) * t + rng.uniform(0, 6))
         X = page_entries(w, 6) * rng.uniform(0.5, 2.0)
         c = rng.uniform(-50.0, 50.0)
-        base = osvt_estimate(X)
-        shifted = osvt_estimate(X + c)
-        assert shifted.kept_rank == base.kept_rank
-        assert np.allclose(shifted.scale_bounds,
-                           (base.scale_bounds[0] + c, base.scale_bounds[1] + c))
-        assert np.abs(shifted.estimate - (base.estimate + c)).max() < 1e-9
+        base, base_out = unit_estimate(X)
+        shifted, shifted_out = unit_estimate(X + c)
+        assert shifted_out.kept_rank[0] == base_out.kept_rank[0]
+        assert np.abs(shifted - (base + c)).max() < 1e-9
 
 
 def test_estimate_idempotent_on_kept_subspace():
@@ -199,9 +224,9 @@ def test_estimate_idempotent_on_kept_subspace():
     for _ in range(20):
         X = symmetric_tone_page(n=120, L=5, phase=rng.uniform(0, 6))
         X = X * rng.uniform(0.5, 4.0)
-        first = osvt_estimate(X)
-        second = osvt_estimate(first.estimate)
-        rel = np.linalg.norm(second.estimate - first.estimate) / np.linalg.norm(first.estimate)
+        first = unit_estimate(X)[0]
+        second = unit_estimate(first)[0]
+        rel = np.linalg.norm(second - first) / np.linalg.norm(first)
         assert rel < 1e-6
 
 
@@ -210,26 +235,14 @@ def test_estimate_accepts_any_finite_range(low, high):
     # 0.5 (high - low) overflows for the first and rounds to zero for the
     # second; the suite turns the warnings either gives into errors
     X = np.where(np.arange(40).reshape(4, 10) % 3 == 0, high, low)
-    out = osvt_estimate(X)
-    assert np.isfinite(out.estimate).all()
+    estimate, out = unit_estimate(X)
+    assert np.isfinite(estimate).all()
     assert np.isfinite(out.singular_values).all()
-
-
-def test_estimate_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        osvt_estimate(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
 # osvt_batch: the bare kernel on already-scaled stacks
 # ---------------------------------------------------------------------------
-
-def to_unit(X):
-    """X mapped affinely onto [-1, 1], min to -1 and max to 1, as the window
-    engine maps each channel block."""
-    a, b = X.min(), X.max()
-    return (X - 0.5 * (a + b)) / (0.5 * (b - a))
-
 
 def mixed_stack(cols=36):
     """5 x cols matrices that keep ranks 1, 2 and 3, the all-zero matrix a
@@ -401,10 +414,15 @@ def test_batch_estimate_entries_equal_the_slice_of_the_whole_estimate(variant):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("tall", [False, True])
 def test_estimate_rejects_nonfinite_entry(bad, tall):
-    # osvt_batch checks nothing; osvt_estimate, which scales, rejects
-    X = mixed_stack()[3]
-    X[2, 4] = bad
-    if tall:
-        X = X.T
-    with pytest.raises(NumericError, match="non-finite"):
-        osvt_estimate(X)
+    # osvt_batch checks nothing; the window engine, which scales, rejects a
+    # non-finite observed sample before it stacks. Two hankel channel blocks
+    # stack to 5 x 52 at L=5, T=30 and to 6 x 2, tall, at L = T = 6
+    L, T = (6, 6) if tall else (5, 30)
+    cfg = RecoveryConfig(L=L, T=T, variant=MatrixVariant.HANKEL)
+    t = np.arange(T) / 60.0
+    rows = np.vstack([np.sin(20.0 * t + 1.0), np.cos(7.0 * t) + 2.0])
+    window = Dataset.from_arrays(t, rows, np.ones(rows.shape, dtype=bool), ("a", "b"))
+    assert np.isfinite(list(predict_next(window, cfg)[0].values())).all()
+    rows[1, 3] = bad
+    with pytest.raises(NumericError, match="^channel 'b' has a non-finite"):
+        predict_next(window.with_values(rows), cfg)
