@@ -174,7 +174,6 @@ def _cmd_bench(args) -> int:
         impute_cfg=impute_cfg,
         repetitions=args.reps,
         master_seed=args.seed,
-        tasks=("impute", "predict"),
     )
     _write_json(args.output, results_to_dict(results))
     failures = [r for r in results if r.error]

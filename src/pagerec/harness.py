@@ -12,7 +12,7 @@ from one master seed, so reports are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -209,6 +209,10 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
+    """A scenario's seeds and per-channel median MAPEs over repetitions of
+    imputation, LOCF, prediction and persistence, all four scored in every
+    scenario; a failed scenario keeps its error and empty dicts."""
+
     scenario: Scenario
     repetitions: int
     seeds: list[int] = field(default_factory=list)
@@ -222,19 +226,6 @@ class ScenarioResult:
 def _rep_seed(master_seed: int, scenario_index: int, rep: int) -> int:
     ss = np.random.SeedSequence((master_seed, scenario_index, rep))
     return int(ss.generate_state(1)[0])
-
-
-def _per_channel_mape(ids, truth: np.ndarray, estimate: np.ndarray) -> dict[str, float]:
-    """MAPE of each channel's estimate row against its truth row."""
-    return {cid: mape(t, e) for cid, t, e in zip(ids, truth, estimate)}
-
-
-def _per_channel_median(rows: list[dict[str, float]]) -> dict[str, float]:
-    if not rows:
-        return {}
-    return {
-        cid: float(np.median([r[cid] for r in rows])) for cid in rows[0]
-    }
 
 
 # the streaming window of the benchmark's predict task and of `pagerec
@@ -251,25 +242,21 @@ def run_benchmark(
     impute_cfg: RecoveryConfig | None = None,
     repetitions: int = 20,
     master_seed: int = 0,
-    tasks: Iterable[str] = ("impute",),
 ) -> list[ScenarioResult]:
     """Run degradation scenarios against a ground-truth corpus.
 
-    Per scenario and repetition the corpus is degraded with a derived seed,
-    recovered, and scored per channel against the truth (median over
-    repetitions). The impute task runs impute_offline with impute_cfg
-    (IMPUTE_CFG when None), the predict task predict_stream with
-    PREDICT_CFG; both take the scenario's variant. The LOCF fill of the
-    degraded input and the one-step persistence forecast serve as
-    baselines. Scenario failures are isolated into the result's error
-    field; an empty grid, fewer than one repetition, a rate outside its
-    range, a negative master seed or an impute window that does not suit
-    some scenario's variant is a ConfigError before anything runs.
+    Per scenario and repetition the corpus is degraded with a derived seed
+    and both modes run on it: impute_offline with impute_cfg (IMPUTE_CFG
+    when None) against the LOCF fill of the degraded input, and
+    predict_stream with PREDICT_CFG against the one-step persistence
+    forecast, all at the scenario's variant. Each is scored per channel
+    against the truth (median over repetitions). Scenario failures are
+    isolated into the result's error field; an empty grid, fewer than one
+    repetition, a rate outside its range, a negative master seed or an
+    impute window that does not suit some scenario's variant is a
+    ConfigError before anything runs.
     """
-    tasks, scenarios = tuple(tasks), tuple(scenarios)
-    unknown = set(tasks) - {"impute", "predict"}
-    if unknown:
-        raise ConfigError(f"unknown benchmark tasks: {sorted(unknown)}")
+    scenarios = tuple(scenarios)
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
     if not scenarios:
@@ -279,15 +266,19 @@ def run_benchmark(
         _check_rates(scenario.drop_rate, scenario.noise_rate)
     # the impute window for each scenario's variant, checked before any runs
     impute_cfgs = {sc.variant: replace(impute_cfg or IMPUTE_CFG, variant=sc.variant)
-                   for sc in scenarios if "impute" in tasks}
+                   for sc in scenarios}
     truth_vals = truth.dataset.values_matrix()
+    future = truth_vals[:, PREDICT_CFG.T:]
     ids = truth.dataset.ids
     results: list[ScenarioResult] = []
     for s_idx, scenario in enumerate(scenarios):
         result = ScenarioResult(scenario=scenario, repetitions=repetitions)
         results.append(result)
+        predict_cfg = replace(PREDICT_CFG, variant=scenario.variant)
         try:
-            imp_rows, base_rows, pred_rows, pers_rows = [], [], [], []
+            # one [impute, LOCF, predict, persistence] row of per-channel
+            # MAPEs per repetition
+            rows = []
             for rep in range(repetitions):
                 seed = _rep_seed(master_seed, s_idx, rep)
                 result.seeds.append(seed)
@@ -297,22 +288,18 @@ def run_benchmark(
                     seed=seed,
                 )
                 degraded = degrade(truth.dataset, dspec, noise_base=truth.steady_median)
-                if "impute" in tasks:
-                    recovered, _ = impute_offline(degraded, impute_cfgs[scenario.variant])
-                    baseline = locf_baseline(degraded)
-                    imp_rows.append(_per_channel_mape(ids, truth_vals, recovered.values_matrix()))
-                    base_rows.append(_per_channel_mape(ids, truth_vals, baseline.values_matrix()))
-                if "predict" in tasks:
-                    cfg = replace(PREDICT_CFG, variant=scenario.variant)
-                    preds, _ = predict_stream(degraded, cfg)
-                    persistence = persistence_baseline(degraded, cfg.T)
-                    future = truth_vals[:, cfg.T:]
-                    pred_rows.append(_per_channel_mape(ids, future, preds.values_matrix()))
-                    pers_rows.append(_per_channel_mape(ids, future, persistence))
-            result.impute_mape = _per_channel_median(imp_rows)
-            result.baseline_mape = _per_channel_median(base_rows)
-            result.predict_mape = _per_channel_median(pred_rows)
-            result.persistence_mape = _per_channel_median(pers_rows)
+                recovered, _ = impute_offline(degraded, impute_cfgs[scenario.variant])
+                baseline = locf_baseline(degraded)
+                row = [[mape(t, e) for t, e in zip(truth_vals, estimate)]
+                       for estimate in (recovered.values_matrix(), baseline.values_matrix())]
+                preds, _ = predict_stream(degraded, predict_cfg)
+                persistence = persistence_baseline(degraded, predict_cfg.T)
+                row += [[mape(t, e) for t, e in zip(future, estimate)]
+                        for estimate in (preds.values_matrix(), persistence)]
+                rows.append(row)
+            (result.impute_mape, result.baseline_mape,
+             result.predict_mape, result.persistence_mape) = (
+                dict(zip(ids, medians.tolist())) for medians in np.median(rows, axis=0))
         except Exception as exc:  # isolate per-scenario failures
             result.error = f"{type(exc).__name__}: {exc}"
     return results

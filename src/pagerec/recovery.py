@@ -336,11 +336,15 @@ def _lrf(U: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     decoupled = gap <= L * _EPS
     if not decoupled.any():
         return (U[:, :-1] @ recurrence[..., None])[..., 0] / gap[:, None], np.zeros(len(gap))
-    w = u / np.where(keep, weights * weights, 1.0)
+    # weights over 2^e, which puts the largest in [0.5, 1), change neither
+    # beta nor the residual, and their squares cannot underflow to zero
+    # (as a window of samples 0 and 5e-324 squares its own weights)
+    e = np.frexp(weights[:, :1])[1]
+    w = u / np.where(keep, np.square(np.ldexp(weights, -e)), 1.0)
     den = np.where(decoupled, (u * w).sum(axis=-1), gap)
     a = np.where(decoupled[:, None], -w, recurrence)
     beta = (U[:, :-1] @ a[..., None])[..., 0] / den[:, None]
-    return beta, np.where(decoupled, 1.0 / np.sqrt(den), 0.0)
+    return beta, np.where(decoupled, np.ldexp(1.0 / np.sqrt(den), e[:, 0]), 0.0)
 
 
 def _forecast(

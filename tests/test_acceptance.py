@@ -152,7 +152,6 @@ def test_criterion_4_drop_rate_trend():
         impute_cfg=RecoveryConfig(L=30, T=240),
         repetitions=20,
         master_seed=11,
-        tasks=("impute",),
     )
     elapsed = time.perf_counter() - start
     assert all(r.error is None for r in results)

@@ -1,5 +1,7 @@
 """The benchmark corpus, degradation, MAPE, kept ranks, benchmarks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from pagerec import (
     impute_offline,
     locf_baseline,
     mape,
+    persistence_baseline,
+    predict_stream,
     results_to_dict,
     run_benchmark,
     write_csv,
@@ -269,7 +273,6 @@ def test_benchmark_constant_corpus_zero_error():
         [Scenario(drop_rate=0.0)],
         impute_cfg=RecoveryConfig(L=10, T=120),
         repetitions=1,
-        tasks=("impute",),
     )
     assert results[0].error is None
     assert all(v == 0.0 for v in results[0].impute_mape.values())
@@ -284,7 +287,6 @@ def test_benchmark_monotone_in_drop_rate():
         impute_cfg=RecoveryConfig(L=30, T=240),
         repetitions=5,
         master_seed=77,
-        tasks=("impute",),
     )
     medians = [float(np.median(list(r.impute_mape.values()))) for r in results]
     assert medians[0] <= medians[1] <= medians[2]
@@ -305,7 +307,6 @@ def test_benchmark_isolates_scenario_failures():
         [Scenario(drop_rate=0.1)],
         impute_cfg=RecoveryConfig(L=10, T=200),  # longer than the corpus
         repetitions=1,
-        tasks=("impute",),
     )
     assert results[0].error is not None and "ShapeError" in results[0].error
 
@@ -320,21 +321,12 @@ def test_benchmark_checks_the_impute_window_before_any_repetition(monkeypatch):
     assert degraded == []
 
 
-def test_benchmark_checks_the_impute_window_only_when_imputing():
-    # a predict-only run never uses the impute window
-    hankel_window = RecoveryConfig(L=7, T=240, variant=MatrixVariant.HANKEL)
-    results = run_benchmark(benchmark_corpus(), [Scenario(0.1)], impute_cfg=hankel_window,
-                            repetitions=1, tasks=("predict",))
-    assert results[0].error is None
-
-
 def test_benchmark_seed_derivation_deterministic():
     truth = benchmark_corpus(n_channels=2, n_samples=120, seed=1)
     kw = dict(
         impute_cfg=RecoveryConfig(L=10, T=120),
         repetitions=3,
         master_seed=5,
-        tasks=("impute",),
     )
     a = run_benchmark(truth, [Scenario(drop_rate=0.2)], **kw)
     b = run_benchmark(truth, [Scenario(drop_rate=0.2)], **kw)
@@ -350,7 +342,6 @@ def test_benchmark_report_serialization():
         [Scenario(drop_rate=0.1, noise_rate=0.02)],
         impute_cfg=RecoveryConfig(L=10, T=90),
         repetitions=2,
-        tasks=("impute", "predict"),
     )
     payload = results_to_dict(results)
     assert set(payload["results"][0]) == {
@@ -363,10 +354,38 @@ def test_benchmark_report_serialization():
         assert all(v >= 0.0 for v in values.values())
 
 
-def test_benchmark_rejects_unknown_task():
-    truth = benchmark_corpus(n_channels=2, n_samples=60, seed=2)
-    with pytest.raises(ConfigError):
-        run_benchmark(truth, [Scenario(0.1)], tasks=("smooth",))
+@pytest.mark.parametrize("repetitions", [3, 2])
+def test_benchmark_medians_recompute_from_the_report_seeds(repetitions):
+    # each channel's four MAPEs are rebuilt from the public functions for
+    # every seed the report lists; the median over repetitions is the
+    # middle one for 3 and the mean of the two for 2
+    truth = benchmark_corpus(seed=4)
+    scenarios = [Scenario(0.3, 0.02, MatrixVariant.PAGE), Scenario(0.1, 0.02, MatrixVariant.HANKEL)]
+    report = results_to_dict(run_benchmark(truth, scenarios, repetitions=repetitions,
+                                           master_seed=4))
+    ref = truth.dataset.values_matrix()
+    future = ref[:, harness.PREDICT_CFG.T:]
+    for scenario, entry in zip(scenarios, report["results"]):
+        assert entry["error"] is None and len(entry["seeds"]) == repetitions
+        scores = {key: [] for key in ("impute_mape", "baseline_mape",
+                                      "predict_mape", "persistence_mape")}
+        for seed in entry["seeds"]:
+            spec = DegradeSpec(scenario.drop_rate, scenario.noise_rate, seed)
+            degraded = degrade(truth.dataset, spec, noise_base=truth.steady_median)
+            impute_cfg = replace(harness.IMPUTE_CFG, variant=scenario.variant)
+            predict_cfg = replace(harness.PREDICT_CFG, variant=scenario.variant)
+            imputed, _ = impute_offline(degraded, impute_cfg)
+            preds, _ = predict_stream(degraded, predict_cfg)
+            for key, (expected, estimate) in {
+                "impute_mape": (ref, imputed.values_matrix()),
+                "baseline_mape": (ref, locf_baseline(degraded).values_matrix()),
+                "predict_mape": (future, preds.values_matrix()),
+                "persistence_mape": (future, persistence_baseline(degraded, predict_cfg.T)),
+            }.items():
+                scores[key].append([mape(t, e) for t, e in zip(expected, estimate)])
+        for key, rows in scores.items():
+            assert entry[key] == {cid: float(np.median([row[i] for row in rows]))
+                                  for i, cid in enumerate(truth.dataset.ids)}
 
 
 def test_negative_seed_is_config_error():

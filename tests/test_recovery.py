@@ -702,8 +702,7 @@ def test_chunk_budget_cannot_change_an_artifact(cells, monkeypatch):
                for v in (MatrixVariant.PAGE, MatrixVariant.HANKEL)]
 
     def artifacts():
-        report = run_benchmark(benchmark_corpus(seed=3), scenarios, repetitions=2,
-                               master_seed=3, tasks=("impute", "predict"))
+        report = run_benchmark(benchmark_corpus(seed=3), scenarios, repetitions=2, master_seed=3)
         out = [json.dumps(results_to_dict(report), indent=2, sort_keys=True)]
         for recover, cfg in configs:
             got, run = recover(data, cfg)
