@@ -11,6 +11,7 @@ from one master seed, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -252,7 +253,8 @@ def run_benchmark(
     forecast, all at the scenario's variant. Each is scored per channel
     against the truth (median over repetitions). Scenario failures are
     isolated into the result's error field; an empty grid, fewer than one
-    repetition, a rate outside its range, a negative master seed or an
+    repetition, a rate outside its range, a noise rate whose standard
+    deviation is not finite for some channel, a negative master seed or an
     impute window that does not suit some scenario's variant is a
     ConfigError before anything runs.
     """
@@ -264,6 +266,13 @@ def run_benchmark(
     _check_seed(master_seed)
     for scenario in scenarios:
         _check_rates(scenario.drop_rate, scenario.noise_rate)
+        # degrade draws each channel's noise at this standard deviation
+        for cid, median in truth.steady_median.items():
+            if not math.isfinite(scenario.noise_rate * float(median)):
+                raise ConfigError(
+                    f"noise_rate {scenario.noise_rate} times the steady median of "
+                    f"channel {cid!r} is not finite"
+                )
     # the impute window for each scenario's variant, checked before any runs
     impute_cfgs = {sc.variant: replace(impute_cfg or IMPUTE_CFG, variant=sc.variant)
                    for sc in scenarios}

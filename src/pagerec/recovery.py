@@ -10,14 +10,21 @@ Online: denoise the trailing window the same way, regress the last row of
 the estimate on the other rows (no intercept), then apply the coefficients
 to the rows shifted down by one sample. The last column of each channel
 block of that product is the channel's next-sample prediction. The
-regression has a closed form in the estimate's kept singular vectors (the
-linear recurrence formula of SSA forecasting), so it reads them off the
-threshold kernel and a window costs one thresholded SVD (on either of
-osvt_batch's routes, which give the same spectrum and left vectors to
-rounding). Of the estimate itself only the entries the prediction reads
-are built: rows 1..L-1 of each block's last column. It runs in the
-normalized domain, which makes predictions equivariant to constant shifts
-of the data.
+regression has a closed form in the estimate's kept left singular vectors,
+SSA's linear recurrence beta = P u / (1 - nu^2) (Golyandina, Nekrutkin &
+Zhigljavsky 2001), with u their last row, P their other rows and nu^2 =
+|u|^2. It exists only for nu^2 < 1, and |beta| = nu / sqrt(1 - nu^2)
+grows without bound as the gap 1 - nu^2 closes, so below a gap of
+_MIN_GAP = 0.2 a window holds its value: it predicts its estimate's last
+sample, the recurrence with beta = (0, ..., 0, 1). That is SSA's existence
+condition applied with a margin, not a rule of the paper. Then |beta| <= 2,
+and as each estimate column is the projection of one with entries in
+[-1, 1], every prediction lies within mid +- 2 sqrt(L) half of its window.
+A window costs one thresholded SVD (on either of osvt_batch's routes, which
+give the same spectrum and left vectors to rounding), and of the estimate
+only the entries the prediction reads are built: rows 1..L-1 of each
+block's last column. It runs in the normalized domain, which makes
+predictions equivariant to constant shifts of the data.
 
 One array-level engine serves every caller: it takes a stack of B filled
 windows (B, N, W) and treats each on its own, so a window's result does not
@@ -105,13 +112,12 @@ class RecoveryConfig:
 
 @dataclass(slots=True)
 class ForecastModel:
-    """Minimum-norm least-squares coefficients expressing the last row of a
-    window's estimate as a combination of its first L-1 rows, and the
-    residual norm of that fit. Both are computed from the estimate's kept
-    singular vectors and values, without a second factorization."""
+    """A window's forecast coefficients over its estimate's rows 1..L-1 and
+    the verticality gap 1 - nu^2 of its kept left vectors: the linear
+    recurrence at a gap of at least 0.2, (0, ..., 0, 1) below it."""
 
     beta: np.ndarray
-    residual_norm: float
+    gap: float
 
 
 @dataclass
@@ -290,76 +296,29 @@ def _windows(
         report.step_seconds.extend([elapsed / len(part)] * len(part))
 
 
-_EPS = np.finfo(float).eps
-
-
-def _lrf(U: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forecast coefficients (B, L-1) and residual norms (B,) of each
-    estimate D = U_k S_k V_k^T, read from U (B, L, r) and the kept weights
-    (B, r) as osvt_batch returns them: the kept triples are those with a
-    positive weight, and S_k holds their weights.
-
-    The coefficients are the minimum-norm least-squares fit of D's last row
-    through its first L-1 rows. V_k^T has orthonormal rows, so that fit
-    minimizes |(beta P - u) S_k| with P = U_k[:-1] and u = U_k[-1], and with
-    nu^2 = |u|^2 it has two closed forms:
-    - nu^2 < 1: beta = P u / (1 - nu^2), the linear recurrence formula of
-      SSA forecasting, with zero residual;
-    - nu^2 = 1, always when k = L and otherwise only when the last row is
-      decoupled from the others: beta = -P w / (u . w), w_i = u_i / s_i^2,
-      with residual 1 / sqrt(u . w).
-    For a square U, 1 - nu^2 is the sum of the squared dropped entries of
-    U's last row, which stays accurate when it is small; a tall U lacks
-    those columns, so there it is a subtraction. A square U's rows are
-    orthonormal, so P u = -U[:-1] d with d the dropped entries of its last
-    row. The recurrence reads that form: its terms are of the size of the
-    result, where those of P u are of order one and cancel down to it.
-    At or below L eps the gap counts as zero; a recurrence there would have
-    coefficients of (L eps)^(-1/2) or more. A zero estimate (s_1 = 0) has no
-    positive weight, so u = 0 and beta = -U[:-1] U[-1]^T, zero for the
-    identity U that LAPACK returns for a zero matrix.
-
-    U may come from either of osvt_batch's SVD routes (a direct SVD of the
-    stacked matrix, or one of its triangular factor when it is wide); both
-    give an L x L orthogonal U for a matrix of at least L columns.
-    """
-    L, r = U.shape[1:]
-    keep = weights > 0
-    last = U[:, -1]
-    u = last * keep
-    if r == L:
-        recurrence = u - last  # -d
-        gap = (recurrence * recurrence).sum(axis=-1)
-    else:
-        recurrence = u
-        gap = 1.0 - (u * u).sum(axis=-1)
-    decoupled = gap <= L * _EPS
-    if not decoupled.any():
-        return (U[:, :-1] @ recurrence[..., None])[..., 0] / gap[:, None], np.zeros(len(gap))
-    # weights over 2^e, which puts the largest in [0.5, 1), change neither
-    # beta nor the residual, and their squares cannot underflow to zero
-    # (as a window of samples 0 and 5e-324 squares its own weights)
-    e = np.frexp(weights[:, :1])[1]
-    w = u / np.where(keep, np.square(np.ldexp(weights, -e)), 1.0)
-    den = np.where(decoupled, (u * w).sum(axis=-1), gap)
-    a = np.where(decoupled[:, None], -w, recurrence)
-    beta = (U[:, :-1] @ a[..., None])[..., 0] / den[:, None]
-    return beta, np.where(decoupled, np.ldexp(1.0 / np.sqrt(den), e[:, 0]), 0.0)
+# below this verticality gap 1 - nu^2 a window holds its value (module docstring)
+_MIN_GAP = 0.2
 
 
 def _forecast(
     osvt: OsvtBatch, mid: np.ndarray, half: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Next-sample predictions (B, N) of the windows _denoise returned, with
-    their forecast coefficients (B, L-1) and residual norms (B,) from _lrf.
-    Each window's coefficients apply to its rows shifted one sample forward
-    at the last column of each channel block; only those (L-1) x N entries
-    of the estimate are built."""
-    beta, residual = _lrf(osvt.U, osvt.weights)
+    their forecast coefficients (B, L-1) and verticality gaps (B,): the
+    recurrence where the gap is at least _MIN_GAP, the held value elsewhere
+    (module docstring). Only the (L-1) x N estimate entries the coefficients
+    apply to are built. A zero estimate keeps no vector: it predicts mid."""
+    U = osvt.U
+    u = U[:, -1] * (osvt.weights > 0)
+    gap = 1.0 - (u * u).sum(axis=-1)
+    beta = (U[:, :-1] @ u[..., None])[..., 0] / np.maximum(gap, _MIN_GAP)[:, None]
+    held = gap < _MIN_GAP
+    if held.any():
+        beta[held] = np.eye(beta.shape[1])[-1]
     cols = osvt.Vt.shape[-1] // mid.shape[1]
     last = osvt.estimate(slice(1, None), slice(cols - 1, None, cols))  # (B, L-1, N)
     preds = (beta[:, None, :] @ last)[:, 0] * half[..., 0] + mid[..., 0]
-    return preds, beta, residual
+    return preds, beta, gap
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +362,8 @@ def predict_next(
 ) -> tuple[dict[str, float], ForecastModel]:
     """Predict each channel's next sample from a length-T trailing window.
 
-    Returns the predictions by channel id and the forecast coefficients
-    learned from this window, with their residual norm.
+    Returns the predictions by channel id and the ForecastModel learned
+    from this window: its coefficients and verticality gap.
     """
     if len(window) != cfg.T:
         raise ShapeError(f"window length {len(window)} != configured T={cfg.T}")
@@ -415,8 +374,8 @@ def predict_next(
     except AllMissingChannel:
         raise _no_sample(masks.any(axis=-1)[None], ids, (0,)) from None
     osvt, mid, half = _denoise(filled[None], cfg, ids, (0,))
-    preds, beta, residual = _forecast(osvt, mid, half)
-    model = ForecastModel(beta=beta[0], residual_norm=float(residual[0]))
+    preds, beta, gap = _forecast(osvt, mid, half)
+    model = ForecastModel(beta=beta[0], gap=float(gap[0]))
     return dict(zip(ids, preds[0])), model
 
 

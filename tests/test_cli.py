@@ -338,6 +338,9 @@ def test_bench_variant_grid(tmp_path):
     (["--noise", "-0.2"], "noise_rate must be non-negative, got -0.2"),
     (["--seed", "-1"], "seed must be non-negative, got -1"),
     (["--noise", "inf"], "noise_rate must be finite, got inf"),
+    # a finite rate whose noise deviation overflows for the corpus' channels
+    (["--noise", "1e308"], "noise_rate 1e+308 times the steady median of channel 'ch00' "
+                           "is not finite"),
 ])
 def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "r.json"

@@ -321,6 +321,18 @@ def test_benchmark_checks_the_impute_window_before_any_repetition(monkeypatch):
     assert degraded == []
 
 
+def test_benchmark_checks_every_channels_noise_deviation_before_any_repetition(monkeypatch):
+    # degrade draws noise of standard deviation noise_rate * steady median,
+    # which overflows to inf for the second scenario's rate on channel ch00
+    degraded = []
+    monkeypatch.setattr(harness, "degrade", lambda *args, **kw: degraded.append(args))
+    scenarios = [Scenario(0.1, noise_rate=0.02), Scenario(0.1, noise_rate=1e308)]
+    with pytest.raises(ConfigError, match=r"^noise_rate 1e\+308 times the steady median "
+                                          r"of channel 'ch00' is not finite$"):
+        run_benchmark(benchmark_corpus(), scenarios)
+    assert degraded == []
+
+
 def test_benchmark_seed_derivation_deterministic():
     truth = benchmark_corpus(n_channels=2, n_samples=120, seed=1)
     kw = dict(

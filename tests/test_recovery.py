@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pagerec import (
     AllMissingChannel,
@@ -31,8 +32,8 @@ from pagerec import (
 )
 from pagerec import recovery
 from pagerec.matrices import page_entries
-from pagerec.recovery import _chunk_steps, _lrf
-from pagerec.svt import osvt_batch
+from pagerec.recovery import _chunk_steps, _forecast
+from pagerec.svt import OsvtBatch, osvt_batch
 
 
 def lrf_oracle(n, coeffs, init):
@@ -150,79 +151,96 @@ def test_config_accepts_python_and_numpy_bools(flag):
 # the engine's forecast fit
 # ---------------------------------------------------------------------------
 
-def fit_one(m):
-    """_lrf on one matrix's exact SVD factors, its spectrum weighted as the
-    kernel weights it at the matrix's rank (at least one, as the kernel
-    keeps): its coefficients (L-1,) and residual norm."""
-    U, s, _ = np.linalg.svd(m, full_matrices=False)
-    k = max(np.linalg.matrix_rank(m), 1)
+def forecast_one(m, n_channels=1, kept=None):
+    """_forecast on one matrix's exact SVD factors, read as n_channels equal
+    channel blocks with mid 0 and half 1, its spectrum weighted as the
+    kernel weights it at kept triples (by default at the matrix's rank, at
+    least one, as the kernel keeps): the predictions (n_channels,), the
+    coefficients (L-1,), the gap and the estimate."""
+    U, s, Vt = np.linalg.svd(m, full_matrices=False)
+    k = kept or max(np.linalg.matrix_rank(m), 1)
     weights = np.where(np.arange(len(s)) < k, s, 0.0)
-    beta, residual = _lrf(U[None], weights[None])
-    return beta[0], float(residual[0])
-
-
-def pinv_fit(m):
-    """Oracle: the minimum-norm least-squares fit of the last row through the
-    others, and its residual norm."""
-    beta = np.linalg.pinv(m[:-1].T) @ m[-1]
-    return beta, float(np.linalg.norm(beta @ m[:-1] - m[-1]))
+    osvt = OsvtBatch(np.array([k]), s[None], weights[None], U[None], Vt[None],
+                     np.nan, np.array([False]))
+    mid = np.zeros((1, n_channels, 1))
+    preds, beta, gap = _forecast(osvt, mid, mid + 1.0)
+    return preds[0], beta[0], float(gap[0]), osvt.estimate()[0]
 
 
 def test_forecast_constant_matrix_minimum_norm():
+    # wherever the recurrence exists it is the minimum-norm fit: here
+    # |u|^2 = 1/L, and it spreads the last row over the others
     L, cols = 5, 8
     m = page_entries(np.full(L * cols, 3.0), L)
-    beta, residual = fit_one(m)
+    pred, beta, gap, _ = forecast_one(m)
     beta_oracle = np.linalg.pinv(m[:-1].T) @ m[-1]
     assert np.allclose(beta_oracle, np.full(L - 1, 1.0 / (L - 1)))
     assert np.allclose(beta, beta_oracle, atol=1e-12)
-    assert residual < 1e-9
+    assert gap == pytest.approx(1.0 - 1.0 / L, rel=1e-12)
+    assert pred[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_forecast_linear_ramp_exact():
-    m = page_entries(np.arange(12.0), 3)
-    beta, residual = fit_one(m)
+    # a ramp has rank 2, and at L = 4 its gap is 1 - 0.7 (at L = 3 it is
+    # 1/6, where the window would hold its value)
+    m = page_entries(np.arange(16.0), 4)
+    pred, beta, gap, _ = forecast_one(m)
+    assert gap == pytest.approx(0.3, rel=1e-12)
     beta_oracle = np.linalg.pinv(m[:-1].T) @ m[-1]
     assert np.allclose(beta, beta_oracle, atol=1e-9)
-    assert residual < 1e-9
     assert np.allclose(m[:-1].T @ beta, m[-1], atol=1e-9)
+    assert pred[0] == pytest.approx(16.0, rel=1e-12)  # the ramp's next sample
 
 
 def test_forecast_l2_closed_form():
-    w = np.array([1.0, 2.0, 3.0, 7.0, 5.0, 11.0])
-    m = page_entries(w, 2)
-    g, h = m[0], m[1]
-    beta, _ = fit_one(m)
-    assert beta[0] == pytest.approx(np.dot(g, h) / np.dot(g, g))
+    # at L = 2 with the top triple kept the estimate is D = s u v^T, and the
+    # recurrence is u_1 / u_0, the fit g.h / g.g of D's rows g and h; the
+    # first row dominates, so the gap u_0^2 is above 0.2
+    w = np.array([7.0, 1.0, 3.0, 2.0, 11.0, 5.0])
+    pred, beta, gap, D = forecast_one(page_entries(w, 2), kept=1)
+    g, h = D
+    assert gap > 0.2
+    assert beta[0] == pytest.approx(np.dot(g, h) / np.dot(g, g), rel=1e-12)
+    assert pred[0] == pytest.approx(beta[0] * h[-1], rel=1e-12)
 
 
-def test_forecast_decoupled_last_row_minimum_norm():
+def assert_holds_its_value(pred, beta, D, n_channels):
+    """beta is e_{L-1}, and each channel predicts D's last row at its
+    block's last column."""
+    assert beta.tobytes() == np.eye(len(beta))[-1].tobytes()
+    cols = D.shape[1] // n_channels
+    assert pred == pytest.approx(D[-1, cols - 1::cols], rel=1e-12, abs=1e-15)
+
+
+def test_forecast_decoupled_last_row_holds_the_value():
     # rank 3 < L = 5, and the last row is orthogonal to the others and a
-    # singular direction of its own: |u| = 1, so nothing predicts it
+    # singular direction of its own: |u| = 1, so no recurrence exists
     rng = np.random.default_rng(5)
     V = np.linalg.qr(rng.standard_normal((12, 3)))[0]
     top = np.outer(rng.standard_normal(4), V[:, 0]) + np.outer(rng.standard_normal(4), V[:, 1])
     m = np.vstack([top, 2.5 * V[:, 2]])
     assert np.linalg.matrix_rank(m) == 3
-    beta, residual = fit_one(m)
-    beta_oracle, residual_oracle = pinv_fit(m)
-    assert np.allclose(beta, beta_oracle, atol=1e-12)
-    assert residual == pytest.approx(residual_oracle, rel=1e-12)
-    assert residual == pytest.approx(2.5, rel=1e-12)
+    pred, beta, gap, D = forecast_one(m, n_channels=3)
+    assert abs(gap) < 1e-12
+    assert_holds_its_value(pred, beta, D, 3)
+    assert np.abs(pred).max() > 0.1
 
 
 @pytest.mark.filterwarnings("error")
-def test_forecast_zero_estimate_has_zero_coefficients():
+def test_forecast_zero_estimate_predicts_mid():
     # a window of constant channels scales to the all-zero matrix; the
-    # kernel keeps one (zero) triple
-    m = np.zeros((5, 30))
-    beta, residual = fit_one(m)
+    # kernel keeps one triple, of zero weight, so no vector is kept
+    osvt = osvt_batch(np.zeros((1, 5, 30)))
+    mid = np.array([[[4.2], [-1.5]]])
+    preds, beta, gap = _forecast(osvt, mid, np.ones_like(mid))
+    assert preds.tobytes() == mid[..., 0].tobytes()
     assert not beta.any()
-    assert residual == 0.0
-    assert np.array_equal(beta, pinv_fit(m)[0])
+    assert gap[0] == 1.0
 
 
 def test_forecast_nearly_decoupled_last_row():
-    # 1 - |u|^2 = 1e-8: the recurrence holds exactly, with |beta| ~ 1e4
+    # 1 - |u|^2 = 1e-8: the recurrence would hold exactly, through
+    # coefficients of ~1e4; the window holds its value instead
     rng = np.random.default_rng(9)
     L, k, n = 5, 3, 30
     x = np.concatenate([rng.standard_normal(k), rng.standard_normal(L - k)])
@@ -232,55 +250,57 @@ def test_forecast_nearly_decoupled_last_row():
     U = np.roll(Q.T, -1, axis=0)  # orthogonal, with last row +-x
     V = np.linalg.qr(rng.standard_normal((n, k)))[0]
     m = (U[:, :k] * [3.0, 2.0, 1.0]) @ V.T
-    beta, residual = fit_one(m)
-    beta_oracle, _ = pinv_fit(m)
-    assert np.abs(beta).max() > 1e3
-    # a 1 - |u|^2 found by subtraction would be off by ~eps/1e-8 relative
-    assert np.allclose(beta, beta_oracle, rtol=1e-9, atol=0)
-    assert residual == 0.0  # the recurrence reproduces the last row
+    assert np.abs(np.linalg.pinv(m[:-1].T) @ m[-1]).max() > 1e3
+    pred, beta, gap, D = forecast_one(m, n_channels=2)
+    assert gap == pytest.approx(1e-8, abs=1e-14)
+    assert_holds_its_value(pred, beta, D, 2)
 
 
-def lrf_factors(rng, L, r, kept):
-    """Random (L, r) orthonormal columns U and weights kept from the top:
-    the form of osvt_batch's U and weights. All r kept makes a square U's
-    last row decoupled (the recurrence's gap is zero)."""
+def forecast_factors(rng, L, r, kept, n=12):
+    """Random (L, r) orthonormal columns U, weights kept from the top, and
+    (r, n) orthonormal rows Vt: the form of osvt_batch's factors. All r kept
+    makes a square U's last row decoupled (the recurrence's gap is zero)."""
     U = np.linalg.qr(rng.standard_normal((L, r)))[0]
     s = np.sort(rng.uniform(0.1, 5.0, r))[::-1]
-    return U, np.where(np.arange(r) < kept, s, 0.0)
+    Vt = np.linalg.qr(rng.standard_normal((n, r)))[0].T
+    return U, np.where(np.arange(r) < kept, s, 0.0), Vt
+
+
+def forecast_batch(factors, mid, half):
+    """_forecast on an OsvtBatch stacked from forecast_factors' triples."""
+    U, weights, Vt = (np.stack(f) for f in zip(*factors))
+    osvt = OsvtBatch((weights > 0).sum(axis=-1), weights, weights, U, Vt, np.nan,
+                     np.zeros(len(factors), dtype=bool))
+    return _forecast(osvt, mid, half)
 
 
 def test_lrf_batch_mixing_decoupled_and_coupled_windows_equals_each_alone():
+    # held windows (gap below 0.2, the decoupled ones among them) and
+    # recurrence windows in one batch each equal their own call to the bit
     rng = np.random.default_rng(21)
     for L, r in ((5, 5), (6, 6), (5, 3)):
-        windows = [lrf_factors(rng, L, r, kept) for kept in rng.integers(1, r + 1, 12)]
+        windows = [forecast_factors(rng, L, r, kept) for kept in rng.integers(1, r + 1, 12)]
         if r < L:
             # a tall U is decoupled when its last row is a unit vector
-            U, weights = windows[0]
+            U, weights, _ = windows[0]
             U[:-1, -1] = 0.0
             U[-1] = np.eye(r)[-1]
             weights[:] = np.sort(rng.uniform(0.1, 5.0, r))[::-1]
-        U = np.stack([u for u, _ in windows])
-        weights = np.stack([w for _, w in windows])
-        beta, residual = _lrf(U, weights)
-        decoupled = residual > 0
-        assert decoupled.any() and not decoupled.all()
-        for b, (u, w) in enumerate(windows):
-            alone_beta, alone_residual = _lrf(u[None], w[None])
-            assert beta[b].tobytes() == alone_beta[0].tobytes()
-            assert residual[b].tobytes() == alone_residual[0].tobytes()
-
-
-def test_lrf_batch_without_decoupled_window_has_zero_residuals():
-    rng = np.random.default_rng(22)
-    windows = [lrf_factors(rng, 5, 5, kept) for kept in (1, 2, 3, 4, 2)]
-    beta, residual = _lrf(np.stack([u for u, _ in windows]),
-                          np.stack([w for _, w in windows]))
-    assert residual.shape == (5,) and residual.dtype == float
-    assert not residual.any()
-    # and the coefficients are each window's recurrence, beta = P u / (1 - |u|^2)
-    for b, (U, w) in enumerate(windows):
-        u = U[-1] * (w > 0)
-        assert np.allclose(beta[b], U[:-1] @ u / (1 - u @ u), rtol=1e-12, atol=1e-12)
+        mid = rng.uniform(-5.0, 5.0, (len(windows), 3, 1))
+        half = rng.uniform(0.5, 2.0, mid.shape)
+        preds, beta, gap = forecast_batch(windows, mid, half)
+        held = gap < recovery._MIN_GAP
+        assert held.any() and not held.all()
+        for b, (U, w, _) in enumerate(windows):
+            if held[b]:
+                assert beta[b].tobytes() == np.eye(L - 1)[-1].tobytes()
+            else:
+                # the recurrence beta = P u / (1 - |u|^2)
+                u = U[-1] * (w > 0)
+                assert np.allclose(beta[b], U[:-1] @ u / (1 - u @ u), rtol=1e-12, atol=1e-12)
+            alone = forecast_batch(windows[b:b + 1], mid[b:b + 1], half[b:b + 1])
+            for got, one in zip((preds, beta, gap), alone):
+                assert got[b].tobytes() == one[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +451,15 @@ def test_predict_next_tall_window_matches_lstsq_on_its_estimate(seed):
     preds, model = predict_next(data, cfg)
     row = locf_fill(data.values_matrix()[0], data.masks_matrix()[0])
     mid, half = 0.5 * (row.min() + row.max()), 0.5 * (row.max() - row.min())
-    D = osvt_batch(page_entries((row - mid) / half, cfg.L)[None]).estimate()[0]
+    osvt = osvt_batch(page_entries((row - mid) / half, cfg.L)[None])
+    D = osvt.estimate()[0]
     assert D.shape == (10, 6)
     beta = np.linalg.lstsq(D[:-1].T, D[-1], rcond=None)[0]
     assert np.allclose(model.beta, beta, rtol=1e-9, atol=1e-12)
-    residual = np.linalg.norm(beta @ D[:-1] - D[-1])
-    assert model.residual_norm == pytest.approx(residual, abs=1e-9)
+    # the gap of D's own kept left vectors: the recurrence holds there
+    U = np.linalg.svd(D)[0][:, :osvt.kept_rank[0]]
+    assert model.gap == pytest.approx(1.0 - U[-1] @ U[-1], abs=1e-12)
+    assert model.gap >= 0.2
     assert preds["ch00"] == pytest.approx((beta @ D[1:, -1]) * half + mid, rel=1e-12)
 
 
@@ -606,6 +629,74 @@ def test_stream_lrf_tracks_recursion():
     preds, _ = predict_stream(ds, RecoveryConfig(L=5, T=30))
     err = np.abs(preds.values_matrix() - rows[:, 30:])
     assert err.max() < 1e-5
+
+
+def window_scales(data, T):
+    """mid and half (N, steps) of each stream step's window [j, j+T), from
+    its observed samples as _denoise takes them."""
+    values, masks = data.values_matrix(), data.masks_matrix()
+    windows = [sliding_window_view(np.where(masks, values, fill), T, axis=1)[:, :-1]
+               for fill in (np.inf, -np.inf)]
+    lo, hi = 0.5 * windows[0].min(axis=-1), 0.5 * windows[1].max(axis=-1)
+    return lo + hi, hi - lo
+
+
+@pytest.mark.parametrize("drop", [0.3, 0.5])
+@pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
+def test_stream_forecasts_stay_within_their_windows_bound(variant, drop):
+    # |beta| <= 2 and each estimate column has norm at most sqrt(L), so every
+    # prediction lies within mid +- 2 sqrt(L) half of its window; channel 2
+    # is stuck at one value, and its constant windows predict mid exactly
+    cfg = RecoveryConfig(L=5, T=30, variant=variant)
+    corpus = benchmark_corpus(seed=7)
+    data = degrade(corpus.dataset, DegradeSpec(drop_rate=drop, noise_rate=0.02, seed=11),
+                   noise_base=corpus.steady_median)
+    values = data.values_matrix().copy()
+    values[2] = -3.75
+    data = data.with_values(values, data.masks_matrix())
+    preds = predict_stream(data, cfg)[0].values_matrix()
+    mid, half = window_scales(data, cfg.T)
+    assert (np.abs(preds - mid) <= 2.0 * np.sqrt(cfg.L) * half).all()
+    assert (preds[2] == -3.75).all()
+    t, values, masks = data.timestamps, data.values_matrix(), data.masks_matrix()
+    for j in range(0, len(data) - cfg.T, 7):
+        w = slice(j, j + cfg.T)
+        window = Dataset.from_arrays(t[w], values[:, w], masks[:, w], data.ids)
+        assert np.linalg.norm(predict_next(window, cfg)[1].beta) <= 2.0 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("runs", [False, True], ids=["uniform", "runs"])
+@pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
+def test_stream_prediction_ignores_samples_after_its_window(variant, runs):
+    # a guard: replacing every value and mask from a cut c on leaves each
+    # prediction from a window [j, j+T) with j + T <= c unchanged to the bit,
+    # also for windows that share a chunk with later ones
+    cfg = RecoveryConfig(L=5, T=30, variant=variant)
+    corpus = benchmark_corpus(n_channels=4, n_samples=700, seed=12)
+    data = degrade(corpus.dataset, DegradeSpec(drop_rate=0.0 if runs else 0.3,
+                                               noise_rate=0.02, seed=5),
+                   noise_base=corpus.steady_median)
+    rng = np.random.default_rng(13)
+    masks = data.masks_matrix().copy()
+    if runs:
+        # channels 0 and 3 drop runs of 5-20 samples between observed runs of 1-3
+        for i in (0, 3):
+            j = int(rng.integers(1, 4))
+            while j < len(data):
+                gap = int(rng.integers(5, 21))
+                masks[i, j:j + gap] = False
+                j += gap + int(rng.integers(1, 4))
+    data = data.with_values(data.values_matrix(), masks)
+    base = predict_stream(data, cfg)[0].values_matrix()
+    assert _chunk_steps(cfg, 4) < 400
+    for cut in (45, 301, 617):
+        values, masks = data.values_matrix().copy(), data.masks_matrix().copy()
+        values[:, cut:] = rng.uniform(-1e3, 1e3, values[:, cut:].shape)
+        masks[:, cut:] = rng.random(masks[:, cut:].shape) < 0.5
+        out = predict_stream(data.with_values(values, masks), cfg)[0].values_matrix()
+        kept = cut - cfg.T + 1
+        assert out[:, :kept].tobytes() == base[:, :kept].tobytes()
+        assert (out[:, kept:] != base[:, kept:]).any()
 
 
 def test_stream_alignment_and_metadata():

@@ -3,12 +3,14 @@
 step_loop is predict_stream as it ran before batching: one window at a time,
 built from the public pieces (locf_fill, page_entries/hankel_entries, and
 osvt_batch on the stacked matrix scaled onto [-1, 1] as a whole, see
-threshold_whole) with the forecast fitted by np.linalg.lstsq on the estimate.
-The batched replay reads its forecast coefficients in closed form off the
-kept singular vectors of the threshold kernel's own SVD, so the two differ
-by rounding, which an ill-conditioned window amplifies: 2e-9 bounds that on
-the degraded streams (the worst window, at 1 - |u|^2 = 2.5e-8, is 6.2e-10
-off), and kept ranks must match exactly.
+threshold_whole) with the forecast fitted by np.linalg.lstsq on the
+estimate, or the value held where the SVD of that estimate puts the
+verticality gap 1 - |U_k[-1]|^2 of its kept left vectors below 0.2. The
+batched replay reads its forecast in closed form off the kept singular
+vectors of the threshold kernel's own SVD, so the two differ by rounding.
+A gap of at least 0.2 amplifies that rounding at most 5-fold: 1e-12 bounds
+it on the degraded streams (the worst window is about 2e-14 off), and kept
+ranks must match exactly.
 """
 
 import numpy as np
@@ -63,7 +65,11 @@ def step_loop(data, cfg):
             blocks.append(make((row - mid) / half, cfg.L))
             scales.append((mid, half))
         D, rank = threshold_whole(np.hstack(blocks))
-        beta = np.linalg.lstsq(D[:-1].T, D[-1], rcond=None)[0]
+        U = np.linalg.svd(D)[0][:, :rank]
+        if 1.0 - U[-1] @ U[-1] >= 0.2:
+            beta = np.linalg.lstsq(D[:-1].T, D[-1], rcond=None)[0]
+        else:
+            beta = np.eye(cfg.L - 1)[-1]  # hold the estimate's last sample
         shifted = beta @ D[1:]
         cols = blocks[0].shape[1]
         for i, (mid, half) in enumerate(scales):
@@ -99,7 +105,7 @@ def test_stream_matches_step_loop(variant, drop):
     expect, expect_ranks = step_loop(data, cfg)
     got, report = predict_stream(data, cfg)
     assert report.kept_rank == expect_ranks
-    assert np.abs(got.values_matrix() - expect).max() <= 2e-9
+    assert np.abs(got.values_matrix() - expect).max() <= 1e-12
 
 
 @pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
@@ -109,7 +115,7 @@ def test_stream_with_stuck_channel_matches_step_loop(variant):
     expect, expect_ranks = step_loop(data, cfg)
     got, report = predict_stream(data, cfg)
     assert report.kept_rank == expect_ranks
-    assert np.abs(got.values_matrix() - expect).max() <= 1e-8
+    assert np.abs(got.values_matrix() - expect).max() <= 1e-12
 
 
 def assert_next_equals_stream(data, cfg):
