@@ -1,11 +1,11 @@
 """Time-series data model, CSV ingestion and gap filling.
 
-:class:`Dataset` is columnar: one time base of n samples and (N, n) arrays
-of values and observation masks, one row per channel, all read-only.
-:class:`ChannelSeries` is the plain record of one channel: a dataset
-checks the records it is built from and hands records out, as read-only
-views, on request. Channel order is significant: it fixes the block order
-of the stacked matrices built downstream.
+:class:`Dataset` is columnar: one time base of n samples, the channel ids
+and (N, n) arrays of values and observation masks, one row per channel, all
+read-only. Channel order is significant: it fixes the block order of the
+stacked matrices built downstream. :class:`ChannelSeries` is the plain
+record of one channel, kept only for callers that still build a dataset
+from records.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _EMPTY_BEFORE = re.compile(r",(?=[,\r\n]|\Z)")
 
 
 class ChannelKind(enum.Enum):
-    """A label carried with each channel; no computation reads it."""
+    """A record's label, accepted and dropped: no computation reads it."""
 
     VOLTAGE_ANGLE = "voltage_angle"
     GENERIC = "generic"
@@ -73,7 +73,8 @@ class ChannelSeries:
     channel_id : str
         Opaque identifier, unique within a dataset.
     kind : ChannelKind
-        A label carried with the channel; no computation reads it.
+        A label that a dataset does not keep; records a dataset hands out
+        are GENERIC.
     timestamps : array of float
         Finite, strictly increasing, uniformly spaced sample times.
     values : array of float
@@ -89,9 +90,6 @@ class ChannelSeries:
     values: np.ndarray
     mask: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class Dataset:
@@ -99,18 +97,15 @@ class Dataset:
 
     timestamps holds the n sample times once; the channels' values and
     observation masks are (N, n) arrays whose row i belongs to channel
-    ids[i], labelled kinds[i] (a label that no computation reads). All
-    three arrays are read-only.
-    ``Dataset(channels, rate_fps)`` builds one from ChannelSeries records,
-    :meth:`from_arrays` from the arrays themselves; both copy their inputs
-    and validate alike.
-    A rate_fps of 0 means "derive from the timestamp step".
+    ids[i]. All three arrays are read-only. The rate is derived from the
+    time step.
+    :meth:`from_arrays` builds one from the arrays themselves,
+    ``Dataset(channels, rate_fps)`` from ChannelSeries records, dropping
+    their kind labels and rate_fps; both copy their inputs and validate alike.
     """
 
     timestamps: np.ndarray
     ids: tuple[str, ...]
-    kinds: tuple[ChannelKind, ...]
-    rate_fps: float
     _values: np.ndarray = field(repr=False)
     _masks: np.ndarray = field(repr=False)
 
@@ -130,8 +125,6 @@ class Dataset:
             [c.values for c in chans],
             [c.mask for c in chans],
             tuple(c.channel_id for c in chans),
-            tuple(c.kind for c in chans),
-            rate_fps,
         )
         # after _store has checked the first time base, so that a non-finite
         # shared one is reported as such, not as unshared (NaN != NaN)
@@ -142,31 +135,17 @@ class Dataset:
                              "does not share the common time base")
 
     @classmethod
-    def from_arrays(
-        cls,
-        timestamps,
-        values,
-        masks,
-        ids: Iterable[str],
-        kinds: Iterable[ChannelKind] | None = None,
-        rate_fps: float = 0.0,
-    ) -> "Dataset":
-        """Dataset from its time base (n,), values and masks (N, n), channel
-        ids and kind labels (GENERIC when omitted; no computation reads
-        them). The arrays are copied."""
-        ids = tuple(ids)
+    def from_arrays(cls, timestamps, values, masks, ids: Iterable[str]) -> "Dataset":
+        """Dataset from its time base (n,), values and masks (N, n) and
+        channel ids. The arrays are copied."""
         self = cls.__new__(cls)
-        self._store(
-            timestamps, values, masks, ids,
-            (ChannelKind.GENERIC,) * len(ids) if kinds is None else tuple(kinds),
-            rate_fps,
-        )
+        self._store(timestamps, values, masks, tuple(ids))
         return self
 
-    def _store(self, t, values, masks, ids, kinds, rate_fps) -> None:
+    def _store(self, t, values, masks, ids) -> None:
         """Check the time base, copy it, the values and the masks, check
-        their shapes, the kinds and the ids, and keep the copies read-only:
-        the one validator of both constructors."""
+        their shapes and the ids, and keep the copies read-only: the one
+        validator of both constructors."""
         if not ids:
             raise ShapeError("dataset needs at least one channel")
         t = np.array(t, dtype=float)
@@ -178,53 +157,46 @@ class Dataset:
         values = np.array(values, dtype=float, order="C")
         masks = np.array(masks, dtype=bool, order="C")
         N = len(ids)
-        if (t.ndim != 1 or values.shape != (N, len(t)) or masks.shape != values.shape
-                or len(kinds) != N):
+        if t.ndim != 1 or values.shape != (N, len(t)) or masks.shape != values.shape:
             raise ShapeError(
-                f"expected timestamps (n,), values and masks ({N}, n) and {N} "
-                f"kinds, got {t.shape}, {values.shape}, {masks.shape} and {len(kinds)}"
+                f"expected timestamps (n,) and values and masks ({N}, n), "
+                f"got {t.shape}, {values.shape} and {masks.shape}"
             )
         if len(set(ids)) != len(ids):
             repeated = next(c for k, c in enumerate(ids) if c in ids[:k])
             raise ShapeError(f"channel id {repeated!r} appears more than once")
-        if not rate_fps:
-            rate_fps = 1.0 / (t[1] - t[0]) if len(t) >= 2 else 1.0
         for a in (t, values, masks):
             a.setflags(write=False)
         # one update of the instance dict: the frozen class's __setattr__
         # refuses the fields
-        self.__dict__.update(timestamps=t, ids=ids, kinds=kinds, rate_fps=float(rate_fps),
-                             _values=values, _masks=masks)
+        self.__dict__.update(timestamps=t, ids=ids, _values=values, _masks=masks)
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def _row(self, channel_id: str) -> int:
-        try:
-            return self.ids.index(channel_id)
-        except ValueError:
-            raise KeyError(channel_id) from None
+    @property
+    def rate_fps(self) -> float:
+        """Samples per second, the inverse of the time step; 1.0 for a
+        dataset of fewer than two samples."""
+        t = self.timestamps
+        return float(1.0 / (t[1] - t[0])) if len(t) >= 2 else 1.0
 
     @property
     def channels(self) -> tuple[ChannelSeries, ...]:
-        """The channels as ChannelSeries records, built on each access; their
-        arrays are read-only views of the stored ones."""
-        return tuple(self.channel(c) for c in self.ids)
-
-    def channel(self, channel_id: str) -> ChannelSeries:
-        """The record of one channel, over views of the stored arrays."""
-        i = self._row(channel_id)
-        return ChannelSeries(
-            channel_id, self.kinds[i], self.timestamps, self._values[i], self._masks[i]
+        """The channels as GENERIC ChannelSeries records, built on each
+        access; their arrays are read-only views of the stored ones."""
+        return tuple(
+            ChannelSeries(c, ChannelKind.GENERIC, self.timestamps, v, m)
+            for c, v, m in zip(self.ids, self._values, self._masks)
         )
 
     def select(self, ids: Iterable[str]) -> "Dataset":
-        """Sub-dataset with the given channels, in the given order."""
-        rows = [self._row(c) for c in ids]
-        return Dataset.from_arrays(
-            self.timestamps, self._values[rows], self._masks[rows],
-            [self.ids[i] for i in rows], [self.kinds[i] for i in rows], self.rate_fps,
-        )
+        """Sub-dataset with the given channels, in the given order; an id
+        not in the dataset is a KeyError."""
+        row = {c: i for i, c in enumerate(self.ids)}
+        rows = [row[c] for c in ids]
+        return Dataset.from_arrays(self.timestamps, self._values[rows], self._masks[rows],
+                                   [self.ids[i] for i in rows])
 
     def values_matrix(self) -> np.ndarray:
         """Channel values as an (n_channels, n_samples) array: the stored,
@@ -239,8 +211,7 @@ class Dataset:
         """Dataset with the same layout but new (N, n) values and, when
         given, new masks."""
         return Dataset.from_arrays(
-            self.timestamps, values, self._masks if masks is None else masks,
-            self.ids, self.kinds, self.rate_fps,
+            self.timestamps, values, self._masks if masks is None else masks, self.ids,
         )
 
 
@@ -251,8 +222,8 @@ class Dataset:
 def ingest_csv(path) -> Dataset:
     """Read a comma-separated UTF-8 file into a Dataset, dropping a BOM.
 
-    The first column holds the timestamps, every other column one GENERIC
-    channel, each named once in the header by a non-empty name. A cell that
+    The first column holds the timestamps, every other column one channel,
+    each named once in the header by a non-empty name. A cell that
     is empty, whitespace-only or a NaN literal (any case, surrounding spaces
     allowed) marks a missing sample, and so does every other cell that reads
     to a non-finite number (``inf``, ``-inf``): a missing sample is filled

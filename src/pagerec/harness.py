@@ -237,6 +237,13 @@ PREDICT_CFG = RecoveryConfig(L=5, T=30)
 IMPUTE_CFG = RecoveryConfig(L=10, T=240)
 
 
+# A bound on the magnitude of numpy's standard normal draws. Generator draws
+# them by the ziggurat method: a draw outside the base strip r = 3.6541528...
+# is r - ln(1 - u) / r with u < 1 on a grid of 2^-53, so at most
+# r + 53 ln 2 / r, about 13.708.
+_MAX_DEVIATE = 13.75
+
+
 def run_benchmark(
     truth: Synthetic,
     scenarios: Sequence[Scenario],
@@ -254,7 +261,8 @@ def run_benchmark(
     against the truth (median over repetitions). Scenario failures are
     isolated into the result's error field; an empty grid, fewer than one
     repetition, a rate outside its range, a noise rate whose standard
-    deviation is not finite for some channel, a negative master seed or an
+    deviation is not finite for some channel or whose draws could take one
+    of its samples past the float range, a negative master seed or an
     impute window that does not suit some scenario's variant is a
     ConfigError before anything runs.
     """
@@ -264,21 +272,33 @@ def run_benchmark(
     if not scenarios:
         raise ConfigError("the scenario grid is empty")
     _check_seed(master_seed)
+    truth_vals = truth.dataset.values_matrix()
+    ids = truth.dataset.ids
+    # each channel's largest observed magnitude
+    peaks = np.abs(truth_vals).max(axis=1, where=truth.dataset.masks_matrix(), initial=0.0)
+    peaks = dict(zip(ids, peaks.tolist()))
     for scenario in scenarios:
         _check_rates(scenario.drop_rate, scenario.noise_rate)
         # degrade draws each channel's noise at this standard deviation
         for cid, median in truth.steady_median.items():
-            if not math.isfinite(scenario.noise_rate * float(median)):
+            deviation = scenario.noise_rate * float(median)
+            if not math.isfinite(deviation):
                 raise ConfigError(
                     f"noise_rate {scenario.noise_rate} times the steady median of "
                     f"channel {cid!r} is not finite"
                 )
+            # and adds deviation times a standard normal draw to each observed
+            # sample: while the largest draw's share plus the channel's
+            # largest magnitude is finite, no noisy sample overflows
+            if deviation and not math.isfinite(deviation * _MAX_DEVIATE + peaks.get(cid, 0.0)):
+                raise ConfigError(
+                    f"noise_rate {scenario.noise_rate} times the steady median of "
+                    f"channel {cid!r} can take its noisy samples past the float range"
+                )
     # the impute window for each scenario's variant, checked before any runs
     impute_cfgs = {sc.variant: replace(impute_cfg or IMPUTE_CFG, variant=sc.variant)
                    for sc in scenarios}
-    truth_vals = truth.dataset.values_matrix()
     future = truth_vals[:, PREDICT_CFG.T:]
-    ids = truth.dataset.ids
     results: list[ScenarioResult] = []
     for s_idx, scenario in enumerate(scenarios):
         result = ScenarioResult(scenario=scenario, repetitions=repetitions)

@@ -19,7 +19,9 @@ _MIN_GAP = 0.2 a window holds its value: it predicts its estimate's last
 sample, the recurrence with beta = (0, ..., 0, 1). That is SSA's existence
 condition applied with a margin, not a rule of the paper. Then |beta| <= 2,
 and as each estimate column is the projection of one with entries in
-[-1, 1], every prediction lies within mid +- 2 sqrt(L) half of its window.
+[-1, 1], every prediction lies within mid +- 2 sqrt(L) half of its window,
+and every estimate within mid +- sqrt(L) half; a value that this puts beyond
+the float range is clipped to it.
 A window costs one thresholded SVD (on either of osvt_batch's routes, which
 give the same spectrum and left vectors to rounding), and of the estimate
 only the entries the prediction reads are built: rows 1..L-1 of each
@@ -38,6 +40,7 @@ itself, B = 1.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -224,7 +227,30 @@ def _unstack(
         w = blocks.swapaxes(-1, -2).reshape(B, N, -1)
     else:
         w = antidiagonal_means(blocks)
-    return w * half + mid
+    return _data_units(w, mid, half, cfg.L)
+
+
+# the largest finite float, to which a value beyond the float range is
+# clipped, and half its ulp: a finite sum rounds past the largest float only
+# when it exceeds it by at least that much
+_FLOAT_MAX = float(np.finfo(float).max)
+_HALF_ULP_MAX = 2.0 ** 970
+
+
+def _data_units(
+    norm: np.ndarray, mid: np.ndarray, half: np.ndarray, L: int
+) -> np.ndarray:
+    """norm * half + mid: normalized values mapped back to data units, each
+    clipped to the float range. norm holds estimate entries or predictions,
+    at most 2 sqrt(L) in magnitude (module docstring)."""
+    # mid is finite, so while every |norm * half| stays below half an ulp of
+    # the largest float (with a factor 8 to spare for rounding) the sum
+    # cannot overflow: one test on the common path
+    if half.max() < _HALF_ULP_MAX / (16.0 * math.sqrt(L)):
+        return norm * half + mid
+    with np.errstate(over="ignore"):
+        out = norm * half + mid
+    return np.clip(out, -_FLOAT_MAX, _FLOAT_MAX, out=out)
 
 
 # Stacked-matrix cells (windows x L x columns) per engine call: enough
@@ -317,8 +343,8 @@ def _forecast(
         beta[held] = np.eye(beta.shape[1])[-1]
     cols = osvt.Vt.shape[-1] // mid.shape[1]
     last = osvt.estimate(slice(1, None), slice(cols - 1, None, cols))  # (B, L-1, N)
-    preds = (beta[:, None, :] @ last)[:, 0] * half[..., 0] + mid[..., 0]
-    return preds, beta, gap
+    norm = (beta[:, None, :] @ last)[:, 0]
+    return _data_units(norm, mid[..., 0], half[..., 0], last.shape[1] + 1), beta, gap
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +424,6 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     for j, osvt, mid, half in _windows(data, cfg, np.arange(steps), report):
         preds[:, j] = _forecast(osvt, mid, half)[0].T
     preds = Dataset.from_arrays(
-        data.timestamps[cfg.T:], preds, np.ones(preds.shape, dtype=bool),
-        data.ids, data.kinds, data.rate_fps,
+        data.timestamps[cfg.T:], preds, np.ones(preds.shape, dtype=bool), data.ids,
     )
     return preds, report

@@ -68,6 +68,18 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert run(["impute", "--L", "10"]) == 2
 
 
+def test_flag_value_that_does_not_parse_is_usage_error(tmp_path, sample_csv, capsys):
+    out = tmp_path / "o.csv"
+    for args, message in [
+        (["impute", "--input", str(sample_csv), "--T", "120", "--overwrite-observed", "maybe"],
+         "argument --overwrite-observed: expected true or false, got 'maybe'"),
+        (["bench", "--drop", "x"], "argument --drop: expected comma-separated floats, got 'x'"),
+    ]:
+        assert run([*args, "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unreadable_input_is_data_error(tmp_path, capsys):
     code = run(["impute", "--input", str(tmp_path / "absent.csv"),
                 "--output", str(tmp_path / "o.csv"), "--T", "120"])
@@ -111,8 +123,7 @@ def test_outputs_keep_the_input_timestamp_column_name(tmp_path, sample_csv):
     # not name their own time column "t" and so repeat a column
     source = ingest_csv(sample_csv)
     data = Dataset.from_arrays(
-        source.timestamps, source.values_matrix()[:2], source.masks_matrix()[:2],
-        ["t", "v"], source.kinds[:2], source.rate_fps,
+        source.timestamps, source.values_matrix()[:2], source.masks_matrix()[:2], ["t", "v"],
     )
     src = tmp_path / "named.csv"
     write_csv(data, src, timestamp_column="time")
@@ -341,6 +352,9 @@ def test_bench_variant_grid(tmp_path):
     # a finite rate whose noise deviation overflows for the corpus' channels
     (["--noise", "1e308"], "noise_rate 1e+308 times the steady median of channel 'ch00' "
                            "is not finite"),
+    # and one whose deviation is finite but whose draws can overflow a sample
+    (["--noise", "1e307"], "noise_rate 1e+307 times the steady median of channel 'ch00' "
+                           "can take its noisy samples past the float range"),
 ])
 def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "r.json"
@@ -349,6 +363,21 @@ def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message)
     assert code == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def test_bench_names_each_failed_scenario_on_stderr(tmp_path, capsys):
+    # T=1500 exceeds the 1200-sample corpus: each scenario's impute fails
+    # inside its scenario, the report keeps the error, and stderr names the
+    # scenario by its label
+    out = tmp_path / "r.json"
+    code = run(["bench", "--output", str(out), "--reps", "1", "--drop", "0.1",
+                "--noise", "0.02", "--variant", "page,hankel", "--L", "10", "--T", "1500"])
+    assert code == 1
+    error = "ShapeError: dataset length 1200 is shorter than the window T=1500"
+    assert capsys.readouterr().err.splitlines() == [
+        f"scenario drop0.1_noise0.02_{variant} failed: {error}" for variant in ("page", "hankel")
+    ]
+    assert [r["error"] for r in json.loads(out.read_text())["results"]] == [error, error]
 
 
 def test_bench_checks_the_impute_window_against_the_listed_variants_only(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Data model, CSV ingestion and gap filling."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -28,6 +29,12 @@ def make_series(values, mask=None, cid="c0"):
     return ChannelSeries(
         cid, ChannelKind.GENERIC, np.arange(len(values), dtype=float), values, mask
     )
+
+
+def column(ds, cid):
+    """Channel cid's values and mask: its rows of the stored arrays."""
+    i = ds.ids.index(cid)
+    return ds.values_matrix()[i], ds.masks_matrix()[i]
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +101,7 @@ def test_records_handed_out_are_views_and_constructor_copies():
     assert ds.timestamps.tolist() == [0.0, 1.0, 2.0]
     assert ds.values_matrix().tolist() == [[1.0, 2.0, 3.0]]
     assert ds.masks_matrix().all()
-    a = ds.channel("a")
+    (a,) = ds.channels
     for got, stored in ((a.timestamps, ds.timestamps), (a.values, ds.values_matrix()),
                         (a.mask, ds.masks_matrix())):
         assert not got.flags.writeable
@@ -109,9 +116,9 @@ def test_reassigning_record_fields_leaves_the_dataset_unchanged():
     ds = Dataset((rec,))
     rec.channel_id, rec.kind = "b", ChannelKind.VOLTAGE_ANGLE
     rec.timestamps, rec.values, rec.mask = np.arange(3.0) + 5.0, np.zeros(3), np.zeros(3, bool)
-    handed_out = ds.channel("a")
+    (handed_out,) = ds.channels
     handed_out.values, handed_out.mask = np.zeros(3), np.zeros(3, bool)
-    assert (ds.ids, ds.kinds) == (("a",), (ChannelKind.GENERIC,))
+    assert ds.ids == ("a",)
     assert ds.timestamps.tolist() == [0.0, 1.0, 2.0]
     assert ds.values_matrix().tolist() == [[1.0, 2.0, 3.0]]
     assert ds.masks_matrix().all()
@@ -123,7 +130,7 @@ def test_reassigning_record_fields_leaves_the_dataset_unchanged():
 def test_records_compare_by_identity():
     # a record holds arrays, so field-wise equality and hashing are undefined
     ds = Dataset((make_series([1.0, 2.0], cid="a"),))
-    a, b = ds.channel("a"), ds.channel("a")
+    (a,), (b,) = ds.channels, ds.channels
     assert a == a and a != b
     assert len({a, b}) == 2
 
@@ -148,11 +155,16 @@ def test_dataset_duplicate_ids_rejected():
 def test_dataset_rate_derived_from_step():
     t = np.arange(5) / 60.0
     a = ChannelSeries("a", ChannelKind.GENERIC, t, np.zeros(5), np.ones(5, bool))
-    assert Dataset((a,)).rate_fps == pytest.approx(60.0)
+    ds = Dataset((a,))
+    assert ds.rate_fps == pytest.approx(60.0)
+    with pytest.raises(AttributeError):
+        ds.rate_fps = 30.0
+    # one sample has no step
+    assert Dataset.from_arrays([0.0], [[1.0]], [[True]], ["a"]).rate_fps == 1.0
 
 
 def assert_same_dataset(a, b):
-    assert (a.ids, a.kinds, a.rate_fps) == (b.ids, b.kinds, b.rate_fps)
+    assert (a.ids, a.rate_fps) == (b.ids, b.rate_fps)
     for x, y in ((a.timestamps, b.timestamps), (a.values_matrix(), b.values_matrix()),
                  (a.masks_matrix(), b.masks_matrix())):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -167,14 +179,14 @@ def test_dataset_from_channels_equals_array_form():
     ids = ("c0", "c1", "c2")
     kinds = (ChannelKind.VOLTAGE_ANGLE, ChannelKind.GENERIC, ChannelKind.VOLTAGE_ANGLE)
     chans = tuple(ChannelSeries(*row) for row in zip(ids, kinds, [t] * 3, values, masks))
+    # the records' kinds and the constructor's rate are dropped: the rate
+    # is the time base's
     for rate in (0.0, 25.0):
         a = Dataset(chans, rate)
-        assert_same_dataset(a, Dataset.from_arrays(t, values, masks, ids, kinds, rate))
+        assert_same_dataset(a, Dataset.from_arrays(t, values, masks, ids))
         assert_same_dataset(a, Dataset(a.channels, rate))
-    assert Dataset(chans).rate_fps == pytest.approx(30.0)
-    generic = Dataset.from_arrays(t, values, masks, ids)
-    assert generic.kinds == (ChannelKind.GENERIC,) * 3
-    c1 = generic.channel("c1")
+        assert a.rate_fps == pytest.approx(30.0)
+    c1 = Dataset.from_arrays(t, values, masks, ids).channels[1]
     assert c1.kind is ChannelKind.GENERIC and np.array_equal(c1.mask, masks[1])
 
 
@@ -192,6 +204,10 @@ def test_dataset_arrays_read_only_and_stored_once():
         assert not ds.timestamps.flags.writeable
         assert ds.values_matrix() is ds.values_matrix()
         assert ds.masks_matrix() is ds.masks_matrix()
+    # the time base, ids, values and masks are all a dataset stores
+    assert [f.name for f in dataclasses.fields(Dataset)] == [
+        "timestamps", "ids", "_values", "_masks"]
+    assert set(vars(ds)) == {"timestamps", "ids", "_values", "_masks"}
     # the array form keeps copies: the caller's arrays stay writable and apart
     ds = Dataset.from_arrays(t, values, masks, ("a", "b"))
     values[0, 0] = 99.0
@@ -207,8 +223,6 @@ def test_dataset_array_form_validates():
         Dataset.from_arrays(t, values[:, :3], masks, ("a", "b"))
     with pytest.raises(ShapeError):
         Dataset.from_arrays(t, values, masks[:1], ("a", "b"))
-    with pytest.raises(ShapeError):
-        Dataset.from_arrays(t, values, masks, ("a", "b"), (ChannelKind.GENERIC,))
     with pytest.raises(ShapeError, match="timestamps must be finite"):
         Dataset.from_arrays([0.0, 1.0, 3.0, 4.0], values, masks, ("a", "b"))
     with pytest.raises(ShapeError, match="at least one channel"):
@@ -230,10 +244,10 @@ def test_ingest_basic_missing_cell(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("t,v\n0,1.0\n1,\n2,3.0\n")
     ds = ingest_csv(p)
-    v = ds.channel("v")
-    assert list(v.mask) == [True, False, True]
-    assert v.values[0] == 1.0 and v.values[2] == 3.0
-    assert np.isnan(v.values[1])
+    values, mask = column(ds, "v")
+    assert list(mask) == [True, False, True]
+    assert values[0] == 1.0 and values[2] == 3.0
+    assert np.isnan(values[1])
     assert ds.rate_fps == pytest.approx(1.0)
 
 
@@ -241,7 +255,7 @@ def test_ingest_nan_literal_is_missing(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("t,v\n0,NaN\n1,2.0\n2,nan\n3, nan \n4,NAN\n5,\tnAn\n6,7.0\n")
     ds = ingest_csv(p)
-    assert list(ds.channel("v").mask) == [False, True, False, False, False, False, True]
+    assert list(column(ds, "v")[1]) == [False, True, False, False, False, False, True]
 
 
 @pytest.mark.parametrize("cell", [" ", "   ", "\t", " \t "])
@@ -249,18 +263,18 @@ def test_ingest_whitespace_only_cell_is_missing(tmp_path, cell):
     p = tmp_path / "d.csv"
     p.write_text(f"t,v,w\n0,1.0,{cell}\n1,{cell},2.0\n2,3.0,4.0\n")
     ds = ingest_csv(p)
-    assert list(ds.channel("v").mask) == [True, False, True]
-    assert list(ds.channel("w").mask) == [False, True, True]
-    assert list(ds.channel("v").values[[0, 2]]) == [1.0, 3.0]
+    assert list(column(ds, "v")[1]) == [True, False, True]
+    assert list(column(ds, "w")[1]) == [False, True, True]
+    assert list(column(ds, "v")[0][[0, 2]]) == [1.0, 3.0]
 
 
 def test_ingest_quoted_numeric_cell_is_observed(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text('t,v\n0,"1.5"\n"1",2.5\n2,""\n')
     ds = ingest_csv(p)
-    v = ds.channel("v")
-    assert list(v.mask) == [True, True, False]
-    assert list(v.values[:2]) == [1.5, 2.5]
+    values, mask = column(ds, "v")
+    assert list(mask) == [True, True, False]
+    assert list(values[:2]) == [1.5, 2.5]
     assert list(ds.timestamps) == [0.0, 1.0, 2.0]
 
 
@@ -269,10 +283,10 @@ def test_ingest_crlf_line_endings(tmp_path):
     p.write_bytes(b"t,v,w\r\n0,1.5,\r\n1,,2.0\r\n2,3.5,4.0\r\n")
     ds = ingest_csv(p)
     assert list(ds.timestamps) == [0.0, 1.0, 2.0]
-    assert list(ds.channel("v").mask) == [True, False, True]
-    assert list(ds.channel("w").mask) == [False, True, True]
-    assert list(ds.channel("v").values[[0, 2]]) == [1.5, 3.5]
-    assert list(ds.channel("w").values[1:]) == [2.0, 4.0]
+    assert list(column(ds, "v")[1]) == [True, False, True]
+    assert list(column(ds, "w")[1]) == [False, True, True]
+    assert list(column(ds, "v")[0][[0, 2]]) == [1.5, 3.5]
+    assert list(column(ds, "w")[0][1:]) == [2.0, 4.0]
 
 
 def ingest_error(p, text):
@@ -339,6 +353,11 @@ def test_ingest_header_only_or_single_row_rejected(tmp_path, text):
     assert "need at least two rows" in ingest_error(p, text)
 
 
+def test_ingest_header_without_a_channel_column_rejected(tmp_path):
+    p = tmp_path / "d.csv"
+    assert ingest_error(p, "t\n0\n1\n") == f"{p}: no channel columns besides the timestamp"
+
+
 @pytest.mark.parametrize("header, column", [("t,v,v", "v"), ("t,t,v", "t"), ("v,t,w,v", "v")])
 def test_ingest_repeated_column_names_file_and_column(tmp_path, header, column):
     p = tmp_path / "d.csv"
@@ -373,9 +392,9 @@ def test_ingest_all_missing_channel_rejected(tmp_path):
 def test_ingest_nonfinite_cell_is_missing(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("t,v\n0,inf\n1,2.0\n2,-inf\n3, INF \n4,-Infinity\n5,6.0\n")
-    v = ingest_csv(p).channel("v")
-    assert list(v.mask) == [False, True, False, False, False, True]
-    assert list(v.values[v.mask]) == [2.0, 6.0]
+    values, mask = column(ingest_csv(p), "v")
+    assert list(mask) == [False, True, False, False, False, True]
+    assert list(values[mask]) == [2.0, 6.0]
     # a column of infinite cells has no observed sample
     p.write_text("t,v,w\n0,inf,1\n1,-inf,2\n")
     with pytest.raises(AllMissingChannel, match="column 'v' has no observed sample"):
@@ -421,7 +440,7 @@ def test_ingest_large_file_shape(tmp_path):
     p = tmp_path / "big.csv"
     p.write_text("\n".join(rows) + "\n")
     ds = ingest_csv(p)
-    assert len(ds.channels) == c
+    assert len(ds.ids) == c
     assert len(ds) == n
 
 
@@ -443,15 +462,14 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.timestamps, ds.timestamps)
     assert back.rate_fps == pytest.approx(ds.rate_fps)
     for cid in ds.ids:
-        a, b = ds.channel(cid), back.channel(cid)
-        assert np.array_equal(a.mask, b.mask)
-        assert np.array_equal(a.values[a.mask], b.values[b.mask])
+        (a, a_mask), (b, b_mask) = column(ds, cid), column(back, cid)
+        assert np.array_equal(a_mask, b_mask)
+        assert np.array_equal(a[a_mask], b[b_mask])
 
 
 def test_write_csv_timestamp_column_named_like_a_channel(tmp_path):
     ds = Dataset.from_arrays(
-        np.arange(3) / 60.0, np.ones((2, 3)), np.ones((2, 3), dtype=bool),
-        ["t", "v"], [ChannelKind.GENERIC] * 2, 60.0,
+        np.arange(3) / 60.0, np.ones((2, 3)), np.ones((2, 3), dtype=bool), ["t", "v"],
     )
     p = tmp_path / "clash.csv"
     with pytest.raises(ConfigError, match="timestamp column 't' is also the name of a channel"):
@@ -461,16 +479,13 @@ def test_write_csv_timestamp_column_named_like_a_channel(tmp_path):
     assert p.read_text().splitlines()[0] == "time,t,v"
 
 
-def test_ingest_schema_kinds_and_timestamp_column(tmp_path):
+def test_ingest_schema_and_timestamp_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,va,f\n0,10,60.0\n1,11,60.1\n")
     ds = ingest_csv(p)
     assert ds.ids == ("va", "f")
     assert list(ds.timestamps) == [0.0, 1.0]
-    assert list(ds.channel("va").values) == [10.0, 11.0]
-    assert list(ds.channel("f").values) == [60.0, 60.1]
-    # every channel column is read as GENERIC
-    assert ds.kinds == (ChannelKind.GENERIC, ChannelKind.GENERIC)
+    assert ds.values_matrix().tolist() == [[10.0, 11.0], [60.0, 60.1]]
 
 
 @pytest.mark.parametrize("in_header", [True, False], ids=["header", "row"])
@@ -511,8 +526,9 @@ def test_csv_non_ascii_ids_round_trip_byte_exactly(tmp_path):
 # ---------------------------------------------------------------------------
 
 def filled(s):
-    """The one channel of s after locf_baseline, which keeps the mask."""
-    return locf_baseline(Dataset((s,))).channel(s.channel_id)
+    """The values and mask of s's one channel after locf_baseline, which
+    keeps the mask."""
+    return column(locf_baseline(Dataset((s,))), s.channel_id)
 
 
 def test_fill_locf_interior_gap():
@@ -527,9 +543,9 @@ def test_fill_leading_gap_backfills():
 
 def test_fill_fully_observed_identity():
     s = make_series([5.0, 6.0, 7.0])
-    out = filled(s)
-    assert np.array_equal(out.values, s.values)
-    assert np.array_equal(out.mask, s.mask)
+    values, mask = filled(s)
+    assert np.array_equal(values, s.values)
+    assert np.array_equal(mask, s.mask)
 
 
 def test_fill_all_missing_raises():
@@ -548,10 +564,10 @@ def test_fill_never_touches_observed():
         vals = rng.normal(0, 10, n)
         vals[~mask] = np.nan
         s = make_series(vals, mask=mask)
-        out = filled(s)
-        assert np.array_equal(out.values[mask], vals[mask])
-        assert np.array_equal(out.mask, mask)
-        assert np.isfinite(out.values).all()
+        out, out_mask = filled(s)
+        assert np.array_equal(out[mask], vals[mask])
+        assert np.array_equal(out_mask, mask)
+        assert np.isfinite(out).all()
 
 
 def locf_reference(values, mask):

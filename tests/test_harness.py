@@ -1,5 +1,6 @@
 """The benchmark corpus, degradation, MAPE, kept ranks, benchmarks."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -323,13 +324,17 @@ def test_benchmark_checks_the_impute_window_before_any_repetition(monkeypatch):
 
 def test_benchmark_checks_every_channels_noise_deviation_before_any_repetition(monkeypatch):
     # degrade draws noise of standard deviation noise_rate * steady median,
-    # which overflows to inf for the second scenario's rate on channel ch00
+    # which overflows to inf for the second scenario's rate 1e308 on channel
+    # ch00; at 1e307 it is finite, but a draw of 13 deviations or more would
+    # overflow a sample
     degraded = []
     monkeypatch.setattr(harness, "degrade", lambda *args, **kw: degraded.append(args))
-    scenarios = [Scenario(0.1, noise_rate=0.02), Scenario(0.1, noise_rate=1e308)]
-    with pytest.raises(ConfigError, match=r"^noise_rate 1e\+308 times the steady median "
-                                          r"of channel 'ch00' is not finite$"):
-        run_benchmark(benchmark_corpus(), scenarios)
+    for rate, reason in [(1e308, "is not finite"),
+                         (1e307, "can take its noisy samples past the float range")]:
+        scenarios = [Scenario(0.1, noise_rate=0.02), Scenario(0.1, noise_rate=rate)]
+        message = f"noise_rate {rate} times the steady median of channel 'ch00' {reason}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_benchmark(benchmark_corpus(), scenarios)
     assert degraded == []
 
 

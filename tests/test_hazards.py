@@ -45,6 +45,12 @@ def _huge(values, masks, T):
     values *= 1e300
 
 
+def _largest(values, masks, T):
+    # about x1e308: the largest magnitude becomes the largest float
+    values /= np.abs(values).max()
+    values *= np.finfo(float).max
+
+
 def _tiny(values, masks, T):
     values *= 1e-300
 
@@ -67,6 +73,7 @@ HAZARDS = {
     "stuck": _stuck,
     "one_per_window": _one_per_window,
     "huge": _huge,
+    "largest": _largest,
     "tiny": _tiny,
     "zero_and_subnormal": _zero_and_subnormal,
     "outage": _outage,

@@ -56,6 +56,12 @@ def test_page_rejects_l1():
         page_entries(np.arange(6.0), 1)
 
 
+@pytest.mark.parametrize("make", [page_entries, hankel_entries])
+def test_zero_dimensional_window_rejected(make):
+    with pytest.raises(ShapeError, match=r"^window must be at least 1-D, got shape \(\)$"):
+        make(np.float64(3.0), 2)
+
+
 # ---------------------------------------------------------------------------
 # hankel_entries
 # ---------------------------------------------------------------------------

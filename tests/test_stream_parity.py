@@ -179,3 +179,27 @@ def test_predict_next_equals_stream_when_one_window_starts_in_a_gap(variant):
     masks[2, 1] = masks[0, 401] = False
     assert _chunk_steps(cfg, N_CHANNELS) < 401
     assert_next_equals_stream(data.with_values(data.values_matrix(), masks), cfg)
+
+
+def extreme_stream():
+    """Four channels of 240 samples, 20% of timestamps dropped: channel 1
+    alternates -1e308 and 1e308, and channel 3 is scaled so that its largest
+    magnitude is the largest float."""
+    corpus = benchmark_corpus(n_channels=4, n_samples=240, seed=1)
+    values = corpus.dataset.values_matrix().copy()
+    values[1] = np.where(np.arange(240) % 2 == 1, 1e308, -1e308)
+    values[3] = values[3] / np.abs(values[3]).max() * np.finfo(float).max
+    return degrade(corpus.dataset.with_values(values), DegradeSpec(drop_rate=0.2, seed=1))
+
+
+@pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
+def test_predictions_beyond_the_float_range_are_clipped_to_it(variant):
+    # mapped back, a normalized prediction above 1 in magnitude can leave the
+    # float range; it is clipped to the largest float, without an overflow
+    # warning, and predict_next still equals the replay
+    cfg = RecoveryConfig(L=5, T=30, variant=variant)
+    data = extreme_stream()
+    preds = predict_stream(data, cfg)[0].values_matrix()
+    assert np.isfinite(preds).all()
+    assert (np.abs(preds) == np.finfo(float).max).any()
+    assert_next_equals_stream(data, cfg)

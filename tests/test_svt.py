@@ -1,6 +1,7 @@
 """Hard singular value thresholding: scaling, threshold formula, estimation."""
 
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -331,6 +332,13 @@ def test_batch_weights_are_the_spectrum_up_to_the_kept_rank(cols, tall):
         assert not w[k:].any(), i
     assert not out.weights[6].any()
     assert (out.weights[7] > 0).tolist() == [True] + [False] * 4
+
+
+@pytest.mark.parametrize("shape", [(5, 36), (2, 1, 5, 36)])
+def test_batch_rejects_a_stack_that_is_not_three_dimensional(shape):
+    with pytest.raises(NumericError, match=rf"^expected a \(B, m, n\) stack, got shape "
+                                           rf"{re.escape(str(shape))}$"):
+        osvt_batch(np.zeros(shape))
 
 
 @pytest.mark.parametrize("cols", [36, 156])
