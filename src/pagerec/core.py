@@ -320,14 +320,11 @@ def _parse_block(lines: list[str], path, lineno: int, header: list[str]) -> np.n
     (lines, columns) float array with NaN for a missing cell.
 
     numpy's C parser reads the block once its empty cells are spelled as
-    NaN. A block it rejects, reads to another shape (it skips blank lines)
-    or reads with a missing timestamp is scanned cell by cell instead."""
-    # spell every empty cell as NaN: one at a line start, then one after a
-    # comma (the leading newline gives the first line its line start)
-    text = ("\n" + "".join(lines)).replace("\n,", "\nnan,")
-    if "\r" in text:
-        text = text.replace("\r,", "\rnan,")
-    text = _EMPTY_BEFORE.sub(",nan", text)[1:]
+    NaN. A block it rejects (an empty timestamp cell is never spelled, so it
+    rejects that too) or reads to another shape (it skips blank lines) is
+    scanned cell by cell instead."""
+    # an empty cell after a comma is a missing sample
+    text = _EMPTY_BEFORE.sub(",nan", "".join(lines))
     block = None
     if not text.isspace():  # numpy warns about a block with no data
         try:
@@ -335,8 +332,7 @@ def _parse_block(lines: list[str], path, lineno: int, header: list[str]) -> np.n
                                quotechar='"', comments=None, ndmin=2)
         except ValueError:
             pass
-    if (block is None or block.shape != (len(lines), len(header))
-            or np.isnan(block[:, 0]).any()):
+    if block is None or block.shape != (len(lines), len(header)):
         return _scan_block(lines, path, lineno, header)
     return block
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Dataset, locf_fill
-from .errors import AllMissingChannel, ConfigError, MapeUndefined, ShapeError
+from .errors import AllMissingChannel, ConfigError, MapeUndefined, NumericError, ShapeError
 from .matrices import MatrixVariant
 from .recovery import RecoveryConfig, impute_offline, predict_stream
 
@@ -165,7 +165,10 @@ def mape(truth, estimate) -> float:
 
     Indices where the true value is exactly zero are left out of the mean,
     since the relative error is undefined there; MapeUndefined is raised
-    when every index is left out, ShapeError when the shapes differ.
+    when every index is left out, ShapeError when the shapes differ. The
+    mean is finite whenever every relative error is: where their sum would
+    pass the largest float, each is divided by their count before they are
+    summed. A relative error beyond the float range is a NumericError.
     """
     a = np.asarray(truth, dtype=float)
     b = np.asarray(estimate, dtype=float)
@@ -174,7 +177,14 @@ def mape(truth, estimate) -> float:
     include = a != 0.0
     if not include.any():
         raise MapeUndefined("every index has a zero true value")
-    return float(np.mean(np.abs((a[include] - b[include]) / a[include])))
+    with np.errstate(over="ignore"):
+        errors = np.abs((a[include] - b[include]) / a[include])
+        mean = np.mean(errors)
+    if mean == np.inf:
+        mean = np.sum(errors / errors.size)
+        if mean == np.inf:
+            raise NumericError("a relative error exceeds the float range")
+    return float(mean)
 
 
 # ---------------------------------------------------------------------------

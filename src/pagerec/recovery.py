@@ -22,8 +22,8 @@ and as each estimate column is the projection of one with entries in
 [-1, 1], every prediction lies within mid +- 2 sqrt(L) half of its window,
 and every estimate within mid +- sqrt(L) half; a value that this puts beyond
 the float range is clipped to it.
-A window costs one thresholded SVD (on either of osvt_batch's routes, which
-give the same spectrum and left vectors to rounding), and of the estimate
+A window costs one thresholded factorization (osvt_batch's kernel, through
+the eigenvectors of the stacked matrix's Gram matrix), and of the estimate
 only the entries the prediction reads are built: rows 1..L-1 of each
 block's last column. It runs in the normalized domain, which makes
 predictions equivariant to constant shifts of the data.

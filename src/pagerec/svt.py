@@ -6,42 +6,53 @@ whose entries lie in [-1, 1]. No rank input and no noise-level estimate is
 required; the full spectrum is reported so callers can audit what was kept.
 
 osvt_batch is the bare kernel: it thresholds a stack of equally shaped
-matrices in one batched SVD and expects the caller to have scaled them
-(the window engine scales each channel block on its own). It reconstructs
-nothing. It hands back each matrix's singular factors and the kept
-weights, the spectrum with every value past the kept rank set to zero, so
-each reader builds only the entries it reads.
+matrices and expects the caller to have scaled them (the window engine
+scales each channel block on its own). It reconstructs nothing. It hands
+back each matrix's singular factors and the kept weights, the spectrum
+with every value past the kept rank set to zero, so each reader builds
+only the entries it reads.
 
-The SVD takes one of two routes, chosen by shape alone, so a matrix takes
-the same route in any batch. An m x n stack (m <= n once oriented) with
-n < c m, c = _WIDE_ASPECT = 24, goes to LAPACK's SVD directly, handed each
-matrix's n x m transpose: LAPACK factors that tall orientation 1.1-2.1x
-faster than the wide one on these shapes, and the factors come back
-swapped, as views. A wider one first takes the m x m triangular factor R
-of Y^T = Q R, runs the SVD on R^T, which has Y's singular values and left
-vectors, and forms Vt = U^T Y / s; a row of Vt whose singular value is
-zero is zero. That route forms no n-row orthogonal factor, but pays for a
-second LAPACK call, some 15-20 us of fixed numpy cost per call.
+One kernel serves every shape and batch size. An m x n stack, m <= n once
+oriented (a window's stack has m = L rows, 5 or 10 by default), is
+factored through its m x m Gram matrices G = Y Y^T: eigh(G) gives the
+left singular vectors U (reversed into descending order), P = U^T Y has
+the singular values s as its row norms, and Vt = P / s (a zero row of P
+stays zero). Forming G squares the condition number (Golub & Van Loan,
+Matrix Computations), but that reaches only values far below the cutoff,
+which no estimate weighs:
 
-Per-matrix time in us (median of 15 interleaved rounds, one BLAS thread,
-2-CPU x86-64 VM, numpy 2.4 with OpenBLAS), with one matrix per call and
-in the window engine's chunks (B under its cell budget; the archive's
+- at and above the cutoff each value matches LAPACK's SVD to about 1e-15
+  relative (2.5e-15 at worst above half the cutoff over 3000 random
+  scaled matrices of rank 0 to m), estimates to within 1e-13, and s
+  descends to rounding, so the values above the cutoff are a prefix of s;
+- below it a value can be off by up to about sqrt(eps) s1, 1.5e-8 s1, and
+  s need not descend there; rows i and j of Vt are orthonormal to about
+  eps s1^2 / (s_i s_j), to rounding among the kept rows and to 1.5e-13
+  at worst on the tests' 10 x 144 impute stacks;
+- a matrix whose entries all lie below 1e-162 in magnitude has Gram
+  products that underflow: its spectrum reads as zero and its estimate is
+  zero.
+
+Per-matrix time in us of the whole kernel against the two SVD routes it
+replaced (LAPACK's SVD of the transpose, or of the triangular factor of a
+QR for n >= 24 m), median of 15 interleaved rounds, one BLAS thread,
+2-CPU x86-64 VM, numpy 2.4 with OpenBLAS, with one matrix per call and in
+the window engine's chunks (B under its cell budget; the archive's
 10 x 64800 matrix runs alone):
 
-    shape      n/m    B=1 direct  triangular   chunk B  direct  triangular
-    5 x 36       7.2     16.0       33.2         182      7.7      8.0
-    10 x 144    14.4     55.9       75.3          22     35.9     34.5
-    5 x 156     31.2     25.5       42.4          42     18.9     15.9
-    10 x 64800  6480    12223       5337           1    12223     5337
+    shape       B=1 SVD  kernel   chunk B    SVD  kernel
+    5 x 36        21.5    22.0      182       7.7    3.9
+    10 x 144      44.0    34.6       22      29.8   15.3
+    5 x 156       39.0    24.5       42       8.8    6.3
+    10 x 64800    6000    2200        1      6000   2200
 
-In chunks, where a replay spends its time, the triangular route ties with
-the direct one near n = 10-14 m and is 1.2-1.3x cheaper from n = 19 m on;
-with one matrix per call the direct route was cheaper at every aspect
-measured up to n = 31 m. The gate stays at 24: it sends every shape above
-to the route that is cheapest in its chunks or within 5% of it, and any
-c in (14.4, 31.2) routes them the same. A gate on the batch size too
-would give predict_next and predict_stream different routes and end their
-bitwise equality.
+A one-matrix call pays numpy's fixed cost of eigh and of two products,
+about what the SVD wrapper saved; a chunk spreads it. Each matrix's
+result depends on that matrix alone, bit for bit. Nor did the number of
+BLAS threads move a bit: `pagerec bench` and the 54000 x 12 archive's
+impute wrote the same bytes on one thread and on two. The row norms are
+summed by einsum for that: OpenBLAS splits a long dot product's sum
+across threads.
 """
 
 from __future__ import annotations
@@ -77,17 +88,18 @@ class OsvtBatch:
     """Results of thresholding a stack of equally shaped (m, n) matrices:
     one entry per matrix along the leading axis of each field but the
     shared cutoff, threshold. singular_values is each matrix's full
-    spectrum, in descending order, and kept_rank counts the values above
-    the cutoff, or is 1 where none is and fallback_rank1 flags that the
-    top triple was kept anyway. U and Vt hold each matrix's singular
-    vectors in the caller's orientation, one column of U and one row of Vt
-    per singular value; on the triangular route (see the module docstring)
-    the row of Vt of a zero singular value is zero. weights is
+    spectrum, descending at and above the cutoff (below it, to the
+    precision the module docstring states), and kept_rank counts the
+    values above the cutoff, or is 1 where none is and fallback_rank1
+    flags that the top triple was kept anyway. U and Vt hold each matrix's
+    singular vectors in the caller's orientation, one column of U and one
+    row of Vt per singular value; the row of Vt of a zero singular value is
+    zero, or below 1e-11 where the Gram products underflow. weights is
     singular_values with every value past kept_rank set to zero, the one
     statement of the kept set: the estimate is U diag(weights) Vt, and a
     reader that needs only some of its entries builds only those through
     estimate(rows, columns). The forecast fit reads U and weights and needs
-    no second SVD.
+    no second factorization.
     """
 
     kept_rank: np.ndarray  # (B,)
@@ -104,30 +116,10 @@ class OsvtBatch:
         return (self.U[:, rows] * self.weights[:, None, :]) @ self.Vt[..., columns]
 
 
-# A stack at least this many times wider than high (n >= c m once oriented)
-# takes _triangular_svd, any other _direct_svd; the module docstring says why.
-_WIDE_ASPECT = 24
-
-
-def _direct_svd(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD factors U (B, m, m), s (B, m), Vt (B, m, n) of a (B, m, n)
-    stack with m <= n, by one LAPACK SVD of each matrix's (n, m) transpose:
-    LAPACK factors the tall orientation faster, and Y^T = V S U^T gives the
-    caller's factors as views."""
-    V, s, Ut = np.linalg.svd(Y.swapaxes(1, 2), full_matrices=False)
-    return Ut.swapaxes(1, 2), s, V.swapaxes(1, 2)
-
-
-def _triangular_svd(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors _direct_svd returns, through each matrix's m x m
-    triangular factor: Y^T = Q R gives Y = R^T Q^T, so Y has the singular
-    values and left vectors of R^T, and Vt = U^T Y / s. A row of Vt whose
-    singular value is zero is zero."""
-    R = np.linalg.qr(Y.swapaxes(1, 2), mode="r")
-    U, s, _ = np.linalg.svd(R.swapaxes(1, 2))
-    # U / s first: m x m divisions instead of m x n; 1 / inf zeroes a row
-    Vt = (U / np.where(s > 0.0, s, np.inf)[:, None, :]).swapaxes(1, 2) @ Y
-    return U, s, Vt
+# added to each row norm of U^T Y before the row is divided by it: no norm
+# above 1e-134 changes, a zero row stays zero and no row grows past unit
+# length
+_TINY = 1e-150
 
 
 def osvt_batch(Y: np.ndarray) -> OsvtBatch:
@@ -150,28 +142,22 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     if tall:
         Y = Y.swapaxes(1, 2)
     threshold = optimal_threshold(*Y.shape[1:])
-    route = _triangular_svd if Y.shape[2] >= _WIDE_ASPECT * Y.shape[1] else _direct_svd
     try:
-        U, s, Vt = route(Y)
+        # eigh sorts ascending; U takes the vectors in descending order
+        U = np.linalg.eigh(Y @ Y.swapaxes(1, 2))[1][:, :, ::-1]
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    Vt = U.swapaxes(1, 2) @ Y  # diag(s) Vt until its rows are divided by s
+    s = np.sqrt(np.einsum("bij,bij->bi", Vt, Vt))
+    Vt /= (s + _TINY)[..., None]
 
-    # s is sorted, so the values above the cutoff are a prefix of each row
+    # the values above the cutoff, a prefix of s (module docstring), or
+    # the top value when none is above
     above = s > threshold
-    weights = np.where(above, s, 0.0)
-    kept = above.sum(axis=1)
-    fallback = kept == 0
-    if fallback.any():
-        weights[fallback, 0] = s[fallback, 0]
-        kept[fallback] = 1
+    fallback = ~above[:, 0]
+    above[:, 0] = True
+    weights = s * above
+    kept = np.add.reduce(above, axis=1)
     if tall:
         U, Vt = Vt.swapaxes(1, 2), U.swapaxes(1, 2)
-    return OsvtBatch(
-        kept_rank=kept,
-        singular_values=s,
-        weights=weights,
-        U=U,
-        Vt=Vt,
-        threshold=threshold,
-        fallback_rank1=fallback,
-    )
+    return OsvtBatch(kept, s, weights, U, Vt, threshold, fallback)

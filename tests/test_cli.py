@@ -365,6 +365,24 @@ def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message)
     assert not out.exists()
 
 
+def test_bench_scores_noise_near_the_float_range_with_finite_mapes(tmp_path):
+    # 1e306 passes the noise checks above: its noisy samples reach some
+    # 1e307, each relative error is finite and their sum is not a float.
+    # The report is strict JSON (no Infinity) with a finite MAPE throughout
+    out = tmp_path / "r.json"
+    assert run(["bench", "--output", str(out), "--reps", "1", "--drop", "0.1",
+                "--noise", "1e306"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} in the report")
+
+    (entry,) = json.loads(out.read_text(), parse_constant=refuse)["results"]
+    assert entry["error"] is None
+    for key in ("impute_mape", "baseline_mape", "predict_mape", "persistence_mape"):
+        assert len(entry[key]) == 6
+        assert all(1e300 < v < float("inf") for v in entry[key].values()), key
+
+
 def test_bench_names_each_failed_scenario_on_stderr(tmp_path, capsys):
     # T=1500 exceeds the 1200-sample corpus: each scenario's impute fails
     # inside its scenario, the report keeps the error, and stderr names the

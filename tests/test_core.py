@@ -20,7 +20,7 @@ from pagerec import (
     locf_fill,
     write_csv,
 )
-from pagerec.core import _uniform_steps, timestamp_column
+from pagerec.core import _CSV_BLOCK_ROWS, _uniform_steps, timestamp_column
 
 
 def make_series(values, mask=None, cid="c0"):
@@ -322,7 +322,14 @@ def test_ingest_bad_value_names_line_and_column(tmp_path, text, line, cell):
     "text, line, cell",
     [("t,v\n0,1\nabc,2\n", 3, "abc"),
      ("t,v\n0,1\n,2\n", 3, ""),
-     ("t,v\n0,1\n1, \n\t,3\n", 4, "\t")],
+     ("t,v\n0,1\n1, \n\t,3\n", 4, "\t"),
+     # an empty timestamp on a block's first line, with each line ending,
+     # and on the first line of the second block
+     ("t,v\n,1\n1,2\n", 2, ""),
+     ("t,v\r\n,1\r\n1,2\r\n", 2, ""),
+     ("t,v\r,1\r1,2\r", 2, ""),
+     ("t,v\n" + "".join(f"{i},{i % 3}\n" for i in range(_CSV_BLOCK_ROWS)) + ",5\n1e9,6\n",
+      _CSV_BLOCK_ROWS + 2, "")],
 )
 def test_ingest_bad_timestamp_names_line(tmp_path, text, line, cell):
     p = tmp_path / "d.csv"

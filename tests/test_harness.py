@@ -12,6 +12,7 @@ from pagerec import (
     Dataset,
     DegradeSpec,
     MapeUndefined,
+    NumericError,
     MatrixVariant,
     RecoveryConfig,
     Scenario,
@@ -208,6 +209,15 @@ def test_mape_undefined_when_all_zero():
 def test_mape_length_mismatch():
     with pytest.raises(ShapeError):
         mape([1.0], [1.0, 2.0])
+
+
+def test_mape_of_errors_near_the_float_range_is_finite():
+    # each relative error is about 1e308, their sum is not a float: the
+    # mean of 1e308, 1.5e308 and 1.7e308 is still one
+    assert mape([1.0, 0.5, 1.0], [1e308, -0.75e308, 1.7e308]) == pytest.approx(1.4e308, rel=1e-15)
+    # one relative error that is itself beyond the float range has no mean
+    with pytest.raises(NumericError, match="^a relative error exceeds the float range$"):
+        mape([1e-10, 1.0], [1e300, 1.0])
 
 
 def test_mape_scale_invariance():

@@ -7,10 +7,10 @@ threshold_whole) with the forecast fitted by np.linalg.lstsq on the
 estimate, or the value held where the SVD of that estimate puts the
 verticality gap 1 - |U_k[-1]|^2 of its kept left vectors below 0.2. The
 batched replay reads its forecast in closed form off the kept singular
-vectors of the threshold kernel's own SVD, so the two differ by rounding.
-A gap of at least 0.2 amplifies that rounding at most 5-fold: 1e-12 bounds
-it on the degraded streams (the worst window is about 2e-14 off), and kept
-ranks must match exactly.
+vectors of the threshold kernel's own factorization, so the two differ by
+rounding. A gap of at least 0.2 amplifies that rounding at most 5-fold:
+1e-12 bounds it on the degraded streams (the worst window is about 2e-14
+off), and kept ranks must match exactly.
 """
 
 import numpy as np

@@ -15,8 +15,7 @@ from pagerec import (
     optimal_threshold,
     predict_next,
 )
-from pagerec import svt
-from pagerec.svt import osvt_batch
+from pagerec.svt import OsvtBatch, osvt_batch
 from pagerec.matrices import hankel_entries, page_entries
 from pagerec.recovery import _forecast
 
@@ -266,10 +265,11 @@ def mixed_stack(cols=36):
 
 
 def routes(rows, narrow, wide):
-    """(cols, tall) cases for an osvt_batch test of rows x cols matrices:
-    narrow columns take the direct SVD (ids False, True), wide ones the
-    triangular route, each as given and transposed."""
-    assert narrow < svt._WIDE_ASPECT * rows <= wide
+    """(cols, tall) cases for an osvt_batch test of rows x cols matrices: a
+    column count a few times the rows (ids False, True) and one more than
+    24 times them (ids triangular-False, triangular-True, the names the
+    suite lists them under), each as given and transposed."""
+    assert rows < narrow < 24 * rows <= wide
     return [
         pytest.param(narrow, False, id="False"),
         pytest.param(narrow, True, id="True"),
@@ -341,36 +341,44 @@ def test_batch_rejects_a_stack_that_is_not_three_dimensional(shape):
         osvt_batch(np.zeros(shape))
 
 
+def lapack_batch(X):
+    """The OsvtBatch of a (B, m, n) stack, m <= n, from LAPACK's SVD: the
+    kept set is the values above the cutoff, or the top value."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    threshold = optimal_threshold(*X.shape[1:])
+    kept = np.maximum((s > threshold).sum(axis=1), 1)
+    weights = np.where(np.arange(s.shape[1]) < kept[:, None], s, 0.0)
+    return OsvtBatch(kept, s, weights, U, Vt, threshold, ~(s[:, 0] > threshold))
+
+
 @pytest.mark.parametrize("cols", [36, 156])
-def test_both_routes_agree_on_the_same_stacks(cols, monkeypatch):
-    # the gate forced each way runs _direct_svd and then _triangular_svd on
-    # the same stacks; 6 channel blocks of cols / 6 columns for the forecast
+def test_kernel_agrees_with_lapack_svd_on_the_same_stacks(cols):
+    # 6 channel blocks of cols / 6 columns for the forecast
     X = mixed_stack(cols)
     mid, half = np.zeros((len(X), 6, 1)), np.ones((len(X), 6, 1))
-    results = []
-    for gate in (math.inf, 0.0):
-        monkeypatch.setattr(svt, "_WIDE_ASPECT", gate)
-        out = osvt_batch(X)
-        results.append((out, _forecast(out, mid, half)))
-    (direct, (d_preds, d_beta, d_res)), (tri, (t_preds, t_beta, t_res)) = results
-    assert direct.kept_rank.tolist() == tri.kept_rank.tolist() == [1, 2, 3, 2, 1, 3, 1, 1]
-    s = direct.singular_values
-    assert np.abs(tri.singular_values - s).max() <= 1e-13 * s.max()
-    for a, b in ((direct.estimate(), tri.estimate()), (d_preds, t_preds),
-                 (d_beta, t_beta), (d_res, t_res)):
-        assert np.isfinite(b).all()
+    out, ref = osvt_batch(X), lapack_batch(X)
+    assert out.kept_rank.tolist() == ref.kept_rank.tolist() == [1, 2, 3, 2, 1, 3, 1, 1]
+    assert out.fallback_rank1.tolist() == ref.fallback_rank1.tolist()
+    # the spectrum at and above the cutoff
+    s = ref.singular_values
+    at = s >= out.threshold
+    assert np.abs(out.singular_values - s)[at].max() <= 1e-13 * s.max()
+    for a, b in zip((out.estimate(), *_forecast(out, mid, half)),
+                    (ref.estimate(), *_forecast(ref, mid, half))):
+        assert np.isfinite(a).all()
         assert np.abs(a - b).max() <= 1e-12
-    # the zero matrix: one kept triple of weight zero, a zero estimate and
-    # zero right vectors on the triangular route, where Vt = U^T Y / s
-    assert tri.kept_rank[6] == 1 and tri.weights[6, 0] == 0.0
-    assert not tri.Vt[6].any() and not tri.estimate()[6].any()
-    assert not t_beta[6].any()
+    # the zero matrix: one kept triple of weight zero, zero right vectors, a
+    # zero estimate and zero forecast coefficients
+    assert out.kept_rank[6] == 1 and out.weights[6, 0] == 0.0
+    assert not out.singular_values[6].any() and not out.Vt[6].any()
+    assert not out.estimate()[6].any()
+    assert not _forecast(out, mid, half)[1][6].any()
+
 
 @pytest.mark.parametrize("L, T", [(5, 30), (10, 240)])
-def test_direct_svd_returns_factors_in_the_callers_orientation(L, T):
+def test_kernel_returns_factors_in_the_callers_orientation(L, T):
     # the engine's wide page stacks of 6 channel blocks: 5 x 36 for a stream
-    # window, 10 x 144 for the benchmark's impute window; LAPACK factors
-    # their transposes, and the factors come back swapped
+    # window, 10 x 144 for the benchmark's impute window
     rng = np.random.default_rng(31)
     B, N = 7, 6
     t = np.arange(T) / 60.0
@@ -380,14 +388,76 @@ def test_direct_svd_returns_factors_in_the_callers_orientation(L, T):
     blocks = page_entries((rows - 0.5 * (lo + hi)) / (0.5 * (hi - lo)), L)
     Y = blocks.transpose(0, 2, 1, 3).reshape(B, L, -1)
     m, n = Y.shape[1:]
-    assert m < n < svt._WIDE_ASPECT * m
-    U, s, Vt = svt._direct_svd(Y)
+    out = osvt_batch(Y)
+    U, s, Vt = out.U, out.singular_values, out.Vt
     assert U.shape == (B, m, m) and s.shape == (B, m) and Vt.shape == (B, m, n)
     assert np.abs((U * s[:, None, :]) @ Vt - Y).max() <= 1e-13
     eye = np.eye(m)
     assert np.abs(U.swapaxes(1, 2) @ U - eye).max() <= 1e-13
     assert np.abs(U @ U.swapaxes(1, 2) - eye).max() <= 1e-13
-    assert np.abs(Vt @ Vt.swapaxes(1, 2) - eye).max() <= 1e-13
+    # the rows of Vt are those of U^T Y scaled to unit length, orthonormal
+    # to the precision the module docstring states: eps s1^2 / (s_i s_j)
+    # for rows i and j, to rounding where both values are large
+    drift = np.abs(Vt @ Vt.swapaxes(1, 2) - eye)
+    bound = 8.0 * np.finfo(float).eps * s[:, :1, None] ** 2 / (s[:, :, None] * s[:, None, :])
+    assert (drift <= bound).all()
+    # the stack transposed: the same factors, swapped
+    tall = osvt_batch(Y.swapaxes(1, 2))
+    assert np.array_equal(tall.U, Vt.swapaxes(1, 2)) and np.array_equal(tall.Vt, U.swapaxes(1, 2))
+    assert np.array_equal(tall.singular_values, s)
+
+
+def stress_stack(rng, m, n):
+    """One (m, n) matrix of each kind the stress test draws, scaled so that
+    its largest entry is 1: rank 0 to m plus noise of 1e-12 to 1e-6 (near
+    rank deficient), or spectra falling from 1 to about sqrt(eps), where
+    the kernel's error below the cutoff is largest."""
+    rank = int(rng.integers(0, m + 1))
+    X = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    X += 10.0 ** rng.uniform(-12, -6) * rng.standard_normal((m, n))
+    yield X / np.abs(X).max()
+    k = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    spectrum = np.sort(10.0 ** rng.uniform(-10, 0, k))[::-1]
+    spectrum[0] = 1.0
+    X = (u * spectrum) @ v.T
+    yield X / np.abs(X).max()
+
+
+def test_kernel_stress_keeps_a_prefix_to_the_stated_precision():
+    # the module docstring: values at and above the cutoff to rounding (to
+    # 1e-13 s1 here), below it within about sqrt(eps) s1 (bounded at twice
+    # that), the kept set a prefix of the spectrum equal to LAPACK's, and
+    # the estimate LAPACK's to 1e-12
+    rng = np.random.default_rng(41)
+    below = 0.0
+    for _ in range(150):
+        m = int(rng.integers(2, 11))
+        n = int(rng.integers(m, 8 * m + 30))
+        for X in stress_stack(rng, m, n):
+            out, ref = osvt_batch(X[None]), lapack_batch(X[None])
+            s, got = ref.singular_values[0], out.singular_values[0]
+            k = int(out.kept_rank[0])
+            assert k == ref.kept_rank[0]
+            assert np.array_equal(out.weights[0, :k], got[:k]) and not out.weights[0, k:].any()
+            assert (got[:k] > out.threshold).all() or out.fallback_rank1[0]
+            assert not (got[k:] > out.threshold).any()
+            at = s >= out.threshold
+            assert np.abs(got - s)[at].max(initial=0.0) <= 1e-13 * s[0]
+            below = max(below, np.abs(got - s).max() / s[0])
+            assert np.abs(out.estimate() - ref.estimate()).max() <= 1e-12
+    assert 1e-10 < below <= 2.0 * math.sqrt(np.finfo(float).eps)
+    # a zero matrix, and one of subnormal offsets (the window engine's
+    # scaling of a channel holding 0 and 5e-324), whose products underflow:
+    # both read as a zero spectrum, keep one triple of weight zero and have
+    # a zero estimate
+    offsets = np.where(np.arange(60).reshape(5, 12) % 3 == 0, 5e-324, 0.0)
+    for X in (np.zeros((5, 12)), offsets, -offsets.T):
+        out = osvt_batch(X[None])
+        assert out.kept_rank[0] == 1 and out.fallback_rank1[0]
+        assert not out.singular_values.any() and not out.estimate().any()
+        assert np.isfinite(out.Vt).all() and np.abs(out.Vt).max() <= 1.0
 
 
 @pytest.mark.parametrize("variant", ["page", "hankel"])
