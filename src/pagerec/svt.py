@@ -15,44 +15,49 @@ only the entries it reads.
 One kernel serves every shape and batch size. An m x n stack, m <= n once
 oriented (a window's stack has m = L rows, 5 or 10 by default), is
 factored through its m x m Gram matrices G = Y Y^T: eigh(G) gives the
-left singular vectors U (reversed into descending order), P = U^T Y has
-the singular values s as its row norms, and Vt = P / s (a zero row of P
-stays zero). Forming G squares the condition number (Golub & Van Loan,
-Matrix Computations), but that reaches only values far below the cutoff,
-which no estimate weighs:
+left singular vectors U (reversed into descending order), and P = U^T Y
+is diag(s) Vt. Forming G squares the condition number (Golub & Van Loan,
+Matrix Computations): the vectors of values s_i and s_j come out mixed by
+about eps s1^2 / (s_i^2 - s_j^2). One simultaneous Jacobi sweep takes
+that out: H = P P^T holds it off its diagonal, to the rounding of P's
+rows, and the first-order rotation W = I + A, A_ij = H_ij / (H_jj - H_ii),
+turns U into U W and P into W^T P. s is the root of H's diagonal, which
+the rotation moves by its square only, and Vt is W^T P with its rows
+divided by s (a zero row stays zero). Only rotations below 2^-27 are
+applied, so W stays orthogonal to rounding; that leaves out pairs whose
+squares lie within about 1e-7 s1^2, two values both under about 3e-4 s1
+or two nearly equal ones.
 
 - at and above the cutoff each value matches LAPACK's SVD to about 1e-15
   relative (2.5e-15 at worst above half the cutoff over 3000 random
   scaled matrices of rank 0 to m), estimates to within 1e-13, and s
   descends to rounding, so the values above the cutoff are a prefix of s;
-- below it a value can be off by up to about sqrt(eps) s1, 1.5e-8 s1, and
-  s need not descend there; rows i and j of Vt are orthonormal to about
-  eps s1^2 / (s_i s_j), to rounding among the kept rows and to 1.5e-13
-  at worst on the tests' 10 x 144 impute stacks;
+- rows i and j of Vt are orthonormal to about eps s1 / min(s_i, s_j)
+  where the sweep reaches (1.3e-15 on the tests' 10 x 144 impute stacks,
+  1.5e-13 from eigh alone), and to eps s1^2 / (s_i s_j) where it does not;
+- below the cutoff a value can be off by up to about sqrt(eps) s1,
+  1.5e-8 s1, and s need not descend there: the values that small are
+  mixed beyond the sweep's reach;
 - a matrix whose entries all lie below 1e-162 in magnitude has Gram
   products that underflow: its spectrum reads as zero and its estimate is
   zero.
 
-Per-matrix time in us of the whole kernel against the two SVD routes it
-replaced (LAPACK's SVD of the transpose, or of the triangular factor of a
-QR for n >= 24 m), median of 15 interleaved rounds, one BLAS thread,
-2-CPU x86-64 VM, numpy 2.4 with OpenBLAS, with one matrix per call and in
-the window engine's chunks (B under its cell budget; the archive's
-10 x 64800 matrix runs alone):
+Per-matrix time in us of the kernel against the LAPACK SVD routes it
+replaced, median of 15 interleaved rounds, one BLAS thread, 2-CPU x86-64
+VM, numpy 2.4 with OpenBLAS, one matrix per call and in the window
+engine's chunks (the archive's 10 x 64800 matrix runs alone):
 
     shape       B=1 SVD  kernel   chunk B    SVD  kernel
-    5 x 36        21.5    22.0      182       7.7    3.9
-    10 x 144      44.0    34.6       22      29.8   15.3
-    5 x 156       39.0    24.5       42       8.8    6.3
-    10 x 64800    6000    2200        1      6000   2200
+    5 x 36        21.9    30.6      182       7.5    5.1
+    10 x 144      41.8    41.2       22      29.5   16.3
+    5 x 156       38.8    33.7       42       8.7    7.3
+    10 x 64800    6240    4440        1      6240   4440
 
-A one-matrix call pays numpy's fixed cost of eigh and of two products,
-about what the SVD wrapper saved; a chunk spreads it. Each matrix's
-result depends on that matrix alone, bit for bit. Nor did the number of
-BLAS threads move a bit: `pagerec bench` and the 54000 x 12 archive's
-impute wrote the same bytes on one thread and on two. The row norms are
-summed by einsum for that: OpenBLAS splits a long dot product's sum
-across threads.
+A one-matrix call pays numpy's fixed cost of eigh, four products and the
+sweep's elementwise steps, more than one SVD of a small matrix; a chunk
+spreads it. Each matrix's result depends on that matrix alone, bit for
+bit, and `pagerec bench` and the 54000 x 12 archive's impute wrote the
+same bytes on one BLAS thread and on two.
 """
 
 from __future__ import annotations
@@ -64,11 +69,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = [
-    "OsvtBatch",
-    "optimal_threshold",
-    "osvt_batch",
-]
+__all__ = ["OsvtBatch", "optimal_threshold", "osvt_batch"]
 
 
 def optimal_threshold(m: int, n: int) -> float:
@@ -116,10 +117,13 @@ class OsvtBatch:
         return (self.U[:, rows] * self.weights[:, None, :]) @ self.Vt[..., columns]
 
 
-# added to each row norm of U^T Y before the row is divided by it: no norm
-# above 1e-134 changes, a zero row stays zero and no row grows past unit
-# length
+# added to each singular value that divides a row: no value above 1e-134
+# changes, a zero row stays zero and no row grows past unit length
 _TINY = 1e-150
+
+# the largest first-order rotation the sweep applies: its square, by which
+# I + A misses being orthogonal, stays under a quarter ulp of 1
+_ROTATION = 2.0 ** -27
 
 
 def osvt_batch(Y: np.ndarray) -> OsvtBatch:
@@ -147,9 +151,18 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
         U = np.linalg.eigh(Y @ Y.swapaxes(1, 2))[1][:, :, ::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    Vt = U.swapaxes(1, 2) @ Y  # diag(s) Vt until its rows are divided by s
-    s = np.sqrt(np.einsum("bij,bij->bi", Vt, Vt))
-    Vt /= (s + _TINY)[..., None]
+    # P = U^T Y is diag(s) Vt but for the Gram error, held off the diagonal
+    # of H = P P^T; the sweep W = I + A, A_ij = H_ij / (H_jj - H_ii), takes
+    # it out (module docstring), and a pair out of its reach divides by inf
+    P = U.swapaxes(1, 2) @ Y
+    H = P @ P.swapaxes(1, 2)
+    d = H.diagonal(axis1=1, axis2=2)
+    gap = d[:, None] - d[..., None]
+    W = H / np.where(np.abs(H) < _ROTATION * np.abs(gap), gap, np.inf)
+    W.reshape(len(W), -1)[:, :: W.shape[1] + 1] = 1.0  # the diagonal
+    U = U @ W
+    s = np.sqrt(d)
+    Vt = (W / (s + _TINY)[:, None]).swapaxes(1, 2) @ P
 
     # the values above the cutoff, a prefix of s (module docstring), or
     # the top value when none is above
