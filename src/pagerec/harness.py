@@ -110,9 +110,10 @@ def degrade(
     """Apply a degradation spec to a (typically ground-truth) dataset.
 
     noise_base overrides the per-channel noise scale; by default it is the
-    median absolute value of the channel's observed samples. A rate outside
-    its range, a channel missing from a given noise_base (when noise is
-    added) or a negative seed is a ConfigError.
+    median absolute value of the channel's observed samples, and a channel
+    with no observed sample is left as it is. A rate outside its range, a
+    channel missing from a given noise_base (when noise is added) or a
+    negative seed is a ConfigError.
     """
     _check_rates(spec.drop_rate, spec.noise_rate)
     _check_seed(spec.seed)
@@ -133,8 +134,10 @@ def degrade(
         if spec.noise_rate:
             if noise_base is not None:
                 base = float(noise_base[cid])
-            else:
+            elif mask.any():
                 base = float(np.median(np.abs(vals[mask])))
+            else:
+                base = 0.0  # no observed sample to perturb
             noise = rng.normal(0.0, spec.noise_rate * base, n)
             vals[mask] += noise[mask]
         mask[drop_idx] = False

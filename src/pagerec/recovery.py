@@ -335,7 +335,7 @@ def _forecast(
     (module docstring). Only the (L-1) x N estimate entries the coefficients
     apply to are built. A zero estimate keeps no vector: it predicts mid."""
     U = osvt.U
-    u = U[:, -1] * (osvt.weights > 0)
+    u = U[:, -1]  # of the kept vectors: U is zero past them
     gap = 1.0 - (u * u).sum(axis=-1)
     beta = (U[:, :-1] @ u[..., None])[..., 0] / np.maximum(gap, _MIN_GAP)[:, None]
     held = gap < _MIN_GAP

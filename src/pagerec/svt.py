@@ -15,32 +15,29 @@ only the entries it reads.
 One kernel serves every shape and batch size. An m x n stack, m <= n once
 oriented (a window's stack has m = L rows, 5 or 10 by default), is
 factored through its m x m Gram matrices G = Y Y^T: eigh(G) gives the
-left singular vectors U (reversed into descending order), and P = U^T Y
-is diag(s) Vt. Forming G squares the condition number (Golub & Van Loan,
-Matrix Computations): the vectors of values s_i and s_j come out mixed by
-about eps s1^2 / (s_i^2 - s_j^2). One simultaneous Jacobi sweep takes
-that out: H = P P^T holds it off its diagonal, to the rounding of P's
-rows, and the first-order rotation W = I + A, A_ij = H_ij / (H_jj - H_ii),
-turns U into U W and P into W^T P. s is the root of H's diagonal, which
-the rotation moves by its square only, and Vt is W^T P with its rows
-divided by s (a zero row stays zero). Only rotations below 2^-27 are
-applied, so W stays orthogonal to rounding; that leaves out pairs whose
-squares lie within about 1e-7 s1^2, two values both under about 3e-4 s1
-or two nearly equal ones.
+left singular vectors U (reversed into descending order), P = U^T Y is
+diag(s) Vt, s is the norm of each row of P, and Vt is P with its rows
+divided by s. Only the kept triples are returned: past the kept rank, and
+for a kept triple of weight zero, the columns of U and the rows of Vt are
+zero, as the weights are. Forming G squares the condition number (Golub &
+Van Loan, Matrix Computations): the vectors of values s_i and s_j come out
+mixed by about eps s1^2 / (s_i^2 - s_j^2), most for the small values
+below the cutoff, which no estimate reads:
 
 - at and above the cutoff each value matches LAPACK's SVD to about 1e-15
-  relative (2.5e-15 at worst above half the cutoff over 3000 random
+  relative (2.6e-15 at worst above half the cutoff over 3000 random
   scaled matrices of rank 0 to m), estimates to within 1e-13, and s
   descends to rounding, so the values above the cutoff are a prefix of s;
-- rows i and j of Vt are orthonormal to about eps s1 / min(s_i, s_j)
-  where the sweep reaches (1.3e-15 on the tests' 10 x 144 impute stacks,
-  1.5e-13 from eigh alone), and to eps s1^2 / (s_i s_j) where it does not;
+- the kept columns of U are orthonormal to rounding, and kept rows i and j
+  of Vt to about eps s1 / min(s_i, s_j): |U_k^T U_k - I| and
+  |Vt_k Vt_k^T - I| read at most 2.4e-15 and 1.5e-15 over those 3000
+  matrices, and 2.4e-15 and 6.2e-15 on the tests' 10 x 144 impute stacks
+  over 41 seeds;
 - below the cutoff a value can be off by up to about sqrt(eps) s1,
-  1.5e-8 s1, and s need not descend there: the values that small are
-  mixed beyond the sweep's reach;
+  1.5e-8 s1, and s need not descend there;
 - a matrix whose entries all lie below 1e-162 in magnitude has Gram
-  products that underflow: its spectrum reads as zero and its estimate is
-  zero.
+  products that underflow: its spectrum reads as zero, its estimate is
+  zero, and so are its vectors.
 
 Per-matrix time in us of the kernel against the LAPACK SVD routes it
 replaced, median of 15 interleaved rounds, one BLAS thread, 2-CPU x86-64
@@ -48,16 +45,16 @@ VM, numpy 2.4 with OpenBLAS, one matrix per call and in the window
 engine's chunks (the archive's 10 x 64800 matrix runs alone):
 
     shape       B=1 SVD  kernel   chunk B    SVD  kernel
-    5 x 36        21.9    30.6      182       7.5    5.1
-    10 x 144      41.8    41.2       22      29.5   16.3
-    5 x 156       38.8    33.7       42       8.7    7.3
-    10 x 64800    6240    4440        1      6240   4440
+    5 x 36        21.5    24.1      182       7.3    3.9
+    10 x 144      44.7    35.9       22      30.3   16.2
+    5 x 156       40.5    27.4       42       8.9    6.8
+    10 x 64800    4200    2440        1      4200   2440
 
-A one-matrix call pays numpy's fixed cost of eigh, four products and the
-sweep's elementwise steps, more than one SVD of a small matrix; a chunk
+A one-matrix call pays numpy's fixed cost of eigh, two products and a few
+elementwise steps, a little more than one SVD of a 5 x 36 matrix; a chunk
 spreads it. Each matrix's result depends on that matrix alone, bit for
-bit, and `pagerec bench` and the 54000 x 12 archive's impute wrote the
-same bytes on one BLAS thread and on two.
+bit, and `pagerec bench` and `pagerec impute` wrote the same bytes on one
+BLAS thread and on two.
 """
 
 from __future__ import annotations
@@ -92,15 +89,14 @@ class OsvtBatch:
     spectrum, descending at and above the cutoff (below it, to the
     precision the module docstring states), and kept_rank counts the
     values above the cutoff, or is 1 where none is and fallback_rank1
-    flags that the top triple was kept anyway. U and Vt hold each matrix's
-    singular vectors in the caller's orientation, one column of U and one
-    row of Vt per singular value; the row of Vt of a zero singular value is
-    zero, or below 1e-11 where the Gram products underflow. weights is
-    singular_values with every value past kept_rank set to zero, the one
-    statement of the kept set: the estimate is U diag(weights) Vt, and a
-    reader that needs only some of its entries builds only those through
-    estimate(rows, columns). The forecast fit reads U and weights and needs
-    no second factorization.
+    flags that the top triple was kept anyway. weights is singular_values
+    with every value past kept_rank set to zero. U and Vt hold each
+    matrix's kept singular vectors in the caller's orientation, one column
+    of U and one row of Vt per singular value, and are zero wherever
+    weights is: the estimate is U diag(weights) Vt, and a reader that needs
+    only some of its entries builds only those through
+    estimate(rows, columns). The forecast fit reads U and needs no second
+    factorization.
     """
 
     kept_rank: np.ndarray  # (B,)
@@ -118,12 +114,8 @@ class OsvtBatch:
 
 
 # added to each singular value that divides a row: no value above 1e-134
-# changes, a zero row stays zero and no row grows past unit length
+# changes and no row grows past unit length
 _TINY = 1e-150
-
-# the largest first-order rotation the sweep applies: its square, by which
-# I + A misses being orthogonal, stays under a quarter ulp of 1
-_ROTATION = 2.0 ** -27
 
 
 def osvt_batch(Y: np.ndarray) -> OsvtBatch:
@@ -151,26 +143,21 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
         U = np.linalg.eigh(Y @ Y.swapaxes(1, 2))[1][:, :, ::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    # P = U^T Y is diag(s) Vt but for the Gram error, held off the diagonal
-    # of H = P P^T; the sweep W = I + A, A_ij = H_ij / (H_jj - H_ii), takes
-    # it out (module docstring), and a pair out of its reach divides by inf
+    # P = U^T Y is diag(s) Vt: s is the norm of each of its rows
     P = U.swapaxes(1, 2) @ Y
-    H = P @ P.swapaxes(1, 2)
-    d = H.diagonal(axis1=1, axis2=2)
-    gap = d[:, None] - d[..., None]
-    W = H / np.where(np.abs(H) < _ROTATION * np.abs(gap), gap, np.inf)
-    W.reshape(len(W), -1)[:, :: W.shape[1] + 1] = 1.0  # the diagonal
-    U = U @ W
-    s = np.sqrt(d)
-    Vt = (W / (s + _TINY)[:, None]).swapaxes(1, 2) @ P
+    s = np.sqrt(np.add.reduce(P * P, axis=2))
 
     # the values above the cutoff, a prefix of s (module docstring), or
-    # the top value when none is above
+    # the top value when none is above; only the triples of nonzero weight
+    # are returned, the others are zero
     above = s > threshold
     fallback = ~above[:, 0]
     above[:, 0] = True
     weights = s * above
     kept = np.add.reduce(above, axis=1)
+    keep = weights > 0
+    U = U * keep[:, None, :]
+    Vt = P * (keep / (s + _TINY))[..., None]
     if tall:
         U, Vt = Vt.swapaxes(1, 2), U.swapaxes(1, 2)
     return OsvtBatch(kept, s, weights, U, Vt, threshold, fallback)

@@ -149,6 +149,26 @@ def test_degrade_never_alters_truth():
     assert np.isnan(out.values_matrix()[~masks]).all()
 
 
+def test_degrade_leaves_a_channel_with_no_observed_sample_untouched():
+    # without a noise_base a channel's noise scale is its observed samples'
+    # median; a channel with none has no sample to perturb and keeps its
+    # values, and the other channels get the noise they get beside it
+    corpus = benchmark_corpus(n_channels=3, n_samples=40, seed=1)
+    values = corpus.dataset.values_matrix().copy()
+    masks = corpus.dataset.masks_matrix().copy()
+    masks[1] = False
+    data = Dataset.from_arrays(corpus.dataset.timestamps, values, masks, corpus.dataset.ids)
+    spec = DegradeSpec(drop_rate=0.1, noise_rate=0.01, seed=4)
+    out = degrade(data, spec)
+    dropped = ~out.masks_matrix()[0]
+    assert not out.masks_matrix()[1].any()
+    assert np.array_equal(out.values_matrix()[1][~dropped], values[1][~dropped])
+    assert np.isnan(out.values_matrix()[1][dropped]).all()
+    base = {cid: float(np.median(np.abs(values[i]))) for i, cid in enumerate(data.ids)}
+    assert np.array_equal(out.values_matrix()[[0, 2]],
+                          degrade(data, spec, base).values_matrix()[[0, 2]], equal_nan=True)
+
+
 def test_locf_baseline_names_channel_with_no_observed_sample():
     corpus = benchmark_corpus(n_channels=3, n_samples=40, seed=1)
     values = corpus.dataset.values_matrix().copy()

@@ -344,12 +344,15 @@ def test_batch_rejects_a_stack_that_is_not_three_dimensional(shape):
 
 def lapack_batch(X):
     """The OsvtBatch of a (B, m, n) stack, m <= n, from LAPACK's SVD: the
-    kept set is the values above the cutoff, or the top value."""
+    kept set is the values above the cutoff, or the top value, and the
+    triples of weight zero are zero vectors."""
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     threshold = optimal_threshold(*X.shape[1:])
     kept = np.maximum((s > threshold).sum(axis=1), 1)
     weights = np.where(np.arange(s.shape[1]) < kept[:, None], s, 0.0)
-    return OsvtBatch(kept, s, weights, U, Vt, threshold, ~(s[:, 0] > threshold))
+    keep = weights > 0
+    return OsvtBatch(kept, s, weights, U * keep[:, None], Vt * keep[..., None], threshold,
+                     ~(s[:, 0] > threshold))
 
 
 @pytest.mark.parametrize("cols", [36, 156])
@@ -392,11 +395,15 @@ def test_kernel_returns_factors_in_the_callers_orientation(L, T):
     out = osvt_batch(Y)
     U, s, Vt = out.U, out.singular_values, out.Vt
     assert U.shape == (B, m, m) and s.shape == (B, m) and Vt.shape == (B, m, n)
-    assert np.abs((U * s[:, None, :]) @ Vt - Y).max() <= 1e-13
-    eye = np.eye(m)
-    assert np.abs(U.swapaxes(1, 2) @ U - eye).max() <= 1e-13
-    assert np.abs(U @ U.swapaxes(1, 2) - eye).max() <= 1e-13
-    assert np.abs(Vt @ Vt.swapaxes(1, 2) - eye).max() <= 1e-13
+    assert (out.kept_rank < m).all()
+    # the kept triples: orthonormal vectors whose estimate is Y projected on
+    # the kept left vectors; past the kept rank every vector is zero
+    for b, k in enumerate(out.kept_rank):
+        Uk, Vk, eye = U[b, :, :k], Vt[b, :k], np.eye(k)
+        assert np.abs(Uk.T @ Uk - eye).max() <= 1e-13
+        assert np.abs(Vk @ Vk.T - eye).max() <= 1e-13
+        assert np.abs(out.estimate()[b] - Uk @ (Uk.T @ Y[b])).max() <= 1e-13
+        assert not U[b, :, k:].any() and not Vt[b, k:].any() and not out.weights[b, k:].any()
     # the stack transposed: the same factors, swapped
     tall = osvt_batch(Y.swapaxes(1, 2))
     assert np.array_equal(tall.U, Vt.swapaxes(1, 2)) and np.array_equal(tall.Vt, U.swapaxes(1, 2))
@@ -425,9 +432,9 @@ def test_kernel_stress_keeps_a_prefix_to_the_stated_precision():
     # the module docstring: values at and above the cutoff to rounding (to
     # 1e-13 s1 here), below it within about sqrt(eps) s1 (bounded at twice
     # that), the kept set a prefix of the spectrum equal to LAPACK's, the
-    # estimate LAPACK's to 1e-12, and rows i and j of Vt orthonormal to
-    # eps s1 / min(s_i, s_j) wherever s_i^2 and s_j^2 lie farther apart
-    # than the sweep's reach (1e-5 s1^2 here; bounded at four times that)
+    # estimate LAPACK's to 1e-12, kept rows i and j of Vt orthogonal to
+    # eps s1 / min(s_i, s_j) (bounded at four times that), and every
+    # vector past the kept rank zero
     rng = np.random.default_rng(41)
     eps = np.finfo(float).eps
     below = 0.0
@@ -446,21 +453,22 @@ def test_kernel_stress_keeps_a_prefix_to_the_stated_precision():
             assert np.abs(got - s)[at].max(initial=0.0) <= 1e-13 * s[0]
             below = max(below, np.abs(got - s).max() / s[0])
             assert np.abs(out.estimate() - ref.estimate()).max() <= 1e-12
-            drift = np.abs(out.Vt[0] @ out.Vt[0].T - np.eye(m))
-            apart = np.abs(got[:, None] ** 2 - got ** 2) > 1e-5 * got[0] ** 2
-            smaller = np.minimum(got[:, None], got)
-            assert (drift <= 4.0 * eps * got[0] / smaller)[apart].all()
+            Vk = out.Vt[0, :k]
+            pairs = ~np.eye(k, dtype=bool)
+            smaller = np.minimum(got[:k, None], got[:k])
+            assert (np.abs(Vk @ Vk.T) <= 4.0 * eps * got[0] / smaller)[pairs].all()
+            assert not out.U[0, :, k:].any() and not out.Vt[0, k:].any()
     assert 1e-10 < below <= 2.0 * math.sqrt(np.finfo(float).eps)
     # a zero matrix, and one of subnormal offsets (the window engine's
     # scaling of a channel holding 0 and 5e-324), whose products underflow:
     # both read as a zero spectrum, keep one triple of weight zero and have
-    # a zero estimate
+    # a zero estimate; a triple of weight zero is returned as zero vectors
     offsets = np.where(np.arange(60).reshape(5, 12) % 3 == 0, 5e-324, 0.0)
     for X in (np.zeros((5, 12)), offsets, -offsets.T):
         out = osvt_batch(X[None])
         assert out.kept_rank[0] == 1 and out.fallback_rank1[0]
         assert not out.singular_values.any() and not out.estimate().any()
-        assert np.isfinite(out.Vt).all() and np.abs(out.Vt).max() <= 1.0
+        assert not out.U.any() and not out.Vt.any()
 
 
 @pytest.mark.parametrize("variant", ["page", "hankel"])
