@@ -1,9 +1,14 @@
 """Low-rank matrix estimation by hard singular value thresholding.
 
-The estimator zeroes every singular value at or below a closed-form cutoff
-that depends only on the aspect ratio. The cutoff is meant for a matrix
-whose entries lie in [-1, 1]. No rank input and no noise-level estimate is
-required; the full spectrum is reported so callers can audit what was kept.
+The estimator zeroes every singular value at or below its matrix's cutoff.
+One function, _cutoff, owns that rule: it gives each matrix of a stack its
+own cutoff from the matrix's spectrum and shape, and osvt_batch reports it
+per matrix as OsvtBatch.threshold. The rule is the closed-form lambda*(m/n)
+of Gavish & Donoho's optimal hard threshold, optimal_threshold, which
+depends only on the aspect ratio and is meant for a matrix whose entries
+lie in [-1, 1], so every matrix of a stack gets the same value. No rank
+input and no noise-level estimate is required; the full spectrum and the
+cutoff are reported so callers can audit what was kept.
 
 osvt_batch is the bare kernel: it thresholds a stack of equally shaped
 matrices and expects the caller to have scaled them (the window engine
@@ -84,9 +89,9 @@ def optimal_threshold(m: int, n: int) -> float:
 @dataclass(slots=True)
 class OsvtBatch:
     """Results of thresholding a stack of equally shaped (m, n) matrices:
-    one entry per matrix along the leading axis of each field but the
-    shared cutoff, threshold. singular_values is each matrix's full
-    spectrum, descending at and above the cutoff (below it, to the
+    one entry per matrix along the leading axis of each field. threshold is
+    the cutoff applied to each matrix. singular_values is each matrix's
+    full spectrum, descending at and above its cutoff (below it, to the
     precision the module docstring states), and kept_rank counts the
     values above the cutoff, or is 1 where none is and fallback_rank1
     flags that the top triple was kept anyway. weights is singular_values
@@ -104,13 +109,20 @@ class OsvtBatch:
     weights: np.ndarray  # (B, r)
     U: np.ndarray  # (B, m, r)
     Vt: np.ndarray  # (B, r, n)
-    threshold: float
+    threshold: np.ndarray  # (B,)
     fallback_rank1: np.ndarray  # (B,)
 
     def estimate(self, rows=slice(None), columns=slice(None)) -> np.ndarray:
         """The thresholded matrices' entries at rows and columns (any numpy
         index along that axis), shape (B, rows, columns)."""
         return (self.U[:, rows] * self.weights[:, None, :]) @ self.Vt[..., columns]
+
+
+def _cutoff(s: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Each matrix's cutoff, shape (B,), from its spectrum s (B, r) and the
+    oriented shape m <= n: optimal_threshold(m, n) for every matrix. A
+    matrix keeps its singular values above its cutoff."""
+    return np.full(len(s), optimal_threshold(m, n))
 
 
 # added to each singular value that divides a row: no value above 1e-134
@@ -137,7 +149,6 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     tall = Y.shape[1] > Y.shape[2]
     if tall:
         Y = Y.swapaxes(1, 2)
-    threshold = optimal_threshold(*Y.shape[1:])
     try:
         # eigh sorts ascending; U takes the vectors in descending order
         U = np.linalg.eigh(Y @ Y.swapaxes(1, 2))[1][:, :, ::-1]
@@ -147,10 +158,11 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     P = U.swapaxes(1, 2) @ Y
     s = np.sqrt(np.add.reduce(P * P, axis=2))
 
-    # the values above the cutoff, a prefix of s (module docstring), or
-    # the top value when none is above; only the triples of nonzero weight
-    # are returned, the others are zero
-    above = s > threshold
+    # the values above each matrix's cutoff, a prefix of s (module
+    # docstring), or the top value when none is above; only the triples of
+    # nonzero weight are returned, the others are zero
+    threshold = _cutoff(s, *Y.shape[1:])
+    above = s > threshold[:, None]
     fallback = ~above[:, 0]
     above[:, 0] = True
     weights = s * above

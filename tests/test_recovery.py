@@ -163,7 +163,7 @@ def forecast_one(m, n_channels=1, kept=None):
     weights = np.where(np.arange(len(s)) < k, s, 0.0)
     keep = weights > 0
     osvt = OsvtBatch(np.array([k]), s[None], weights[None], (U * keep)[None],
-                     (Vt * keep[:, None])[None], np.nan, np.array([False]))
+                     (Vt * keep[:, None])[None], np.array([np.nan]), np.array([False]))
     mid = np.zeros((1, n_channels, 1))
     preds, beta, gap = _forecast(osvt, mid, mid + 1.0)
     return preds[0], beta[0], float(gap[0]), osvt.estimate()[0]
@@ -274,7 +274,7 @@ def forecast_batch(factors, mid, half):
     U, weights, Vt = (np.stack(f) for f in zip(*factors))
     keep = weights > 0
     osvt = OsvtBatch(keep.sum(axis=-1), weights, weights, U * keep[:, None], Vt * keep[..., None],
-                     np.nan, np.zeros(len(factors), dtype=bool))
+                     np.full(len(factors), np.nan), np.zeros(len(factors), dtype=bool))
     return _forecast(osvt, mid, half)
 
 

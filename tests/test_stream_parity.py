@@ -183,12 +183,13 @@ def test_predict_next_equals_stream_when_one_window_starts_in_a_gap(variant):
 
 def extreme_stream():
     """Four channels of 240 samples, 20% of timestamps dropped: channel 1
-    alternates -1e308 and 1e308, and channel 3 is scaled so that its largest
-    magnitude is the largest float."""
+    alternates -1e308 and 1e308, and channel 3 is a 1.3 Hz sine whose
+    amplitude is the largest float, so its forecasts overshoot the range
+    wherever a window's prediction lies beyond its samples."""
     corpus = benchmark_corpus(n_channels=4, n_samples=240, seed=1)
     values = corpus.dataset.values_matrix().copy()
     values[1] = np.where(np.arange(240) % 2 == 1, 1e308, -1e308)
-    values[3] = values[3] / np.abs(values[3]).max() * np.finfo(float).max
+    values[3] = np.finfo(float).max * np.sin(2 * np.pi * 1.3 * corpus.dataset.timestamps)
     return degrade(corpus.dataset.with_values(values), DegradeSpec(drop_rate=0.2, seed=1))
 
 

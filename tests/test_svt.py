@@ -15,7 +15,7 @@ from pagerec import (
     optimal_threshold,
     predict_next,
 )
-from pagerec.svt import OsvtBatch, osvt_batch
+from pagerec.svt import OsvtBatch, _cutoff, osvt_batch
 from pagerec.matrices import hankel_entries, page_entries
 from pagerec.recovery import _forecast
 
@@ -154,8 +154,8 @@ def test_estimate_rank_one_exact():
     v = np.linspace(0.5, 2.0, 12)
     X = np.outer(u, v)  # entries span [-2, 2] symmetrically, so no shift term
     s = np.linalg.svd(X / 2.0, compute_uv=False)
-    assert s[0] > optimal_threshold(4, 12) and s[1] < 1e-12
     estimate, out = unit_estimate(X)
+    assert s[0] > out.threshold[0] and s[1] < 1e-12
     assert out.kept_rank[0] == 1
     assert np.abs(estimate - X).max() < 1e-9
     assert not out.fallback_rank1[0]
@@ -170,12 +170,16 @@ def test_estimate_constant_matrix_unchanged():
 
 
 def test_estimate_empty_keep_set_falls_back_to_top_triple():
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(1)
     X = rng.normal(0.0, 1.0, (6, 8))  # pure noise: scaled spectrum sits under the cutoff
-    _, out = unit_estimate(X)
-    if out.fallback_rank1[0]:
-        assert out.kept_rank[0] == 1
-        assert (out.singular_values[0] > out.threshold).sum() == 0
+    estimate, out = unit_estimate(X)
+    assert out.fallback_rank1[0]
+    assert out.kept_rank[0] == 1
+    assert not (out.singular_values[0] > out.threshold[0]).any()
+    # the estimate is the top singular triple of the scaled matrix, mapped back
+    mid, half = unit_scale(X)
+    U, s, Vt = np.linalg.svd((X - mid) / half)
+    assert np.abs(estimate - (s[0] * np.outer(U[:, 0], Vt[0]) * half + mid)).max() <= 1e-12
 
 
 def test_estimate_outcome_invariants():
@@ -189,8 +193,10 @@ def test_estimate_outcome_invariants():
         assert estimate.shape == X.shape
         assert np.isfinite(estimate).all()
         assert 1 <= kept <= min(m, n)
-        expected_kept = int((out.singular_values[0] > out.threshold).sum())
-        if not out.fallback_rank1[0]:
+        expected_kept = int((out.singular_values[0] > out.threshold[0]).sum())
+        if out.fallback_rank1[0]:
+            assert kept == 1 and expected_kept == 0
+        else:
             assert kept == expected_kept
         if kept == min(m, n):
             assert estimate.min() >= X.min() - 1e-9 and estimate.max() <= X.max() + 1e-9
@@ -245,20 +251,22 @@ def test_estimate_accepts_any_finite_range(low, high):
 # ---------------------------------------------------------------------------
 
 def mixed_stack(cols=36):
-    """5 x cols matrices that keep ranks 1, 2 and 3, the all-zero matrix a
+    """10 x cols matrices that keep ranks 1, 2 and 3, the all-zero matrix a
     window of constant channels scales to, and one whose spectrum lies
-    wholly under the cutoff; the last two fall back to rank 1. The first
-    six are scaled into [-1, 1] without a shift: to_unit's shift adds a
-    rank-one term, which at 156 columns rises above the cutoff."""
+    wholly under the cutoff; the last two fall back to rank 1. Every rank
+    is below half the rows, so at least half of each spectrum is noise and
+    a cutoff that reads the spectrum finds it there. The first six are
+    scaled into [-1, 1] without a shift: to_unit's shift adds a rank-one
+    term, which at 156 columns rises above the cutoff."""
     rng = np.random.default_rng(21)
     mats = []
     for rank in (1, 2, 3, 2, 1, 3):
-        u = np.linalg.qr(rng.standard_normal((5, rank)))[0]
+        u = np.linalg.qr(rng.standard_normal((10, rank)))[0]
         v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
-        noisy = (u * [1.0, 0.9, 0.8][:rank]) @ v.T + 1e-4 * rng.standard_normal((5, cols))
+        noisy = (u * [1.0, 0.9, 0.8][:rank]) @ v.T + 1e-4 * rng.standard_normal((10, cols))
         mats.append(noisy / np.abs(noisy).max())
-    mats.append(np.zeros((5, cols)))
-    spikes = np.zeros((5, cols))
+    mats.append(np.zeros((10, cols)))
+    spikes = np.zeros((10, cols))
     spikes[0, 0], spikes[0, 1], spikes[2, 7] = 1.0, 0.5, -1.0
     mats.append(spikes)
     return np.array(mats)
@@ -266,16 +274,15 @@ def mixed_stack(cols=36):
 
 def routes(narrow, wide):
     """(cols, tall) cases for an osvt_batch test, each as given and
-    transposed: a column count a few times the rows, the shape of a page
-    window's stack (ids False, True), and a wide one, 30 to 40 columns per
-    row, the shape of a Hankel stream window's stack (5 x 156 at L=5,
-    T=30; ids triangular-False, triangular-True, the names the suite has
-    long listed them under)."""
+    transposed: a column count a few times the rows, as in a page window's
+    stack (ids False, True), and a wide one, 15 to 40 columns per row, as
+    in a Hankel stream window's stack, 5 x 156 at L=5, T=30 (ids
+    wide-False, wide-True)."""
     return [
         pytest.param(narrow, False, id="False"),
         pytest.param(narrow, True, id="True"),
-        pytest.param(wide, False, id="triangular-False"),
-        pytest.param(wide, True, id="triangular-True"),
+        pytest.param(wide, False, id="wide-False"),
+        pytest.param(wide, True, id="wide-True"),
     ]
 
 
@@ -291,8 +298,8 @@ def test_batch_matrix_results_equal_single_matrix_results_bitwise(cols, tall):
     assert not estimate[6].any()
     for i in range(len(X)):
         alone = osvt_batch(X[i:i + 1])
-        assert alone.threshold == out.threshold
-        for name in ("kept_rank", "singular_values", "weights", "U", "Vt", "fallback_rank1"):
+        for name in ("kept_rank", "singular_values", "weights", "U", "Vt", "threshold",
+                     "fallback_rank1"):
             a, b = getattr(alone, name)[0], getattr(out, name)[i]
             assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
             assert a.tobytes() == b.tobytes(), (i, name)
@@ -314,25 +321,31 @@ def test_batch_thresholds_its_input_as_given(cols, tall):
     out = osvt_batch(Y[None])
     U, s, Vt = np.linalg.svd(Y, full_matrices=False)
     assert np.allclose(out.singular_values[0], s, rtol=1e-13, atol=0)
-    k = int((s > out.threshold).sum())
+    k = int((s > out.threshold[0]).sum())
     assert k == out.kept_rank[0] == 2
     assert np.allclose(out.estimate()[0], (U[:, :k] * s[:k]) @ Vt[:k], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("cols, tall", routes(36, 156))
 def test_batch_weights_are_the_spectrum_up_to_the_kept_rank(cols, tall):
-    # the fallback (spikes) and all-zero matrices keep one triple too; the
+    # each matrix's cutoff is lambda* of the oriented shape, and its kept
+    # rank, weights and fallback flag follow from its own cutoff; the
+    # fallback (spikes) and all-zero matrices keep one triple too, and the
     # zero matrix's kept value is zero, so none of its weights is positive
     X = mixed_stack(cols)
     if tall:
         X = X.swapaxes(1, 2).copy()
     out = osvt_batch(X)
+    assert out.threshold.shape == (len(X),)
+    assert (out.threshold == optimal_threshold(*sorted(X.shape[1:]))).all()
     for i, k in enumerate(out.kept_rank):
         s, w = out.singular_values[i], out.weights[i]
+        above = s > out.threshold[i]
+        assert k == max(above.sum(), 1) and out.fallback_rank1[i] == (not above.any()), i
         assert np.array_equal(w[:k], s[:k]), i
         assert not w[k:].any(), i
     assert not out.weights[6].any()
-    assert (out.weights[7] > 0).tolist() == [True] + [False] * 4
+    assert (out.weights[7] > 0).tolist() == [True] + [False] * 9
 
 
 @pytest.mark.parametrize("shape", [(5, 36), (2, 1, 5, 36)])
@@ -347,12 +360,13 @@ def lapack_batch(X):
     kept set is the values above the cutoff, or the top value, and the
     triples of weight zero are zero vectors."""
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    threshold = optimal_threshold(*X.shape[1:])
-    kept = np.maximum((s > threshold).sum(axis=1), 1)
+    threshold = _cutoff(s, *X.shape[1:])
+    above = s > threshold[:, None]
+    kept = np.maximum(above.sum(axis=1), 1)
     weights = np.where(np.arange(s.shape[1]) < kept[:, None], s, 0.0)
     keep = weights > 0
     return OsvtBatch(kept, s, weights, U * keep[:, None], Vt * keep[..., None], threshold,
-                     ~(s[:, 0] > threshold))
+                     ~above[:, 0])
 
 
 @pytest.mark.parametrize("cols", [36, 156])
@@ -365,7 +379,7 @@ def test_kernel_agrees_with_lapack_svd_on_the_same_stacks(cols):
     assert out.fallback_rank1.tolist() == ref.fallback_rank1.tolist()
     # the spectrum at and above the cutoff
     s = ref.singular_values
-    at = s >= out.threshold
+    at = s >= out.threshold[:, None]
     assert np.abs(out.singular_values - s)[at].max() <= 1e-13 * s.max()
     for a, b in zip((out.estimate(), *_forecast(out, mid, half)),
                     (ref.estimate(), *_forecast(ref, mid, half))):
@@ -447,9 +461,10 @@ def test_kernel_stress_keeps_a_prefix_to_the_stated_precision():
             k = int(out.kept_rank[0])
             assert k == ref.kept_rank[0]
             assert np.array_equal(out.weights[0, :k], got[:k]) and not out.weights[0, k:].any()
-            assert (got[:k] > out.threshold).all() or out.fallback_rank1[0]
-            assert not (got[k:] > out.threshold).any()
-            at = s >= out.threshold
+            cut = out.threshold[0]
+            assert (got[:k] > cut).all() or out.fallback_rank1[0]
+            assert not (got[k:] > cut).any()
+            at = s >= cut
             assert np.abs(got - s)[at].max(initial=0.0) <= 1e-13 * s[0]
             below = max(below, np.abs(got - s).max() / s[0])
             assert np.abs(out.estimate() - ref.estimate()).max() <= 1e-12
