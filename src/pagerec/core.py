@@ -258,13 +258,12 @@ def ingest_csv(path) -> Dataset:
     if sum(len(b) for b in blocks) < 2:
         raise FormatError(f"{path}: need at least two rows to infer the rate")
     table = np.concatenate(blocks)
-    del blocks  # freed before the columns are copied out of table
+    del blocks  # freed before the dataset copies the columns out of table
 
-    t = table[:, 0].copy()
+    t = table[:, 0]
     if not _uniform_steps(t):
         raise FormatError(f"{path}: timestamps are not finite and uniformly increasing")
-    values = table.T[1:].copy()
-    del table  # freed before the dataset copies values
+    values = table.T[1:]
     masks = np.isfinite(values)
     unobserved = ~masks.any(axis=1)
     if unobserved.any():

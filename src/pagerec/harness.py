@@ -12,7 +12,7 @@ from one master seed, so reports are reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -348,24 +348,11 @@ def run_benchmark(
 
 
 def results_to_dict(results: Sequence[ScenarioResult]) -> dict:
-    """JSON-ready report collection: per scenario its settings, repetition
-    seeds, per-channel median MAPEs and error. It holds no wall time, so it
-    is the same for the same inputs and seeds."""
-    return {"results": [
-        {
-            "scenario": {
-                "drop_rate": r.scenario.drop_rate,
-                "noise_rate": r.scenario.noise_rate,
-                "variant": r.scenario.variant.value,
-            },
-            "repetitions": r.repetitions,
-            "seeds": list(r.seeds),
-            "impute_mape": r.impute_mape,
-            "baseline_mape": r.baseline_mape,
-            "predict_mape": r.predict_mape,
-            "persistence_mape": r.persistence_mape,
-            "error": r.error,
-        }
-        for r in results
-    ]}
+    """JSON-ready report collection: each ScenarioResult's fields, the
+    scenario's settings among them with the variant as its value. It holds
+    no wall time, so it is the same for the same inputs and seeds."""
+    report = [asdict(r) for r in results]
+    for entry in report:
+        entry["scenario"]["variant"] = entry["scenario"]["variant"].value
+    return {"results": report}
 

@@ -159,15 +159,16 @@ class RecoveryReport:
 # Window engine: a stack of B windows of N channels, shape (B, N, W)
 # ---------------------------------------------------------------------------
 
-def _no_sample(
-    observed: np.ndarray, ids: Sequence[str], starts: Sequence[int]
-) -> AllMissingChannel:
+def _bad_window(
+    error: type[Exception], phrase: str, bad: np.ndarray, ids: Sequence[str],
+    starts: Sequence[int],
+) -> Exception:
     """The error for the first window channel, in window order and then
-    channel order, that observed (B, N) marks as holding no sample."""
-    b, i = np.argwhere(~observed)[0]
-    return AllMissingChannel(
-        f"channel {ids[i]!r} has no observed sample in the window "
-        f"starting at sample {starts[b]}"
+    channel order, that bad (B, N) marks: it names the channel, what the
+    phrase says it has, and the window's first sample."""
+    b, i = np.argwhere(bad)[0]
+    return error(
+        f"channel {ids[i]!r} has {phrase} in the window starting at sample {starts[b]}"
     )
 
 
@@ -199,11 +200,8 @@ def _denoise(
     # its row's mid NaN or infinite
     finite = np.isfinite(mid)
     if not finite.all():
-        b, i, _ = np.argwhere(~finite)[0]
-        raise NumericError(
-            f"channel {ids[i]!r} has a non-finite observed sample in the "
-            f"window starting at sample {starts[b]}"
-        )
+        raise _bad_window(NumericError, "a non-finite observed sample", ~finite[..., 0],
+                          ids, starts)
     # a constant row maps to zeros; one whose half-range rounds to zero
     # (samples 0 and 5e-324) keeps its subnormal offsets from mid
     half = hi - lo
@@ -287,7 +285,8 @@ def _windows(
     except AllMissingChannel:
         # a channel with no observed sample misses from the first window too
         window = masks[None, :, starts[0]:starts[0] + T]
-        raise _no_sample(window.any(axis=-1), data.ids, starts[:1]) from None
+        raise _bad_window(AllMissingChannel, "no observed sample", ~window.any(axis=-1),
+                          data.ids, starts[:1]) from None
     # before a channel's first observation the fill holds that observation,
     # as a window's own fill would
     first_seen = masks.argmax(axis=-1)[:, None]
@@ -306,7 +305,8 @@ def _windows(
         first = mask_at.argmax(axis=-1)[..., None]
         observed = np.take_along_axis(mask_at, first, axis=-1)[..., 0]
         if not observed.all():
-            raise _no_sample(observed, data.ids, part)
+            raise _bad_window(AllMissingChannel, "no observed sample", ~observed,
+                              data.ids, part)
         filled_at = windows[at]
         # a window that begins in a gap after an observation holds that
         # earlier observation up to its own first one, which replaces it
@@ -335,7 +335,7 @@ def _forecast(
     (module docstring). Only the (L-1) x N estimate entries the coefficients
     apply to are built. A zero estimate keeps no vector: it predicts mid."""
     U = osvt.U
-    u = U[:, -1]  # of the kept vectors: U is zero past them
+    u = U[:, -1]  # of the kept vectors: U's other columns are zero
     gap = 1.0 - (u * u).sum(axis=-1)
     beta = (U[:, :-1] @ u[..., None])[..., 0] / np.maximum(gap, _MIN_GAP)[:, None]
     held = gap < _MIN_GAP
@@ -398,7 +398,8 @@ def predict_next(
     try:
         filled = locf_fill(values, masks)
     except AllMissingChannel:
-        raise _no_sample(masks.any(axis=-1)[None], ids, (0,)) from None
+        raise _bad_window(AllMissingChannel, "no observed sample", ~masks.any(axis=-1)[None],
+                          ids, (0,)) from None
     osvt, mid, half = _denoise(filled[None], cfg, ids, (0,))
     preds, beta, gap = _forecast(osvt, mid, half)
     model = ForecastModel(beta=beta[0], gap=float(gap[0]))

@@ -13,9 +13,8 @@ cutoff are reported so callers can audit what was kept.
 osvt_batch is the bare kernel: it thresholds a stack of equally shaped
 matrices and expects the caller to have scaled them (the window engine
 scales each channel block on its own). It reconstructs nothing. It hands
-back each matrix's singular factors and the kept weights, the spectrum
-with every value past the kept rank set to zero, so each reader builds
-only the entries it reads.
+back each matrix's spectrum and its kept singular vectors, so each reader
+builds only the entries it reads.
 
 One kernel serves every shape and batch size. An m x n stack, m <= n once
 oriented (a window's stack has m = L rows, 5 or 10 by default), is
@@ -23,11 +22,14 @@ factored through its m x m Gram matrices G = Y Y^T: eigh(G) gives the
 left singular vectors U (reversed into descending order), P = U^T Y is
 diag(s) Vt, s is the norm of each row of P, and Vt is P with its rows
 divided by s. Only the kept triples are returned: past the kept rank, and
-for a kept triple of weight zero, the columns of U and the rows of Vt are
-zero, as the weights are. Forming G squares the condition number (Golub &
-Van Loan, Matrix Computations): the vectors of values s_i and s_j come out
-mixed by about eps s1^2 / (s_i^2 - s_j^2), most for the small values
-below the cutoff, which no estimate reads:
+for a kept value of zero, the columns of U and the rows of Vt are zero, so
+their nonzero columns and rows are the kept set. A kept row of Vt is its
+row of P divided by its own value alone, so it has unit length to
+rounding at any scale above the Gram products' subnormal range (below).
+Forming G squares the condition number (Golub & Van Loan, Matrix
+Computations): the vectors of values s_i and s_j come out mixed by about
+eps s1^2 / (s_i^2 - s_j^2), most for the small values below the cutoff,
+which no estimate reads:
 
 - at and above the cutoff each value matches LAPACK's SVD to about 1e-15
   relative (2.6e-15 at worst above half the cutoff over 3000 random
@@ -40,9 +42,14 @@ below the cutoff, which no estimate reads:
   over 41 seeds;
 - below the cutoff a value can be off by up to about sqrt(eps) s1,
   1.5e-8 s1, and s need not descend there;
-- a matrix whose entries all lie below 1e-162 in magnitude has Gram
-  products that underflow: its spectrum reads as zero, its estimate is
-  zero, and so are its vectors.
+- a matrix whose entries all lie below about 1e-154 in magnitude has
+  subnormal Gram products, each off by up to their spacing 2^-1074: over
+  500 draws of a 5 x 36 matrix of entries up to 1e-155, its top triple's
+  estimate reads 3e-14 from LAPACK's in the median and 1.6e-12 at worst
+  (5e-14 at worst at 1e-150), and its row of Vt 7e-15 from unit length at
+  worst. A matrix whose entries all lie below 1e-162 has Gram products
+  that underflow: its spectrum reads as zero, its estimate is zero, and
+  so are its vectors.
 
 Per-matrix time in us of the kernel against the LAPACK SVD routes it
 replaced, median of 15 interleaved rounds, one BLAS thread, 2-CPU x86-64
@@ -94,11 +101,11 @@ class OsvtBatch:
     full spectrum, descending at and above its cutoff (below it, to the
     precision the module docstring states), and kept_rank counts the
     values above the cutoff, or is 1 where none is and fallback_rank1
-    flags that the top triple was kept anyway. weights is singular_values
-    with every value past kept_rank set to zero. U and Vt hold each
-    matrix's kept singular vectors in the caller's orientation, one column
-    of U and one row of Vt per singular value, and are zero wherever
-    weights is: the estimate is U diag(weights) Vt, and a reader that needs
+    flags that the top triple was kept anyway. U and Vt hold each matrix's
+    kept singular vectors in the caller's orientation, one column of U and
+    one row of Vt per singular value, and are zero past kept_rank and for
+    a kept value of zero: their nonzero columns and rows are the kept set.
+    The estimate is U diag(singular_values) Vt, and a reader that needs
     only some of its entries builds only those through
     estimate(rows, columns). The forecast fit reads U and needs no second
     factorization.
@@ -106,7 +113,6 @@ class OsvtBatch:
 
     kept_rank: np.ndarray  # (B,)
     singular_values: np.ndarray  # (B, r), r = min(m, n)
-    weights: np.ndarray  # (B, r)
     U: np.ndarray  # (B, m, r)
     Vt: np.ndarray  # (B, r, n)
     threshold: np.ndarray  # (B,)
@@ -115,7 +121,7 @@ class OsvtBatch:
     def estimate(self, rows=slice(None), columns=slice(None)) -> np.ndarray:
         """The thresholded matrices' entries at rows and columns (any numpy
         index along that axis), shape (B, rows, columns)."""
-        return (self.U[:, rows] * self.weights[:, None, :]) @ self.Vt[..., columns]
+        return (self.U[:, rows] * self.singular_values[:, None, :]) @ self.Vt[..., columns]
 
 
 def _cutoff(s: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -125,11 +131,6 @@ def _cutoff(s: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.full(len(s), optimal_threshold(m, n))
 
 
-# added to each singular value that divides a row: no value above 1e-134
-# changes and no row grows past unit length
-_TINY = 1e-150
-
-
 def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     """Threshold every matrix of a (B, m, n) stack as it is given.
 
@@ -137,12 +138,13 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     are finite and lie in [-1, 1]; the cutoff is calibrated for that range,
     and nothing here rescales or checks the entries. Each matrix keeps its
     singular triples above the cutoff, or its top triple when none is
-    above; the result holds the factors and kept weights, not the
+    above; the result holds the spectrum and the kept factors, not the
     reconstruction. Each matrix's result depends on that matrix alone, bit
-    for bit, not on the others in the stack.
+    for bit, not on the others in the stack. A stack that is not 3-D, or
+    whose matrices have no entry, is a NumericError.
     """
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 3:
+    if Y.ndim != 3 or 0 in Y.shape[1:]:
         raise NumericError(f"expected a (B, m, n) stack, got shape {Y.shape}")
     # a tall stack is thresholded as its transpose, whose right singular
     # vectors are the caller's left ones
@@ -159,17 +161,18 @@ def osvt_batch(Y: np.ndarray) -> OsvtBatch:
     s = np.sqrt(np.add.reduce(P * P, axis=2))
 
     # the values above each matrix's cutoff, a prefix of s (module
-    # docstring), or the top value when none is above; only the triples of
-    # nonzero weight are returned, the others are zero
+    # docstring), or the top value when none is above; only the kept
+    # triples of nonzero value are returned, the others are zero
     threshold = _cutoff(s, *Y.shape[1:])
     above = s > threshold[:, None]
     fallback = ~above[:, 0]
     above[:, 0] = True
-    weights = s * above
     kept = np.add.reduce(above, axis=1)
-    keep = weights > 0
+    keep = above & (s > 0)
     U = U * keep[:, None, :]
-    Vt = P * (keep / (s + _TINY))[..., None]
+    # 1/s for a kept row of P and 0 for every other: s + ~keep is at least 1
+    # off the kept set
+    Vt = P * (keep / (s + ~keep))[..., None]
     if tall:
         U, Vt = Vt.swapaxes(1, 2), U.swapaxes(1, 2)
-    return OsvtBatch(kept, s, weights, U, Vt, threshold, fallback)
+    return OsvtBatch(kept, s, U, Vt, threshold, fallback)

@@ -1,5 +1,6 @@
 """The benchmark corpus, degradation, MAPE, kept ranks, benchmarks."""
 
+import json
 import re
 from dataclasses import replace
 
@@ -383,22 +384,39 @@ def test_benchmark_seed_derivation_deterministic():
 
 
 def test_benchmark_report_serialization():
+    # the second scenario drops every sample, so its first repetition fails
     truth = benchmark_corpus(n_channels=2, n_samples=90, seed=2)
     results = run_benchmark(
         truth,
-        [Scenario(drop_rate=0.1, noise_rate=0.02)],
+        [Scenario(drop_rate=0.1, noise_rate=0.02), Scenario(drop_rate=1.0, noise_rate=0.01)],
         impute_cfg=RecoveryConfig(L=10, T=90),
         repetitions=2,
     )
     payload = results_to_dict(results)
-    assert set(payload["results"][0]) == {
+    assert json.loads(json.dumps(payload)) == payload
+    ok, failed = payload["results"]
+    assert set(ok) == {
         "scenario", "repetitions", "seeds", "impute_mape", "baseline_mape",
         "predict_mape", "persistence_mape", "error",
     }
+    assert ok["scenario"] == {"drop_rate": 0.1, "noise_rate": 0.02, "variant": "page"}
+    assert ok["repetitions"] == 2 and ok["error"] is None
+    assert ok["seeds"] == [harness._rep_seed(0, 0, rep) for rep in range(2)]
     for metric in ("impute_mape", "baseline_mape", "predict_mape", "persistence_mape"):
-        values = payload["results"][0][metric]
+        values = ok[metric]
         assert set(values) == set(truth.dataset.ids)
         assert all(v >= 0.0 for v in values.values())
+    assert failed == {
+        "scenario": {"drop_rate": 1.0, "noise_rate": 0.01, "variant": "page"},
+        "repetitions": 2,
+        "seeds": [harness._rep_seed(0, 1, 0)],
+        "impute_mape": {},
+        "baseline_mape": {},
+        "predict_mape": {},
+        "persistence_mape": {},
+        "error": "AllMissingChannel: channel 'ch00' has no observed sample in the window "
+                 "starting at sample 0",
+    }
 
 
 @pytest.mark.parametrize("repetitions", [3, 2])

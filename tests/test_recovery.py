@@ -153,17 +153,16 @@ def test_config_accepts_python_and_numpy_bools(flag):
 
 def forecast_one(m, n_channels=1, kept=None):
     """_forecast on one matrix's exact SVD factors, read as n_channels equal
-    channel blocks with mid 0 and half 1, its spectrum weighted as the
-    kernel weights it at kept triples (by default at the matrix's rank, at
-    least one, as the kernel keeps) and the other triples zero, as the
-    kernel returns them: the predictions (n_channels,), the coefficients
-    (L-1,), the gap and the estimate."""
+    channel blocks with mid 0 and half 1, the vectors of its first kept
+    triples of nonzero value kept (by default as many as the matrix's rank,
+    at least one, as the kernel keeps) and the others zero, as the kernel
+    returns them: the predictions (n_channels,), the coefficients (L-1,),
+    the gap and the estimate."""
     U, s, Vt = np.linalg.svd(m, full_matrices=False)
     k = kept or max(np.linalg.matrix_rank(m), 1)
-    weights = np.where(np.arange(len(s)) < k, s, 0.0)
-    keep = weights > 0
-    osvt = OsvtBatch(np.array([k]), s[None], weights[None], (U * keep)[None],
-                     (Vt * keep[:, None])[None], np.array([np.nan]), np.array([False]))
+    keep = (np.arange(len(s)) < k) & (s > 0)
+    osvt = OsvtBatch(np.array([k]), s[None], (U * keep)[None], (Vt * keep[:, None])[None],
+                     np.array([np.nan]), np.array([False]))
     mid = np.zeros((1, n_channels, 1))
     preds, beta, gap = _forecast(osvt, mid, mid + 1.0)
     return preds[0], beta[0], float(gap[0]), osvt.estimate()[0]
@@ -273,7 +272,7 @@ def forecast_batch(factors, mid, half):
     those of weight zero returned as zero vectors as osvt_batch does."""
     U, weights, Vt = (np.stack(f) for f in zip(*factors))
     keep = weights > 0
-    osvt = OsvtBatch(keep.sum(axis=-1), weights, weights, U * keep[:, None], Vt * keep[..., None],
+    osvt = OsvtBatch(keep.sum(axis=-1), weights, U * keep[:, None], Vt * keep[..., None],
                      np.full(len(factors), np.nan), np.zeros(len(factors), dtype=bool))
     return _forecast(osvt, mid, half)
 

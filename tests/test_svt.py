@@ -74,12 +74,13 @@ def test_scale_endpoints_map_to_unit():
 
 def test_scale_constant_matrix_flagged_by_bounds():
     # a constant matrix scales to the zero matrix, whose spectrum is zero:
-    # nothing lies above the cutoff, so it keeps its top triple, of weight zero
+    # nothing lies above the cutoff, so it keeps its top triple, of value
+    # zero, which comes back as zero vectors
     X = np.full((3, 4), 5.0)
     assert unit_scale(X) == (5.0, 1.0)
     out = osvt_batch(to_unit(X)[None])
     assert out.fallback_rank1[0] and out.kept_rank[0] == 1
-    assert not out.singular_values.any() and not out.weights.any()
+    assert not out.singular_values.any() and not out.U.any() and not out.Vt.any()
 
 
 def test_scale_range_always_unit():
@@ -298,8 +299,7 @@ def test_batch_matrix_results_equal_single_matrix_results_bitwise(cols, tall):
     assert not estimate[6].any()
     for i in range(len(X)):
         alone = osvt_batch(X[i:i + 1])
-        for name in ("kept_rank", "singular_values", "weights", "U", "Vt", "threshold",
-                     "fallback_rank1"):
+        for name in ("kept_rank", "singular_values", "U", "Vt", "threshold", "fallback_rank1"):
             a, b = getattr(alone, name)[0], getattr(out, name)[i]
             assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
             assert a.tobytes() == b.tobytes(), (i, name)
@@ -326,47 +326,62 @@ def test_batch_thresholds_its_input_as_given(cols, tall):
     assert np.allclose(out.estimate()[0], (U[:, :k] * s[:k]) @ Vt[:k], rtol=0, atol=1e-14)
 
 
+def kept_vectors(out):
+    """(B, r) flags of the triples whose vectors out holds: the nonzero
+    columns of U, which must be the nonzero rows of Vt."""
+    kept = out.U.any(axis=1)
+    assert np.array_equal(kept, out.Vt.any(axis=2))
+    return kept
+
+
 @pytest.mark.parametrize("cols, tall", routes(36, 156))
 def test_batch_weights_are_the_spectrum_up_to_the_kept_rank(cols, tall):
     # each matrix's cutoff is lambda* of the oriented shape, and its kept
-    # rank, weights and fallback flag follow from its own cutoff; the
-    # fallback (spikes) and all-zero matrices keep one triple too, and the
-    # zero matrix's kept value is zero, so none of its weights is positive
+    # rank, kept vectors and fallback flag follow from its own cutoff: the
+    # estimate weights the vectors of its first kept_rank triples by their
+    # values, and every other vector is zero. The fallback (spikes) and
+    # all-zero matrices keep one triple too, and the zero matrix's kept
+    # value is zero, so it holds no vector
     X = mixed_stack(cols)
     if tall:
         X = X.swapaxes(1, 2).copy()
     out = osvt_batch(X)
     assert out.threshold.shape == (len(X),)
     assert (out.threshold == optimal_threshold(*sorted(X.shape[1:]))).all()
+    kept = kept_vectors(out)
     for i, k in enumerate(out.kept_rank):
-        s, w = out.singular_values[i], out.weights[i]
+        s = out.singular_values[i]
         above = s > out.threshold[i]
         assert k == max(above.sum(), 1) and out.fallback_rank1[i] == (not above.any()), i
-        assert np.array_equal(w[:k], s[:k]), i
-        assert not w[k:].any(), i
-    assert not out.weights[6].any()
-    assert (out.weights[7] > 0).tolist() == [True] + [False] * 9
+        assert np.array_equal(kept[i], (np.arange(len(s)) < k) & (s > 0)), i
+    assert not kept[6].any()
+    assert kept[7].tolist() == [True] + [False] * 9
 
 
-@pytest.mark.parametrize("shape", [(5, 36), (2, 1, 5, 36)])
+@pytest.mark.parametrize("shape", [(5, 36), (2, 1, 5, 36), (1, 0, 5), (1, 5, 0)])
 def test_batch_rejects_a_stack_that_is_not_three_dimensional(shape):
     with pytest.raises(NumericError, match=rf"^expected a \(B, m, n\) stack, got shape "
                                            rf"{re.escape(str(shape))}$"):
         osvt_batch(np.zeros(shape))
 
 
+@pytest.mark.parametrize("shape", [(0, 5, 36), (0, 36, 5)])
+def test_batch_of_no_matrices_is_an_empty_result(shape):
+    out = osvt_batch(np.zeros(shape))
+    assert out.kept_rank.shape == out.threshold.shape == (0,)
+    assert out.estimate().shape == shape
+
+
 def lapack_batch(X):
     """The OsvtBatch of a (B, m, n) stack, m <= n, from LAPACK's SVD: the
     kept set is the values above the cutoff, or the top value, and the
-    triples of weight zero are zero vectors."""
+    triples past it or of value zero are zero vectors."""
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     threshold = _cutoff(s, *X.shape[1:])
     above = s > threshold[:, None]
     kept = np.maximum(above.sum(axis=1), 1)
-    weights = np.where(np.arange(s.shape[1]) < kept[:, None], s, 0.0)
-    keep = weights > 0
-    return OsvtBatch(kept, s, weights, U * keep[:, None], Vt * keep[..., None], threshold,
-                     ~above[:, 0])
+    keep = (np.arange(s.shape[1]) < kept[:, None]) & (s > 0)
+    return OsvtBatch(kept, s, U * keep[:, None], Vt * keep[..., None], threshold, ~above[:, 0])
 
 
 @pytest.mark.parametrize("cols", [36, 156])
@@ -385,9 +400,9 @@ def test_kernel_agrees_with_lapack_svd_on_the_same_stacks(cols):
                     (ref.estimate(), *_forecast(ref, mid, half))):
         assert np.isfinite(a).all()
         assert np.abs(a - b).max() <= 1e-12
-    # the zero matrix: one kept triple of weight zero, zero right vectors, a
-    # zero estimate and zero forecast coefficients
-    assert out.kept_rank[6] == 1 and out.weights[6, 0] == 0.0
+    # the zero matrix: one kept triple of value zero, zero vectors, a zero
+    # estimate and zero forecast coefficients
+    assert out.kept_rank[6] == 1 and not out.U[6].any()
     assert not out.singular_values[6].any() and not out.Vt[6].any()
     assert not out.estimate()[6].any()
     assert not _forecast(out, mid, half)[1][6].any()
@@ -417,7 +432,7 @@ def test_kernel_returns_factors_in_the_callers_orientation(L, T):
         assert np.abs(Uk.T @ Uk - eye).max() <= 1e-13
         assert np.abs(Vk @ Vk.T - eye).max() <= 1e-13
         assert np.abs(out.estimate()[b] - Uk @ (Uk.T @ Y[b])).max() <= 1e-13
-        assert not U[b, :, k:].any() and not Vt[b, k:].any() and not out.weights[b, k:].any()
+        assert not U[b, :, k:].any() and not Vt[b, k:].any()
     # the stack transposed: the same factors, swapped
     tall = osvt_batch(Y.swapaxes(1, 2))
     assert np.array_equal(tall.U, Vt.swapaxes(1, 2)) and np.array_equal(tall.Vt, U.swapaxes(1, 2))
@@ -460,7 +475,7 @@ def test_kernel_stress_keeps_a_prefix_to_the_stated_precision():
             s, got = ref.singular_values[0], out.singular_values[0]
             k = int(out.kept_rank[0])
             assert k == ref.kept_rank[0]
-            assert np.array_equal(out.weights[0, :k], got[:k]) and not out.weights[0, k:].any()
+            assert np.array_equal(kept_vectors(out)[0], (np.arange(len(got)) < k) & (got > 0))
             cut = out.threshold[0]
             assert (got[:k] > cut).all() or out.fallback_rank1[0]
             assert not (got[k:] > cut).any()
@@ -476,14 +491,35 @@ def test_kernel_stress_keeps_a_prefix_to_the_stated_precision():
     assert 1e-10 < below <= 2.0 * math.sqrt(np.finfo(float).eps)
     # a zero matrix, and one of subnormal offsets (the window engine's
     # scaling of a channel holding 0 and 5e-324), whose products underflow:
-    # both read as a zero spectrum, keep one triple of weight zero and have
-    # a zero estimate; a triple of weight zero is returned as zero vectors
+    # both read as a zero spectrum, keep one triple of value zero and have
+    # a zero estimate; a triple of value zero is returned as zero vectors
     offsets = np.where(np.arange(60).reshape(5, 12) % 3 == 0, 5e-324, 0.0)
     for X in (np.zeros((5, 12)), offsets, -offsets.T):
         out = osvt_batch(X[None])
         assert out.kept_rank[0] == 1 and out.fallback_rank1[0]
         assert not out.singular_values.any() and not out.estimate().any()
         assert not out.U.any() and not out.Vt.any()
+
+
+@pytest.mark.parametrize("scale", [1e-140, 1e-150, 1e-155])
+def test_kernel_keeps_a_tiny_matrix_exact(scale):
+    # entries in [-1, 1] at any scale meet osvt_batch's precondition. All
+    # values lie below the cutoff, so the top triple is kept; its row of Vt
+    # is divided by its own value alone, and the estimate is LAPACK's top
+    # triple to rounding. Near 1e-155 the Gram products are subnormal: each
+    # is off by up to their spacing, 2^-1074, relative to scale^2 (module
+    # docstring), and the bounds widen by that much
+    spacing = 2.0 ** -1074 / scale ** 2
+    X = np.random.default_rng(51).uniform(-1.0, 1.0, (5, 36)) * scale
+    out = osvt_batch(X[None])
+    assert out.fallback_rank1[0] and out.kept_rank[0] == 1
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    # in units of scale, whose squares do not underflow
+    top = s[0] / scale * np.outer(U[:, 0], Vt[0])
+    error = np.linalg.norm(out.estimate()[0] / scale - top) / np.linalg.norm(top)
+    assert error <= 1e-13 + 100.0 * spacing
+    assert abs(np.linalg.norm(out.Vt[0, 0]) - 1.0) <= 1e-15 + spacing
+    assert kept_vectors(out)[0].tolist() == [True] + [False] * 4
 
 
 @pytest.mark.parametrize("variant", ["page", "hankel"])
