@@ -102,6 +102,8 @@ class Dataset:
     :meth:`from_arrays` builds one from the arrays themselves,
     ``Dataset(channels, rate_fps)`` from ChannelSeries records, dropping
     their kind labels and rate_fps; both copy their inputs and validate alike.
+    The package's own :meth:`_adopt` validates alike and keeps the values
+    and masks it is given without copying them.
     """
 
     timestamps: np.ndarray
@@ -142,10 +144,20 @@ class Dataset:
         self._store(timestamps, values, masks, tuple(ids))
         return self
 
-    def _store(self, t, values, masks, ids) -> None:
-        """Check the time base, copy it, the values and the masks, check
-        their shapes and the ids, and keep the copies read-only: the one
-        validator of both constructors."""
+    @classmethod
+    def _adopt(cls, timestamps, values, masks, ids: Iterable[str]) -> "Dataset":
+        """Dataset that keeps the C-ordered float values and bool masks its
+        caller has just built and drops, without copying them, and makes
+        them read-only; the time base is copied, as from_arrays copies it."""
+        self = cls.__new__(cls)
+        self._store(timestamps, values, masks, tuple(ids), copy=False)
+        return self
+
+    def _store(self, t, values, masks, ids, copy: bool = True) -> None:
+        """Check the time base, copy it, the values and the masks (unless
+        copy is False, which keeps the values and masks given), check their
+        shapes and the ids, and keep the arrays read-only: the one validator
+        of every constructor."""
         if not ids:
             raise ShapeError("dataset needs at least one channel")
         t = np.array(t, dtype=float)
@@ -154,8 +166,9 @@ class Dataset:
             raise ShapeError(
                 "timestamps must be finite and strictly increasing with a constant step"
             )
-        values = np.array(values, dtype=float, order="C")
-        masks = np.array(masks, dtype=bool, order="C")
+        array = np.array if copy else np.asarray
+        values = array(values, dtype=float, order="C")
+        masks = array(masks, dtype=bool, order="C")
         N = len(ids)
         if t.ndim != 1 or values.shape != (N, len(t)) or masks.shape != values.shape:
             raise ShapeError(

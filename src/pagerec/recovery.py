@@ -36,6 +36,17 @@ chunk (amortised). The driver LOCF-fills the record once and slices each
 window from that fill, refilling a window's leading gap so that it holds
 what locf_fill gives that window alone; predict_next fills its one window
 itself, B = 1.
+
+The stack's memory order follows the chunk. A chunk of overlapping windows
+(consecutive starts less than T apart: a stream replay, and impute's tail
+chunk) is copied into one buffer held time-major, (T, B, N) in memory and
+read as (B, N, W). Each window's row work (min, max, leading-gap refill and
+normalization) then runs over contiguous runs of B*N samples, where on
+sliding views numpy runs one short inner loop per W-sample row; a replay
+chunk's min took about a tenth of the time. The values, and so every
+result bit, are the same in either order. A chunk of windows that do not
+overlap, impute's, and predict_next's one window keep row-major views of
+the fill, on which a copy measured slower.
 """
 
 from __future__ import annotations
@@ -277,9 +288,18 @@ def _windows(
     observation finds that observation in its leading gap; the gap is
     refilled with the window's first observation, as locf_fill fills a lone
     window, so every window holds the same samples as its own fill would.
+
+    A chunk of overlapping windows is copied time-major (module docstring)
+    from a time-major copy of the fill, and takes each window channel's
+    first observation from the record's next-observation index (a reverse
+    minimum accumulate). Both are built once, at the first such chunk,
+    from its first sample to the record's end, so a record whose windows
+    never overlap pays for neither. Any other chunk reads row-major views
+    of the fill and finds first observations by argmax over its window
+    masks.
     """
     values, masks = data.values_matrix(), data.masks_matrix()
-    T = cfg.T
+    T, n = cfg.T, len(data)
     try:
         filled = locf_fill(values, masks)
     except AllMissingChannel:
@@ -293,27 +313,57 @@ def _windows(
     # windows[j] is filled[:, j:j+T], a view; mask_windows[j] likewise
     windows, mask_windows = (sliding_window_view(a, T, axis=1).transpose(1, 0, 2)
                              for a in (filled, masks))
-    chunk = _chunk_steps(cfg, len(data.ids))
+    N = len(data.ids)
+    # built at the first chunk of overlapping windows, over the record from
+    # that chunk's first sample on: the fill's windows held time-major and
+    # each sample's next observed index, n where none follows
+    tm_windows = next_seen = None
+    chunk = _chunk_steps(cfg, N)
     for b0 in range(0, len(starts), chunk):
         t0 = time.perf_counter()
         part = starts[b0:b0 + chunk]
-        # evenly spaced starts index as a slice, which takes views
-        step = part[1] - part[0] if len(part) > 1 else 1
-        at = slice(part[0], part[-1] + 1, step) if (np.diff(part) == step).all() else part
-        # each window channel's first observed sample, 0 when it has none
-        mask_at = mask_windows[at]
-        first = mask_at.argmax(axis=-1)[..., None]
-        observed = np.take_along_axis(mask_at, first, axis=-1)[..., 0]
+        # at indexes the windows from the chunk's first one on; evenly spaced
+        # starts index as a slice, which takes views
+        lo, rel = part[0], part - part[0]
+        step = rel[1] if len(rel) > 1 else 1
+        at = slice(0, rel[-1] + 1, step) if (np.diff(rel) == step).all() else rel
+        overlap = (np.diff(part) < T).any()
+        if overlap:
+            if next_seen is None:
+                base = lo
+                tm_windows = sliding_window_view(filled[:, base:].T.copy(), T, axis=0)
+                next_seen = np.where(masks[:, base:], np.arange(base, n), n)
+                np.minimum.accumulate(next_seen[:, ::-1], axis=1, out=next_seen[:, ::-1])
+            # each window channel's first observed sample, T or more after
+            # the window's start when it has none
+            first = (next_seen[:, part - base] - part).T
+            observed = first < T
+        else:
+            # argmax gives the first observed sample, 0 when there is none
+            mask_at = mask_windows[lo:][at]
+            first = mask_at.argmax(axis=-1)
+            observed = np.take_along_axis(mask_at, first[..., None], axis=-1)[..., 0]
         if not observed.all():
             raise _bad_window(AllMissingChannel, "no observed sample", ~observed,
                               data.ids, part)
-        filled_at = windows[at]
         # a window that begins in a gap after an observation holds that
         # earlier observation up to its own first one, which replaces it
-        if ((first_seen < part) & ~masks[:, part]).any():
-            filled_at = filled_at.copy()
-            np.copyto(filled_at, np.take_along_axis(filled_at, first, axis=-1),
-                      where=np.arange(T) < first)
+        refill = ((first_seen < part) & ~masks[:, part]).any()
+        if overlap:
+            # copied into one buffer that is (T, B, N) in memory (module
+            # docstring)
+            filled_at = np.empty((T, len(part), N)).transpose(1, 2, 0)
+            filled_at[...] = tm_windows[lo - base:][at]
+        else:
+            filled_at = windows[lo:][at]
+            if refill:
+                filled_at = filled_at.copy()
+        if refill:
+            # the gap mask takes the windows' memory order
+            gap = np.less(np.arange(T), first[..., None],
+                          out=np.empty_like(filled_at, dtype=bool))
+            np.copyto(filled_at, filled[np.arange(N), part[:, None] + first][..., None],
+                      where=gap)
         osvt, mid, half = _denoise(filled_at, cfg, data.ids, part)
         yield part, osvt, mid, half
         elapsed = time.perf_counter() - t0
@@ -376,7 +426,8 @@ def impute_offline(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
             written = start + cfg.T
     if not cfg.overwrite_observed:
         np.copyto(out, data.values_matrix(), where=data.masks_matrix())
-    return data.with_values(out, np.ones(out.shape, dtype=bool)), report
+    return Dataset._adopt(data.timestamps, out, np.ones(out.shape, dtype=bool),
+                          data.ids), report
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +475,7 @@ def predict_stream(data: Dataset, cfg: RecoveryConfig) -> tuple[Dataset, Recover
     # step j's window starts at sample j
     for j, osvt, mid, half in _windows(data, cfg, np.arange(steps), report):
         preds[:, j] = _forecast(osvt, mid, half)[0].T
-    preds = Dataset.from_arrays(
+    preds = Dataset._adopt(
         data.timestamps[cfg.T:], preds, np.ones(preds.shape, dtype=bool), data.ids,
     )
     return preds, report

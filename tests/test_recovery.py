@@ -711,6 +711,19 @@ def test_stream_alignment_and_metadata():
     assert report.start_sample == list(range(20))
 
 
+@pytest.mark.parametrize("run", [impute_offline, predict_stream])
+def test_outputs_are_read_only_and_share_no_memory_with_the_input(run):
+    # the engine's output arrays become the returned dataset's own, uncopied:
+    # read-only, and apart from every array of the input dataset
+    corpus = benchmark_corpus(n_channels=3, n_samples=120, seed=8)
+    data = degrade(corpus.dataset, DegradeSpec(drop_rate=0.3, seed=2))
+    out = run(data, RecoveryConfig(L=5, T=30))[0]
+    for got in (out.timestamps, out.values_matrix(), out.masks_matrix()):
+        assert not got.flags.writeable
+        for given in (data.timestamps, data.values_matrix(), data.masks_matrix()):
+            assert not np.shares_memory(got, given)
+
+
 def test_stream_requires_length_beyond_window():
     rows = np.full((2, 30), 1.0)
     with pytest.raises(ShapeError):

@@ -181,6 +181,23 @@ def test_predict_next_equals_stream_when_one_window_starts_in_a_gap(variant):
     assert_next_equals_stream(data.with_values(data.values_matrix(), masks), cfg)
 
 
+@pytest.mark.parametrize("variant", [MatrixVariant.PAGE, MatrixVariant.HANKEL])
+def test_predict_next_equals_stream_when_the_record_begins_in_a_gap(variant):
+    # every channel misses samples 0-2, so the first windows' leading gaps
+    # are back-filled from each channel's first observation of the record,
+    # and channel 1 also misses a run across the first chunk boundary, so
+    # the last window of one chunk and the first of the next begin in it
+    cfg = RecoveryConfig(L=5, T=30, variant=variant)
+    data = stream(0.3)
+    masks = data.masks_matrix().copy()
+    masks[:, :3] = False
+    boundary = _chunk_steps(cfg, N_CHANNELS)
+    masks[1, boundary - 12:boundary + 9] = False
+    assert STEPS > 2 * boundary
+    assert not masks[:, :3].any() and masks[1, :boundary - 12].any()
+    assert_next_equals_stream(data.with_values(data.values_matrix(), masks), cfg)
+
+
 def extreme_stream():
     """Four channels of 240 samples, 20% of timestamps dropped: channel 1
     alternates -1e308 and 1e308, and channel 3 is a 1.3 Hz sine whose
