@@ -338,27 +338,25 @@ def _windows(
             # the window's start when it has none
             first = (next_seen[:, part - base] - part).T
             observed = first < T
-        else:
-            # argmax gives the first observed sample, 0 when there is none
-            mask_at = mask_windows[lo:][at]
-            first = mask_at.argmax(axis=-1)
-            observed = np.take_along_axis(mask_at, first[..., None], axis=-1)[..., 0]
-        if not observed.all():
-            raise _bad_window(AllMissingChannel, "no observed sample", ~observed,
-                              data.ids, part)
-        # a window that begins in a gap after an observation holds that
-        # earlier observation up to its own first one, which replaces it
-        refill = ((first_seen < part) & ~masks[:, part]).any()
-        if overlap:
             # copied into one buffer that is (T, B, N) in memory (module
             # docstring)
             filled_at = np.empty((T, len(part), N)).transpose(1, 2, 0)
             filled_at[...] = tm_windows[lo - base:][at]
         else:
+            # argmax gives the first observed sample, 0 when there is none
+            mask_at = mask_windows[lo:][at]
+            first = mask_at.argmax(axis=-1)
+            observed = np.take_along_axis(mask_at, first[..., None], axis=-1)[..., 0]
             filled_at = windows[lo:][at]
-            if refill:
+        if not observed.all():
+            raise _bad_window(AllMissingChannel, "no observed sample", ~observed,
+                              data.ids, part)
+        # a window that begins in a gap after an observation holds that
+        # earlier observation up to its own first one, which replaces it
+        if ((first_seen < part) & ~masks[:, part]).any():
+            # views of the fill are read-only; copies are not
+            if not filled_at.flags.writeable:
                 filled_at = filled_at.copy()
-        if refill:
             # the gap mask takes the windows' memory order
             gap = np.less(np.arange(T), first[..., None],
                           out=np.empty_like(filled_at, dtype=bool))
