@@ -37,16 +37,16 @@ window from that fill, refilling a window's leading gap so that it holds
 what locf_fill gives that window alone; predict_next fills its one window
 itself, B = 1.
 
-The stack's memory order follows the chunk. A chunk of overlapping windows
-(consecutive starts less than T apart: a stream replay, and impute's tail
-chunk) is copied into one buffer held time-major, (T, B, N) in memory and
-read as (B, N, W). Each window's row work (min, max, leading-gap refill and
-normalization) then runs over contiguous runs of B*N samples, where on
-sliding views numpy runs one short inner loop per W-sample row; a replay
-chunk's min took about a tenth of the time. The values, and so every
-result bit, are the same in either order. A chunk of windows that do not
-overlap, impute's, and predict_next's one window keep row-major views of
-the fill, on which a copy measured slower.
+The stack's memory order follows the record's window starts. When every
+window overlaps the one before (consecutive starts less than T apart: a
+stream replay), each chunk is copied into one buffer held time-major,
+(T, B, N) in memory and read as (B, N, W). Each window's row work (min,
+max, leading-gap refill and normalization) then runs over contiguous runs
+of B*N samples, where on sliding views numpy runs one short inner loop per
+W-sample row; a replay chunk's min took about a tenth of the time. The
+values, and so every result bit, are the same in either order. Impute's
+windows, which do not overlap but for a tail window, and predict_next's one
+window keep row-major views of the fill, on which a copy measured slower.
 """
 
 from __future__ import annotations
@@ -217,11 +217,13 @@ def _denoise(
     # (samples 0 and 5e-324) keeps its subnormal offsets from mid
     half = hi - lo
     half[half == 0.0] = 1.0
-    norm = (filled - mid) / half
     make = page_entries if cfg.variant is MatrixVariant.PAGE else hankel_entries
-    blocks = make(norm, cfg.L)  # (B, N, L, cols)
+    blocks = make((filled - mid) / half, cfg.L)  # (B, N, L, cols)
     # channel blocks side by side: row r of window b is blocks[b, :, r] flattened
-    stacked = blocks.transpose(0, 2, 1, 3).reshape(len(norm), cfg.L, -1)
+    stacked = blocks.transpose(0, 2, 1, 3).reshape(len(blocks), cfg.L, -1)
+    # where stacking copied (hankel blocks, page blocks of a time-major
+    # stack), the normalized windows are freed before the kernel runs
+    del blocks
     return osvt_batch(stacked), mid, half
 
 
@@ -289,65 +291,63 @@ def _windows(
     refilled with the window's first observation, as locf_fill fills a lone
     window, so every window holds the same samples as its own fill would.
 
-    A chunk of overlapping windows is copied time-major (module docstring)
-    from a time-major copy of the fill, and takes each window channel's
-    first observation from the record's next-observation index (a reverse
-    minimum accumulate). Both are built once, at the first such chunk,
-    from its first sample to the record's end, so a record whose windows
-    never overlap pays for neither. Any other chunk reads row-major views
-    of the fill and finds first observations by argmax over its window
-    masks.
+    When every window overlaps the one before, each chunk is copied
+    time-major (module docstring) from a time-major copy of the fill, and
+    takes each window channel's first observation from the record's
+    next-observation index (a reverse minimum accumulate); the row-major
+    fill is dropped. Otherwise chunks read row-major views of the fill and
+    find first observations by argmax over their window masks, and the
+    record pays for neither the copy nor the index.
     """
     values, masks = data.values_matrix(), data.masks_matrix()
-    T, n = cfg.T, len(data)
+    T, n, N = cfg.T, len(data), len(data.ids)
+    # consecutive windows overlap in a stream replay (docstring)
+    overlap = len(starts) > 1 and bool((np.diff(starts) < T).all())
     try:
-        filled = locf_fill(values, masks)
+        # the fill as (samples, N): a view of the row-major fill, or a copy
+        # held time-major for overlapping windows, which drops the row-major
+        fill = locf_fill(values, masks).T
     except AllMissingChannel:
         # a channel with no observed sample misses from the first window too
         window = masks[None, :, starts[0]:starts[0] + T]
         raise _bad_window(AllMissingChannel, "no observed sample", ~window.any(axis=-1),
                           data.ids, starts[:1]) from None
+    if overlap:
+        fill = fill.copy()
+        # each sample's next observed index on each channel, n where none
+        # follows
+        next_seen = np.where(masks.T, np.arange(n)[:, None], n)
+        np.minimum.accumulate(next_seen[::-1], axis=0, out=next_seen[::-1])
+    else:
+        # mask_windows[j] is masks[:, j:j+T], a view
+        mask_windows = sliding_window_view(masks, T, axis=1).transpose(1, 0, 2)
     # before a channel's first observation the fill holds that observation,
     # as a window's own fill would
     first_seen = masks.argmax(axis=-1)[:, None]
-    # windows[j] is filled[:, j:j+T], a view; mask_windows[j] likewise
-    windows, mask_windows = (sliding_window_view(a, T, axis=1).transpose(1, 0, 2)
-                             for a in (filled, masks))
-    N = len(data.ids)
-    # built at the first chunk of overlapping windows, over the record from
-    # that chunk's first sample on: the fill's windows held time-major and
-    # each sample's next observed index, n where none follows
-    tm_windows = next_seen = None
+    # windows[j] is fill[j:j+T].T, a (N, T) view
+    windows = sliding_window_view(fill, T, axis=0)
     chunk = _chunk_steps(cfg, N)
     for b0 in range(0, len(starts), chunk):
         t0 = time.perf_counter()
         part = starts[b0:b0 + chunk]
-        # at indexes the windows from the chunk's first one on; evenly spaced
-        # starts index as a slice, which takes views
-        lo, rel = part[0], part - part[0]
-        step = rel[1] if len(rel) > 1 else 1
-        at = slice(0, rel[-1] + 1, step) if (np.diff(rel) == step).all() else rel
-        overlap = (np.diff(part) < T).any()
+        # evenly spaced starts index as a slice, which takes views
+        step = part[1] - part[0] if len(part) > 1 else 1
+        at = slice(part[0], part[-1] + 1, step) if (np.diff(part) == step).all() else part
         if overlap:
-            if next_seen is None:
-                base = lo
-                tm_windows = sliding_window_view(filled[:, base:].T.copy(), T, axis=0)
-                next_seen = np.where(masks[:, base:], np.arange(base, n), n)
-                np.minimum.accumulate(next_seen[:, ::-1], axis=1, out=next_seen[:, ::-1])
             # each window channel's first observed sample, T or more after
             # the window's start when it has none
-            first = (next_seen[:, part - base] - part).T
+            first = next_seen[part] - part[:, None]
             observed = first < T
             # copied into one buffer that is (T, B, N) in memory (module
             # docstring)
             filled_at = np.empty((T, len(part), N)).transpose(1, 2, 0)
-            filled_at[...] = tm_windows[lo - base:][at]
+            filled_at[...] = windows[at]
         else:
             # argmax gives the first observed sample, 0 when there is none
-            mask_at = mask_windows[lo:][at]
+            mask_at = mask_windows[at]
             first = mask_at.argmax(axis=-1)
             observed = np.take_along_axis(mask_at, first[..., None], axis=-1)[..., 0]
-            filled_at = windows[lo:][at]
+            filled_at = windows[at]
         if not observed.all():
             raise _bad_window(AllMissingChannel, "no observed sample", ~observed,
                               data.ids, part)
@@ -357,11 +357,10 @@ def _windows(
             # views of the fill are read-only; copies are not
             if not filled_at.flags.writeable:
                 filled_at = filled_at.copy()
-            # the gap mask takes the windows' memory order
-            gap = np.less(np.arange(T), first[..., None],
-                          out=np.empty_like(filled_at, dtype=bool))
-            np.copyto(filled_at, filled[np.arange(N), part[:, None] + first][..., None],
-                      where=gap)
+            # through a gap mask in the windows' memory order
+            np.copyto(filled_at, fill[part[:, None] + first, np.arange(N)][..., None],
+                      where=np.less(np.arange(T), first[..., None],
+                                    out=np.empty_like(filled_at, dtype=bool)))
         osvt, mid, half = _denoise(filled_at, cfg, data.ids, part)
         yield part, osvt, mid, half
         elapsed = time.perf_counter() - t0

@@ -215,6 +215,21 @@ def test_dataset_arrays_read_only_and_stored_once():
     assert ds.values_matrix()[0, 0] == 0.0 and ds.timestamps[0] == 0.0
 
 
+def test_adopting_constructor_stores_the_given_values_and_masks():
+    # the engine's own constructor keeps the values and masks it is handed,
+    # read-only from then on, copies the time base as from_arrays does, and
+    # validates alike
+    t = np.arange(3.0)
+    values = np.arange(6.0).reshape(2, 3)
+    masks = np.ones((2, 3), bool)
+    ds = Dataset._adopt(t, values, masks, ("a", "b"))
+    assert ds.values_matrix() is values and ds.masks_matrix() is masks
+    assert not values.flags.writeable and not masks.flags.writeable
+    assert t.flags.writeable and not np.shares_memory(ds.timestamps, t)
+    with pytest.raises(ShapeError):
+        Dataset._adopt(t, np.zeros((2, 2)), np.ones((2, 2), bool), ("a", "b"))
+
+
 def test_dataset_array_form_validates():
     t, values, masks = np.arange(4.0), np.zeros((2, 4)), np.ones((2, 4), bool)
     with pytest.raises(ShapeError, match="channel id 'a' appears more than once"):
