@@ -192,9 +192,10 @@ def _denoise(
     """Normalize, stack and threshold each LOCF-filled (N, W) window of a
     stack.
 
-    starts[b] is the sample at which window b begins in the caller's record
-    and ids the channel ids; both only name the culprit when a window
-    channel has a non-finite observed sample. Returns the kernel's record of
+    A writeable stack is the caller's own copy, which it drops: it is
+    normalized in place. starts[b] is the sample at which window b begins in
+    the caller's record and ids the channel ids; both only name the culprit
+    when a window channel has a non-finite observed sample. Returns the kernel's record of
     the stacked (B, L, N*cols) matrices, whose factors are in the
     per-channel normalized domain, and the per-channel scales mid and half
     (B, N, 1) mapping that domain back (value = normalized * half + mid).
@@ -217,13 +218,12 @@ def _denoise(
     # (samples 0 and 5e-324) keeps its subnormal offsets from mid
     half = hi - lo
     half[half == 0.0] = 1.0
+    norm = np.subtract(filled, mid, out=filled if filled.flags.writeable else None)
+    norm /= half
     make = page_entries if cfg.variant is MatrixVariant.PAGE else hankel_entries
-    blocks = make((filled - mid) / half, cfg.L)  # (B, N, L, cols)
+    blocks = make(norm, cfg.L)  # (B, N, L, cols)
     # channel blocks side by side: row r of window b is blocks[b, :, r] flattened
-    stacked = blocks.transpose(0, 2, 1, 3).reshape(len(blocks), cfg.L, -1)
-    # where stacking copied (hankel blocks, page blocks of a time-major
-    # stack), the normalized windows are freed before the kernel runs
-    del blocks
+    stacked = blocks.transpose(0, 2, 1, 3).reshape(len(norm), cfg.L, -1)
     return osvt_batch(stacked), mid, half
 
 
