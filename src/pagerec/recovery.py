@@ -44,9 +44,10 @@ stream replay), each chunk is copied into one buffer held time-major,
 max, leading-gap refill and normalization) then runs over contiguous runs
 of B*N samples, where on sliding views numpy runs one short inner loop per
 W-sample row; a replay chunk's min took about a tenth of the time. The
-values, and so every result bit, are the same in either order. Impute's
-windows, which do not overlap but for a tail window, and predict_next's one
-window keep row-major views of the fill, on which a copy measured slower.
+values, and so every result bit, are the same in either order. An impute
+record of more than two windows (of which only a tail window overlaps) and
+predict_next's one window keep row-major views of the fill, on which a copy
+measured slower.
 """
 
 from __future__ import annotations
@@ -195,10 +196,11 @@ def _denoise(
     A writeable stack is the caller's own copy, which it drops: it is
     normalized in place. starts[b] is the sample at which window b begins in
     the caller's record and ids the channel ids; both only name the culprit
-    when a window channel has a non-finite observed sample. Returns the kernel's record of
-    the stacked (B, L, N*cols) matrices, whose factors are in the
-    per-channel normalized domain, and the per-channel scales mid and half
-    (B, N, 1) mapping that domain back (value = normalized * half + mid).
+    when a window channel has a non-finite observed sample. Returns the
+    kernel's record of the stacked (B, L, N*cols) matrices, whose factors
+    are in the per-channel normalized domain, and the per-channel scales mid
+    and half (B, N, 1) mapping that domain back (value = normalized * half
+    + mid).
     """
     # each row maps onto [-1, 1] on its own, so the stack needs no second
     # scale. The row's min and max are halved first: mid and half then stay
@@ -304,8 +306,7 @@ def _windows(
     # consecutive windows overlap in a stream replay (docstring)
     overlap = len(starts) > 1 and bool((np.diff(starts) < T).all())
     try:
-        # the fill as (samples, N): a view of the row-major fill, or a copy
-        # held time-major for overlapping windows, which drops the row-major
+        # the fill as (samples, N), a view of the row-major fill
         fill = locf_fill(values, masks).T
     except AllMissingChannel:
         # a channel with no observed sample misses from the first window too
@@ -313,6 +314,7 @@ def _windows(
         raise _bad_window(AllMissingChannel, "no observed sample", ~window.any(axis=-1),
                           data.ids, starts[:1]) from None
     if overlap:
+        # held time-major; the row-major fill is dropped
         fill = fill.copy()
         # each sample's next observed index on each channel, n where none
         # follows
