@@ -112,15 +112,13 @@ def degrade(
     noise_base overrides the per-channel noise scale; by default it is the
     median absolute value of the channel's observed samples, and a channel
     with no observed sample is left as it is. A rate outside its range, a
-    channel missing from a given noise_base (when noise is added) or a
-    negative seed is a ConfigError.
+    channel missing from a given noise_base (when noise is added), a noise
+    rate whose normal draws could take some channel's observed samples past
+    the float range or a negative seed is a ConfigError.
     """
     _check_rates(spec.drop_rate, spec.noise_rate)
     _check_seed(spec.seed)
-    if spec.noise_rate and noise_base is not None:
-        unscaled = [cid for cid in data.ids if cid not in noise_base]
-        if unscaled:
-            raise ConfigError(f"noise_base has no entry for channels {unscaled}")
+    deviations = _noise_deviations(data, spec.noise_rate, noise_base)
 
     rng = np.random.default_rng(spec.seed)
     n = len(data)
@@ -129,20 +127,47 @@ def degrade(
 
     values = data.values_matrix().copy()
     masks = data.masks_matrix().copy()
-    for i, cid in enumerate(data.ids):
-        vals, mask = values[i], masks[i]  # views: writing them writes the rows
+    for vals, mask, deviation in zip(values, masks, deviations):
+        # vals and mask are views: writing them writes the rows
         if spec.noise_rate:
-            if noise_base is not None:
-                base = float(noise_base[cid])
-            elif mask.any():
-                base = float(np.median(np.abs(vals[mask])))
-            else:
-                base = 0.0  # no observed sample to perturb
-            noise = rng.normal(0.0, spec.noise_rate * base, n)
-            vals[mask] += noise[mask]
+            np.add(vals, rng.normal(0.0, deviation, n), out=vals, where=mask)
         mask[drop_idx] = False
         vals[drop_idx] = np.nan
-    return data.with_values(values, masks)
+    return Dataset._adopt(data.timestamps, values, masks, data.ids)
+
+
+# A bound on the magnitude of numpy's standard normal draws. Generator's ziggurat
+# draws one outside its base strip r = 3.6541528... as r - ln(1 - u) / r with
+# u < 1 on a 2^-53 grid, so at most r + 53 ln 2 / r, about 13.708.
+_MAX_DEVIATE = 13.75
+
+
+def _noise_deviations(data: Dataset, noise_rate: float,
+                      noise_base: Mapping[str, float] | None) -> list[float]:
+    """Each channel's noise deviation in degrade: noise_rate times its noise
+    scale, its noise_base entry or else its observed samples' median
+    magnitude (0 with none). A channel missing from noise_base, or a
+    deviation whose draws could overflow an observed sample, is a ConfigError."""
+    if not noise_rate:
+        return [0.0] * len(data.ids)
+    values, masks = data.values_matrix(), data.masks_matrix()
+    if noise_base is None:
+        bases = [float(np.median(np.abs(v[m]))) if m.any() else 0.0
+                 for v, m in zip(values, masks)]
+    else:
+        unscaled = [cid for cid in data.ids if cid not in noise_base]
+        if unscaled:
+            raise ConfigError(f"noise_base has no entry for channels {unscaled}")
+        bases = [float(noise_base[cid]) for cid in data.ids]
+    deviations = [noise_rate * base for base in bases]
+    peaks = np.abs(values).max(axis=1, where=masks, initial=0.0).tolist()
+    for cid, deviation, peak in zip(data.ids, deviations, peaks):
+        # while the largest draw's share plus the channel's largest observed
+        # magnitude is finite, no noisy sample overflows
+        if deviation and not math.isfinite(deviation * _MAX_DEVIATE + peak):
+            raise ConfigError(f"noise_rate {noise_rate} times the noise scale of channel "
+                              f"{cid!r} can take its noisy samples past the float range")
+    return deviations
 
 
 def _check_seed(seed: int) -> None:
@@ -201,7 +226,8 @@ def locf_baseline(degraded: Dataset) -> Dataset:
     if not observed.all():
         cid = degraded.ids[observed.argmin()]
         raise AllMissingChannel(f"channel {cid!r} has no observed sample")
-    return degraded.with_values(locf_fill(degraded.values_matrix(), masks))
+    return Dataset._adopt(degraded.timestamps, locf_fill(degraded.values_matrix(), masks),
+                          masks, degraded.ids)
 
 
 def persistence_baseline(degraded: Dataset, T: int) -> np.ndarray:
@@ -250,13 +276,6 @@ PREDICT_CFG = RecoveryConfig(L=5, T=30)
 IMPUTE_CFG = RecoveryConfig(L=10, T=240)
 
 
-# A bound on the magnitude of numpy's standard normal draws. Generator draws
-# them by the ziggurat method: a draw outside the base strip r = 3.6541528...
-# is r - ln(1 - u) / r with u < 1 on a grid of 2^-53, so at most
-# r + 53 ln 2 / r, about 13.708.
-_MAX_DEVIATE = 13.75
-
-
 def run_benchmark(
     truth: Synthetic,
     scenarios: Sequence[Scenario],
@@ -273,11 +292,9 @@ def run_benchmark(
     forecast, all at the scenario's variant. Each is scored per channel
     against the truth (median over repetitions). Scenario failures are
     isolated into the result's error field; an empty grid, fewer than one
-    repetition, a rate outside its range, a noise rate whose standard
-    deviation is not finite for some channel or whose draws could take one
-    of its samples past the float range, a negative master seed or an
-    impute window that does not suit some scenario's variant is a
-    ConfigError before anything runs.
+    repetition, a rate outside its range or a noise rate that degrade
+    refuses, a negative master seed or an impute window that does not suit
+    some scenario's variant is a ConfigError before anything runs.
     """
     scenarios = tuple(scenarios)
     if repetitions < 1:
@@ -287,27 +304,10 @@ def run_benchmark(
     _check_seed(master_seed)
     truth_vals = truth.dataset.values_matrix()
     ids = truth.dataset.ids
-    # each channel's largest observed magnitude
-    peaks = np.abs(truth_vals).max(axis=1, where=truth.dataset.masks_matrix(), initial=0.0)
-    peaks = dict(zip(ids, peaks.tolist()))
     for scenario in scenarios:
         _check_rates(scenario.drop_rate, scenario.noise_rate)
-        # degrade draws each channel's noise at this standard deviation
-        for cid, median in truth.steady_median.items():
-            deviation = scenario.noise_rate * float(median)
-            if not math.isfinite(deviation):
-                raise ConfigError(
-                    f"noise_rate {scenario.noise_rate} times the steady median of "
-                    f"channel {cid!r} is not finite"
-                )
-            # and adds deviation times a standard normal draw to each observed
-            # sample: while the largest draw's share plus the channel's
-            # largest magnitude is finite, no noisy sample overflows
-            if deviation and not math.isfinite(deviation * _MAX_DEVIATE + peaks.get(cid, 0.0)):
-                raise ConfigError(
-                    f"noise_rate {scenario.noise_rate} times the steady median of "
-                    f"channel {cid!r} can take its noisy samples past the float range"
-                )
+        # degrade's noise checks, made before any repetition
+        _noise_deviations(truth.dataset, scenario.noise_rate, truth.steady_median)
     # the impute window for each scenario's variant, checked before any runs
     impute_cfgs = {sc.variant: replace(impute_cfg or IMPUTE_CFG, variant=sc.variant)
                    for sc in scenarios}
@@ -335,7 +335,7 @@ def run_benchmark(
                 row = [[mape(t, e) for t, e in zip(truth_vals, estimate)]
                        for estimate in (recovered.values_matrix(), baseline.values_matrix())]
                 preds, _ = predict_stream(degraded, predict_cfg)
-                persistence = persistence_baseline(degraded, predict_cfg.T)
+                persistence = baseline.values_matrix()[:, predict_cfg.T - 1:-1]
                 row += [[mape(t, e) for t, e in zip(future, estimate)]
                         for estimate in (preds.values_matrix(), persistence)]
                 rows.append(row)

@@ -44,10 +44,10 @@ stream replay), each chunk is copied into one buffer held time-major,
 max, leading-gap refill and normalization) then runs over contiguous runs
 of B*N samples, where on sliding views numpy runs one short inner loop per
 W-sample row; a replay chunk's min took about a tenth of the time. The
-values, and so every result bit, are the same in either order. An impute
-record of more than two windows (of which only a tail window overlaps) and
-predict_next's one window keep row-major views of the fill, on which a copy
-measured slower.
+values, and so every result bit, are the same in either order. A record
+whose windows do not all overlap (every impute record but one of T < n < 2T
+samples) and predict_next's one window keep row-major views of the fill, on
+which a copy measured slower.
 """
 
 from __future__ import annotations

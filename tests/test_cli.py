@@ -350,10 +350,10 @@ def test_bench_variant_grid(tmp_path):
     (["--seed", "-1"], "seed must be non-negative, got -1"),
     (["--noise", "inf"], "noise_rate must be finite, got inf"),
     # a finite rate whose noise deviation overflows for the corpus' channels
-    (["--noise", "1e308"], "noise_rate 1e+308 times the steady median of channel 'ch00' "
-                           "is not finite"),
+    (["--noise", "1e308"], "noise_rate 1e+308 times the noise scale of channel 'ch00' "
+                           "can take its noisy samples past the float range"),
     # and one whose deviation is finite but whose draws can overflow a sample
-    (["--noise", "1e307"], "noise_rate 1e+307 times the steady median of channel 'ch00' "
+    (["--noise", "1e307"], "noise_rate 1e+307 times the noise scale of channel 'ch00' "
                            "can take its noisy samples past the float range"),
 ])
 def test_bench_bad_reps_or_grid_is_usage_error(tmp_path, capsys, flags, message):

@@ -206,6 +206,30 @@ def test_degrade_validates_rates():
         degrade(corpus.dataset, DegradeSpec(seed=-1))
 
 
+def test_degrade_refuses_a_noise_rate_whose_draws_can_overflow():
+    # at 1e307 ch00's noise deviation is finite, but a normal draw of some
+    # 13 deviations would take one of its samples past the float range,
+    # whether its noise scale comes from noise_base or from its samples
+    corpus = benchmark_corpus(n_channels=3, n_samples=240, seed=1)
+    message = ("noise_rate 1e+307 times the noise scale of channel 'ch00' "
+               "can take its noisy samples past the float range")
+    for noise_base in (corpus.steady_median, None):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            degrade(corpus.dataset, DegradeSpec(drop_rate=0.1, noise_rate=1e307, seed=1),
+                    noise_base)
+        # a tenth of that rate degrades to finite samples
+        out = degrade(corpus.dataset, DegradeSpec(drop_rate=0.1, noise_rate=1e306, seed=1),
+                      noise_base)
+        assert np.isfinite(out.values_matrix()[out.masks_matrix()]).all()
+    # without noise_base a channel with no observed sample has a deviation
+    # of 0, which no rate can overflow
+    masks = corpus.dataset.masks_matrix().copy()
+    masks[1] = False
+    data = corpus.dataset.with_values(corpus.dataset.values_matrix(), masks)
+    out = degrade(data, DegradeSpec(drop_rate=0.1, noise_rate=1e306, seed=1))
+    assert np.isfinite(out.values_matrix()[out.masks_matrix()]).all()
+
+
 # ---------------------------------------------------------------------------
 # mape
 # ---------------------------------------------------------------------------
@@ -357,16 +381,32 @@ def test_benchmark_checks_every_channels_noise_deviation_before_any_repetition(m
     # degrade draws noise of standard deviation noise_rate * steady median,
     # which overflows to inf for the second scenario's rate 1e308 on channel
     # ch00; at 1e307 it is finite, but a draw of 13 deviations or more would
-    # overflow a sample
+    # overflow a sample. Both are refused in one message
     degraded = []
     monkeypatch.setattr(harness, "degrade", lambda *args, **kw: degraded.append(args))
-    for rate, reason in [(1e308, "is not finite"),
-                         (1e307, "can take its noisy samples past the float range")]:
+    for rate in (1e308, 1e307):
         scenarios = [Scenario(0.1, noise_rate=0.02), Scenario(0.1, noise_rate=rate)]
-        message = f"noise_rate {rate} times the steady median of channel 'ch00' {reason}"
+        message = (f"noise_rate {rate} times the noise scale of channel 'ch00' "
+                   "can take its noisy samples past the float range")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_benchmark(benchmark_corpus(), scenarios)
     assert degraded == []
+
+
+def test_benchmark_fills_each_repetition_once(monkeypatch):
+    # the persistence forecast reads the LOCF baseline the repetition
+    # already holds, so each repetition LOCF-fills its degraded record once
+    fill, calls = harness.locf_fill, []
+
+    def counted(values, mask):
+        calls.append(values.shape)
+        return fill(values, mask)
+
+    monkeypatch.setattr(harness, "locf_fill", counted)
+    truth = benchmark_corpus(n_channels=2, n_samples=240, seed=1)
+    results = run_benchmark(truth, [Scenario(0.2, 0.02)], repetitions=3)
+    assert results[0].error is None
+    assert calls == [(2, 240)] * 3
 
 
 def test_benchmark_seed_derivation_deterministic():
