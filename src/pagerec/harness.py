@@ -112,9 +112,10 @@ def degrade(
     noise_base overrides the per-channel noise scale; by default it is the
     median absolute value of the channel's observed samples, and a channel
     with no observed sample is left as it is. A rate outside its range, a
-    channel missing from a given noise_base (when noise is added), a noise
-    rate whose normal draws could take some channel's observed samples past
-    the float range or a negative seed is a ConfigError.
+    channel missing from a given noise_base or whose entry there is not a
+    finite non-negative number (when noise is added), a noise rate whose
+    normal draws could take some channel's observed samples past the float
+    range or a negative seed is a ConfigError.
     """
     _check_rates(spec.drop_rate, spec.noise_rate)
     _check_seed(spec.seed)
@@ -146,8 +147,9 @@ def _noise_deviations(data: Dataset, noise_rate: float,
                       noise_base: Mapping[str, float] | None) -> list[float]:
     """Each channel's noise deviation in degrade: noise_rate times its noise
     scale, its noise_base entry or else its observed samples' median
-    magnitude (0 with none). A channel missing from noise_base, or a
-    deviation whose draws could overflow an observed sample, is a ConfigError."""
+    magnitude (0 with none). A channel missing from noise_base, an entry
+    that is not a finite non-negative number, or a deviation whose draws
+    could overflow an observed sample, is a ConfigError."""
     if not noise_rate:
         return [0.0] * len(data.ids)
     values, masks = data.values_matrix(), data.masks_matrix()
@@ -159,6 +161,10 @@ def _noise_deviations(data: Dataset, noise_rate: float,
         if unscaled:
             raise ConfigError(f"noise_base has no entry for channels {unscaled}")
         bases = [float(noise_base[cid]) for cid in data.ids]
+        for cid, base in zip(data.ids, bases):
+            if not 0.0 <= base < math.inf:
+                raise ConfigError(f"noise_base entry of channel {cid!r} must be finite "
+                                  f"and non-negative, got {base}")
     deviations = [noise_rate * base for base in bases]
     peaks = np.abs(values).max(axis=1, where=masks, initial=0.0).tolist()
     for cid, deviation, peak in zip(data.ids, deviations, peaks):

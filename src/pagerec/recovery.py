@@ -32,22 +32,17 @@ One array-level engine serves every caller: it takes a stack of B filled
 windows (B, N, W) and treats each on its own, so a window's result does not
 depend on the batch it came in. Impute and a stream replay feed it chunks
 of a record's windows through one driver, so both time their windows per
-chunk (amortised). The driver LOCF-fills the record once and slices each
-window from that fill, refilling a window's leading gap so that it holds
-what locf_fill gives that window alone; predict_next fills its one window
-itself, B = 1.
-
-The stack's memory order follows the record's window starts. When every
-window overlaps the one before (consecutive starts less than T apart: a
-stream replay), each chunk is copied into one buffer held time-major,
-(T, B, N) in memory and read as (B, N, W). Each window's row work (min,
-max, leading-gap refill and normalization) then runs over contiguous runs
-of B*N samples, where on sliding views numpy runs one short inner loop per
-W-sample row; a replay chunk's min took about a tenth of the time. The
-values, and so every result bit, are the same in either order. A record
-whose windows do not all overlap (every impute record but one of T < n < 2T
-samples) and predict_next's one window keep row-major views of the fill, on
-which a copy measured slower.
+chunk (amortised). Every window holds what locf_fill gives that window
+alone. When every window overlaps the one before (consecutive starts less
+than T apart: a stream replay), the driver LOCF-fills the record once and
+copies each chunk from that fill into one buffer held time-major, (T, B, N)
+in memory and read as (B, N, W), refilling a window's leading gap from its
+own first observation. Each window's row work (min, max, refill and
+normalization) then runs over contiguous runs of B*N samples, where on
+sliding views numpy runs one short inner loop per W-sample row; a replay
+chunk's min took about a tenth of the time. Windows that do not all overlap
+(every impute record but one of T < n < 2T samples) are filled chunk by
+chunk, row-major, and predict_next fills its one window itself, B = 1.
 """
 
 from __future__ import annotations
@@ -193,9 +188,9 @@ def _denoise(
     """Normalize, stack and threshold each LOCF-filled (N, W) window of a
     stack.
 
-    A writeable stack is the caller's own copy, which it drops: it is
-    normalized in place. starts[b] is the sample at which window b begins in
-    the caller's record and ids the channel ids; both only name the culprit
+    The stack is the caller's own, which it drops: it is normalized in
+    place. starts[b] is the sample at which window b begins in the caller's
+    record and ids the channel ids; both only name the culprit
     when a window channel has a non-finite observed sample. Returns the
     kernel's record of the stacked (B, L, N*cols) matrices, whose factors
     are in the per-channel normalized domain, and the per-channel scales mid
@@ -220,7 +215,8 @@ def _denoise(
     # (samples 0 and 5e-324) keeps its subnormal offsets from mid
     half = hi - lo
     half[half == 0.0] = 1.0
-    norm = np.subtract(filled, mid, out=filled if filled.flags.writeable else None)
+    norm = filled
+    norm -= mid
     norm /= half
     make = page_entries if cfg.variant is MatrixVariant.PAGE else hankel_entries
     blocks = make(norm, cfg.L)  # (B, N, L, cols)
@@ -285,49 +281,42 @@ def _windows(
     in chunks under the _CHUNK_CELLS budget. Yields each chunk's starts and
     _denoise's results for its windows. Once the caller is done with a
     chunk, report gets its starts, kept ranks and wall time (the caller's
-    work included) divided by its window count.
+    work included) divided by its window count. Every window holds what
+    locf_fill gives that window alone.
 
-    The record is LOCF-filled once, and each chunk slices its windows from
-    that fill. A window that begins inside a gap after an earlier
-    observation finds that observation in its leading gap; the gap is
-    refilled with the window's first observation, as locf_fill fills a lone
-    window, so every window holds the same samples as its own fill would.
-
-    When every window overlaps the one before, each chunk is copied
-    time-major (module docstring) from a time-major copy of the fill, and
-    takes each window channel's first observation from the record's
-    next-observation index (a reverse minimum accumulate); the row-major
-    fill is dropped. Otherwise chunks read row-major views of the fill and
-    find first observations by argmax over their window masks, and the
-    record pays for neither the copy nor the index.
+    When every window overlaps the one before, the record is LOCF-filled
+    once, held time-major, and each chunk's windows are copied time-major
+    (module docstring) from that fill. A window that begins inside a gap
+    after an earlier observation finds that observation in its leading gap;
+    the gap is refilled with the window's first observation, read off the
+    record's next-observation index (a reverse minimum accumulate), which
+    also finds every window channel without an observation before any
+    window runs. Otherwise each chunk fills its own windows, row-major.
     """
     values, masks = data.values_matrix(), data.masks_matrix()
     T, n, N = cfg.T, len(data), len(data.ids)
     # consecutive windows overlap in a stream replay (docstring)
     overlap = len(starts) > 1 and bool((np.diff(starts) < T).all())
-    try:
-        # the fill as (samples, N), a view of the row-major fill
-        fill = locf_fill(values, masks).T
-    except AllMissingChannel:
-        # a channel with no observed sample misses from the first window too
-        window = masks[None, :, starts[0]:starts[0] + T]
-        raise _bad_window(AllMissingChannel, "no observed sample", ~window.any(axis=-1),
-                          data.ids, starts[:1]) from None
     if overlap:
-        # held time-major; the row-major fill is dropped
-        fill = fill.copy()
         # each sample's next observed index on each channel, n where none
-        # follows
+        # follows, held time-major
         next_seen = np.where(masks.T, np.arange(n)[:, None], n)
         np.minimum.accumulate(next_seen[::-1], axis=0, out=next_seen[::-1])
+        # each window channel's first observed sample, T or more after the
+        # window's start when it has none
+        first = next_seen[starts] - starts[:, None]
+        del next_seen
+        if (first >= T).any():
+            raise _bad_window(AllMissingChannel, "no observed sample", first >= T,
+                              data.ids, starts)
+        # the fill as (samples, N), held time-major; windows[j] is
+        # fill[j:j+T].T, a (N, T) view
+        fill = locf_fill(values, masks).T.copy()
+        windows = sliding_window_view(fill, T, axis=0)
     else:
-        # mask_windows[j] is masks[:, j:j+T], a view
-        mask_windows = sliding_window_view(masks, T, axis=1).transpose(1, 0, 2)
-    # before a channel's first observation the fill holds that observation,
-    # as a window's own fill would
-    first_seen = masks.argmax(axis=-1)[:, None]
-    # windows[j] is fill[j:j+T].T, a (N, T) view
-    windows = sliding_window_view(fill, T, axis=0)
+        # value_windows[j] is values[:, j:j+T], a view, and so for masks
+        value_windows, mask_windows = (sliding_window_view(a, T, axis=1).transpose(1, 0, 2)
+                                       for a in (values, masks))
     chunk = _chunk_steps(cfg, N)
     for b0 in range(0, len(starts), chunk):
         t0 = time.perf_counter()
@@ -336,33 +325,24 @@ def _windows(
         step = part[1] - part[0] if len(part) > 1 else 1
         at = slice(part[0], part[-1] + 1, step) if (np.diff(part) == step).all() else part
         if overlap:
-            # each window channel's first observed sample, T or more after
-            # the window's start when it has none
-            first = next_seen[part] - part[:, None]
-            observed = first < T
             # copied into one buffer that is (T, B, N) in memory (module
             # docstring)
             filled_at = np.empty((T, len(part), N)).transpose(1, 2, 0)
             filled_at[...] = windows[at]
+            # a window that begins in a gap holds the observation before it,
+            # or the channel's first one, up to its own first one, which
+            # replaces it through a gap mask in the windows' memory order
+            first_at = first[b0:b0 + chunk]
+            if first_at.any():
+                np.copyto(filled_at, fill[part[:, None] + first_at, np.arange(N)][..., None],
+                          where=np.less(np.arange(T), first_at[..., None],
+                                        out=np.empty_like(filled_at, dtype=bool)))
         else:
-            # argmax gives the first observed sample, 0 when there is none
-            mask_at = mask_windows[at]
-            first = mask_at.argmax(axis=-1)
-            observed = np.take_along_axis(mask_at, first[..., None], axis=-1)[..., 0]
-            filled_at = windows[at]
-        if not observed.all():
-            raise _bad_window(AllMissingChannel, "no observed sample", ~observed,
-                              data.ids, part)
-        # a window that begins in a gap after an observation holds that
-        # earlier observation up to its own first one, which replaces it
-        if ((first_seen < part) & ~masks[:, part]).any():
-            # views of the fill are read-only; copies are not
-            if not filled_at.flags.writeable:
-                filled_at = filled_at.copy()
-            # through a gap mask in the windows' memory order
-            np.copyto(filled_at, fill[part[:, None] + first, np.arange(N)][..., None],
-                      where=np.less(np.arange(T), first[..., None],
-                                    out=np.empty_like(filled_at, dtype=bool)))
+            observed = mask_windows[at].any(axis=-1)
+            if not observed.all():
+                raise _bad_window(AllMissingChannel, "no observed sample", ~observed,
+                                  data.ids, part)
+            filled_at = locf_fill(value_windows[at], mask_windows[at])
         osvt, mid, half = _denoise(filled_at, cfg, data.ids, part)
         yield part, osvt, mid, half
         elapsed = time.perf_counter() - t0

@@ -194,6 +194,16 @@ def test_degrade_names_a_channel_missing_from_noise_base():
     degrade(corpus.dataset, DegradeSpec(drop_rate=0.1), noise_base={})
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_degrade_names_a_channel_whose_noise_base_entry_is_no_scale(bad):
+    corpus = benchmark_corpus(n_channels=2, n_samples=40, seed=1)
+    message = f"noise_base entry of channel 'ch01' must be finite and non-negative, got {bad}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        degrade(corpus.dataset, DegradeSpec(noise_rate=0.1), {"ch00": 1.0, "ch01": bad})
+    # without noise the entry scales nothing
+    degrade(corpus.dataset, DegradeSpec(drop_rate=0.1), {"ch00": 1.0, "ch01": bad})
+
+
 def test_degrade_validates_rates():
     corpus = benchmark_corpus(n_channels=2, n_samples=40, seed=1)
     with pytest.raises(ConfigError):
@@ -390,6 +400,19 @@ def test_benchmark_checks_every_channels_noise_deviation_before_any_repetition(m
                    "can take its noisy samples past the float range")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_benchmark(benchmark_corpus(), scenarios)
+    assert degraded == []
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_benchmark_checks_every_channels_noise_base_entry_before_any_repetition(
+        bad, monkeypatch):
+    degraded = []
+    monkeypatch.setattr(harness, "degrade", lambda *args, **kw: degraded.append(args))
+    corpus = benchmark_corpus()
+    truth = Synthetic(corpus.dataset, {**corpus.steady_median, "ch01": bad})
+    message = f"noise_base entry of channel 'ch01' must be finite and non-negative, got {bad}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_benchmark(truth, [Scenario(0.1, noise_rate=0.02)])
     assert degraded == []
 
 

@@ -406,6 +406,35 @@ def test_impute_tail_gets_a_full_window_ending_at_the_record_end(variant, overwr
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("variant", ["page", "hankel"])
+def test_impute_window_that_begins_in_a_gap_equals_that_window_alone(variant):
+    # 3 * 60 + 17 samples: windows at 0, 60 and 120, then a tail window at
+    # 137. ch01 observes nothing in [55, 71), so window 1 begins inside a gap
+    # that an earlier observation precedes, and its leading gap must hold its
+    # own first observation, not the one before the window
+    T = 60
+    cfg = RecoveryConfig(L=10, T=T, variant=MatrixVariant(variant))
+    corpus = benchmark_corpus(n_channels=3, n_samples=3 * T + 17, seed=5)
+    degraded = degrade(corpus.dataset, DegradeSpec(drop_rate=0.2, noise_rate=0.02, seed=5),
+                       noise_base=corpus.steady_median)
+    masks = degraded.masks_matrix().copy()
+    masks[1, 55:71] = False
+    data = degraded.with_values(degraded.values_matrix(), masks)
+    assert not masks[1, T] and masks[1, :T].any()
+    rec, report = impute_offline(data, cfg)
+    assert report.start_sample == [0, 60, 120, 137]
+    written = 0
+    for start, rank in zip(report.start_sample, report.kept_rank):
+        alone, alone_report = impute_offline(Dataset.from_arrays(
+            data.timestamps[start:start + T], data.values_matrix()[:, start:start + T],
+            masks[:, start:start + T], data.ids,
+        ), cfg)
+        assert alone_report.kept_rank == [rank]
+        got = rec.values_matrix()[:, written:start + T]
+        assert got.tobytes() == alone.values_matrix()[:, written - start:].tobytes()
+        written = start + T
+
+
 def test_impute_rejects_short_dataset():
     corpus = benchmark_corpus(n_channels=2, n_samples=100, seed=1)
     with pytest.raises(ShapeError):
@@ -497,6 +526,28 @@ def test_stream_outage_names_channel_and_window():
         match=r"^channel 'ch01' has no observed sample in the window starting at sample 400$",
     ):
         predict_stream(data, cfg)
+
+
+def test_stream_outage_raises_before_any_window_runs(monkeypatch):
+    # ch01 observes nothing in [700, 760); the replay's windows are all
+    # checked before the first chunk reaches the kernel
+    corpus = benchmark_corpus(n_channels=3, n_samples=900, seed=7)
+    masks = corpus.dataset.masks_matrix().copy()
+    masks[1, 700:760] = False
+    data = corpus.dataset.with_values(corpus.dataset.values_matrix(), masks)
+    windows = []
+
+    def counting(stacked):
+        windows.append(len(stacked))
+        return osvt_batch(stacked)
+
+    monkeypatch.setattr(recovery, "osvt_batch", counting)
+    with pytest.raises(
+        AllMissingChannel,
+        match=r"^channel 'ch01' has no observed sample in the window starting at sample 700$",
+    ):
+        predict_stream(data, RecoveryConfig(L=5, T=30))
+    assert sum(windows) == 0
 
 
 def masked_corpus(n_samples, drop):
